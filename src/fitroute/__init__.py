@@ -3,8 +3,8 @@
 Two engines over the same random topologies: a classical hop-count
 distance-vector baseline (complete with its count-to-infinity pathology) and
 a fitness-estimation router that prunes bandwidth-infeasible links and picks
-loop-free minimum-(hops, cost) paths via a label-setting spanning-tree
-search. The experiment harness runs paired queries over both and verifies
+loop-free minimum-(hops, cost) paths from a spanning tree built one hop layer
+at a time. The experiment harness runs paired queries over both and verifies
 the routing claims against independent BFS oracles.
 """
 

@@ -26,6 +26,7 @@ from .experiment import (
 )
 from .fitness import RouteRequest, Weights, select_route
 from .topology import (
+    MAX_NODES,
     GenParams,
     QosLink,
     Topology,
@@ -34,8 +35,6 @@ from .topology import (
     parse_topology,
     remove_link,
 )
-
-MAX_NODES = 1024
 
 
 def _parse_range(text: str) -> tuple[float, float]:

@@ -31,9 +31,6 @@ class DvState:
     next_hop: tuple[tuple[int | None, ...], ...]
     infinity_metric: int
 
-    def reachable(self, src: int, dst: int) -> bool:
-        return self.dist[src][dst] < self.infinity_metric
-
 
 @dataclass(frozen=True)
 class DvTrace:
@@ -138,7 +135,7 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
         raise ValueError(f"query ({src}, {dst}) outside [0, {n})")
     if src == dst:
         return [src]
-    if not s.reachable(src, dst):
+    if s.dist[src][dst] >= s.infinity_metric:
         return None
     path = [src]
     seen = {src}

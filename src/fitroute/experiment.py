@@ -10,6 +10,7 @@ testable byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from . import dv as dv_engine
@@ -31,6 +32,7 @@ from .topology import (
     SplitMix64,
     Topology,
     bfs_hops,
+    component_ids,
     feasible_subgraph,
     generate_topology_rng,
     topology_fingerprint,
@@ -63,8 +65,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.query_count < 0:
             raise ValueError("query_count must be non-negative")
-        if self.demand < 0:
-            raise ValueError("demand must be non-negative")
+        if not 0 <= self.demand < math.inf:
+            raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
         if self.explicit_queries is not None:
             for src, dst in self.explicit_queries:
                 if not (0 <= src < self.n and 0 <= dst < self.n):
@@ -140,9 +142,10 @@ def run_comparison(cfg: ExperimentConfig,
     (replay mode); queries then come from the same seeded stream, after the
     generation draws. The distance-vector engine converges once and is
     reused across queries; the fitness engine prunes once per report (the
-    demand is fixed) and builds one spanning tree per distinct source.
-    The summary's violation list is filled by verify_claims and is empty
-    unless an engine misbehaved.
+    demand is fixed), builds one spanning tree per distinct source and
+    labels the full topology's components once to tell refusals from
+    unreachable rows. The summary's violation list is filled by
+    verify_claims and is empty unless an engine misbehaved.
     """
     rng = SplitMix64(cfg.seed)
     if topology is None:
@@ -161,8 +164,8 @@ def run_comparison(cfg: ExperimentConfig,
     state, _ = dv_engine.converge(state, t.n + 1)
 
     pruned = feasible_subgraph(t, cfg.demand)
+    components = component_ids(t)
     trees: dict[int, SpanningTree] = {}
-    full_hops: dict[int, dict[int, int]] = {}
 
     rows = []
     for src, dst in queries:
@@ -170,9 +173,8 @@ def run_comparison(cfg: ExperimentConfig,
         dv_hops = None if dv_path is None else len(dv_path) - 1
         if src not in trees:
             trees[src] = build_spanning_tree(pruned, src, cfg.weights)
-            full_hops[src] = bfs_hops(t, src)
         req = RouteRequest(src, dst, cfg.demand, cfg.weights)
-        ff = classify_outcome(t, pruned, trees[src], req, full_hops[src])
+        ff = classify_outcome(t, trees[src], req, components)
         rows.append(ComparisonRow(
             src, dst, dv_hops,
             None if dv_path is None else tuple(dv_path), ff))
@@ -418,4 +420,4 @@ def report_to_json(report: ComparisonReport) -> str:
             entry["ff_cost"] = row.ff.cost
             entry["ff_fitness"] = row.ff.fitness
         doc["rows"].append(entry)
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -3,22 +3,21 @@
 Bandwidth is a hard constraint, not a cost term: links that cannot carry the
 requested demand are pruned before any search runs, which is what gives the
 engine its bandwidth guarantee. The remaining QoS attributes (delay, jitter,
-loss) are folded into an additive edge cost, and paths are selected by a
-label-setting search over the lexicographic label (hops, cost). The search
-settles each node permanently at most once, so it terminates after at most n
-settlements regardless of topology changes, and its predecessor pointers form
-a spanning tree of the reachable component, which makes routing loops
-structurally impossible.
+loss) are folded into an additive edge cost, and paths minimise the
+lexicographic label (hops, cost). The search expands one hop layer at a time,
+each newly reached node taking its cheapest predecessor in the layer before.
+Every node is labelled once, so the search ends after at most n labels, and
+its predecessor pointers form a spanning tree of the reachable component,
+which makes routing loops structurally impossible.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
-probability becomes additive, keeping the metric exact for label-setting.
+probability becomes additive, keeping the path cost an exact sum.
 A path's fitness is 1 / (1 + cost): 1 for a free path, approaching 0 as the
 accumulated cost grows.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -29,15 +28,16 @@ from .topology import QosLink, Topology, bfs_hops, feasible_subgraph
 @dataclass(frozen=True)
 class Weights:
     """Per-attribute cost weights: delay and jitter per ms, loss applied to
-    -ln(1 - loss). All non-negative, not all zero."""
+    -ln(1 - loss). All finite and non-negative, not all zero."""
 
     delay: float = 1.0
     jitter: float = 1.0
     loss: float = 1.0
 
     def __post_init__(self):
-        if min(self.delay, self.jitter, self.loss) < 0:
-            raise ValueError("weights must be non-negative")
+        weights = (self.delay, self.jitter, self.loss)
+        if not all(0 <= x < math.inf for x in weights):
+            raise ValueError("weights must be finite and non-negative")
         if self.delay == self.jitter == self.loss == 0:
             raise ValueError("at least one weight must be positive")
 
@@ -53,8 +53,8 @@ class RouteRequest:
     weights: Weights = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        if self.demand < 0:
-            raise ValueError("demand must be non-negative")
+        if not 0 <= self.demand < math.inf:
+            raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,8 @@ def edge_cost(link: QosLink, w: Weights) -> float:
     """w.delay*delay + w.jitter*jitter + w.loss*(-ln(1-loss)).
 
     Bandwidth is deliberately absent: it is enforced by pruning, never
-    traded off against the other attributes.
+    traded off against the other attributes. QosLink keeps loss below 1.
     """
-    if link.loss >= 1:
-        raise ValueError(f"link {link.pair} has loss {link.loss}, unusable")
     return (w.delay * link.delay
             + w.jitter * link.jitter
             + w.loss * -math.log1p(-link.loss))
@@ -117,10 +115,10 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Predecessor tree of a label-setting search from `root`.
+    """Predecessor tree of a layered search from `root`.
 
-    label maps every settled node to its final (hops, cost); parent maps
-    every settled node except the root to (predecessor, link). Tree paths are
+    label maps every reached node to its final (hops, cost); parent maps
+    every reached node except the root to (predecessor, link). Tree paths are
     loop-free by construction. relaxations counts edge examinations, bounded
     by twice the link count.
     """
@@ -134,7 +132,7 @@ class SpanningTree:
         return node in self.label
 
     def path_to(self, node: int) -> list[int] | None:
-        """Root-to-node tree path, or None if the node was never settled."""
+        """Root-to-node tree path, or None if the node was never reached."""
         if node not in self.label:
             return None
         path = [node]
@@ -146,49 +144,41 @@ class SpanningTree:
 
 
 def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
-    """Label-setting search over `t` with lexicographic (hops, cost) labels.
+    """Minimum (hops, cost) labels from `root`, one hop layer at a time.
 
-    Repeatedly settles the unsettled node with the smallest label, ties going
-    to the smaller node id, and relaxes its incident links. Settled nodes are
-    never relabeled, which bounds the search to at most n settlements: there
-    is no counting behaviour whatever the topology looks like. Equal-label
-    relaxations keep the smaller predecessor id, so the tree is fully
-    deterministic.
+    Hops compare first, so a node's hop count is its breadth-first layer: a
+    node first reached from layer k joins layer k+1 under the neighbour u in
+    layer k with the smallest (cost_u + edge_cost, u), ties thus going to
+    the smaller id. Each node is labelled once and each link examined at
+    most twice, so the search is bounded whatever the topology.
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
-    best: dict[int, tuple[int, float]] = {root: (0, 0.0)}
-    pred: dict[int, tuple[int, QosLink]] = {}
-    label: dict[int, tuple[int, float]] = {}
+    label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, tuple[int, QosLink]] = {}
-    heap: list[tuple[int, float, int]] = [(0, 0.0, root)]
+    layer = [root]
     relaxations = 0
-    while heap:
-        hops, cost, u = heapq.heappop(heap)
-        if u in label or (hops, cost) > best[u]:
-            continue  # already settled, or a stale queue entry
-        label[u] = (hops, cost)
-        if u != root:
-            parent[u] = pred[u]
-        for v, link in t.adjacency(u):
-            relaxations += 1
-            if v in label:
-                continue
-            cand = (hops + 1, cost + edge_cost(link, w))
-            known = best.get(v)
-            if known is None or cand < known:
-                best[v] = cand
-                pred[v] = (u, link)
-                heapq.heappush(heap, (cand[0], cand[1], v))
-            elif cand == known and u < pred[v][0]:
-                pred[v] = (u, link)  # same label, keep smaller predecessor
+    while layer:
+        reached: dict[int, tuple[float, int, QosLink]] = {}
+        for u in layer:  # ascending, so strict < keeps the smaller u on a tie
+            hops, cost_u = label[u]
+            for v, link in t.adjacency(u):
+                relaxations += 1
+                if v not in label:
+                    cost = cost_u + edge_cost(link, w)
+                    if v not in reached or cost < reached[v][0]:
+                        reached[v] = (cost, u, link)
+        for v, (cost, u, link) in reached.items():
+            label[v] = (hops + 1, cost)
+            parent[v] = (u, link)
+        layer = sorted(reached)
     return SpanningTree(root, parent, label, relaxations)
 
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: prune infeasible links, search, classify the result.
 
-    Returns a Route when the destination is settled in the pruned graph,
+    Returns a Route when the destination is reached in the pruned graph,
     NoSufficientBandwidth when it is reachable only in the unpruned
     topology, and Unreachable otherwise. All failure modes are outcomes,
     never exceptions.
@@ -196,31 +186,24 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     n = t.n
     if not (0 <= req.src < n and 0 <= req.dst < n):
         raise ValueError(f"query ({req.src}, {req.dst}) outside [0, {n})")
-    if req.src == req.dst:
-        return Route((req.src,), 0, 0.0, 1.0)
     pruned = feasible_subgraph(t, req.demand)
     tree = build_spanning_tree(pruned, req.src, req.weights)
-    return classify_outcome(t, pruned, tree, req)
+    return classify_outcome(t, tree, req)
 
 
-def classify_outcome(t: Topology, pruned: Topology, tree: SpanningTree,
-                     req: RouteRequest,
-                     full_hops: dict[int, int] | None = None) -> RouteOutcome:
-    """Turn a search result into a RouteOutcome.
+def classify_outcome(t: Topology, tree: SpanningTree, req: RouteRequest,
+                     components: list[int] | None = None) -> RouteOutcome:
+    """Turn a search from req.src over the pruned graph into a RouteOutcome.
 
-    Shared with the comparison harness, which reuses one tree per source
-    across many queries and passes a precomputed full-graph BFS map to avoid
-    recomputing reachability per query.
+    Routes come from the tree labels. An unreached destination is refused
+    when `t` connects it to the source: `components` (component_ids of `t`)
+    tells, else one BFS from the root.
     """
-    if req.src == req.dst:
-        return Route((req.src,), 0, 0.0, 1.0)
     if tree.settled(req.dst):
-        path = tree.path_to(req.dst)
-        hops = tree.label[req.dst][0]
-        cost, fitness = path_fitness(path, t, req.weights)
-        return Route(tuple(path), hops, cost, fitness)
-    if full_hops is None:
-        full_hops = bfs_hops(t, req.src)
-    if req.dst in full_hops:
-        return NO_SUFFICIENT_BANDWIDTH
-    return UNREACHABLE
+        hops, cost = tree.label[req.dst]
+        return Route(tuple(tree.path_to(req.dst)), hops, cost, 1 / (1 + cost))
+    if components is None:
+        reachable = req.dst in bfs_hops(t, tree.root)
+    else:
+        reachable = components[tree.root] == components[req.dst]
+    return NO_SUFFICIENT_BANDWIDTH if reachable else UNREACHABLE

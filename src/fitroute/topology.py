@@ -9,10 +9,13 @@ decision is drawn from an explicit SplitMix64 stream in a fixed order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 _MASK64 = (1 << 64) - 1
+
+MAX_NODES = 1024  # largest node count the CLI and the file format accept
 
 
 class SplitMix64:
@@ -56,9 +59,9 @@ class QosLink:
 
     a: int
     b: int
-    bandwidth: float  # Mbps, > 0
-    delay: float      # ms, >= 0
-    jitter: float     # ms, >= 0
+    bandwidth: float  # Mbps, > 0, finite
+    delay: float      # ms, >= 0, finite
+    jitter: float     # ms, >= 0, finite
     loss: float       # probability, in [0, 1)
 
     def __post_init__(self):
@@ -70,10 +73,10 @@ class QosLink:
             object.__setattr__(self, "b", b)
         if self.a < 0:
             raise ValueError(f"negative node id {self.a}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.delay < 0 or self.jitter < 0:
-            raise ValueError("delay and jitter must be non-negative")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        if not (0 <= self.delay < math.inf and 0 <= self.jitter < math.inf):
+            raise ValueError("delay and jitter must be finite and non-negative")
         if not 0 <= self.loss < 1:
             raise ValueError(f"loss must lie in [0, 1), got {self.loss}")
 
@@ -100,8 +103,8 @@ class GenParams:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} has min > max: ({lo}, {hi})")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"{name} needs finite min <= max: ({lo}, {hi})")
         if self.bandwidth_range[0] <= 0:
             raise ValueError("bandwidth_range must be positive")
         if self.delay_range[0] < 0 or self.jitter_range[0] < 0:
@@ -245,6 +248,16 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
     return hops
 
 
+def component_ids(t: Topology) -> list[int]:
+    """Each node's component id, the smallest node id in its component."""
+    ids = [-1] * t.n
+    for v in range(t.n):
+        if ids[v] < 0:
+            for u in bfs_hops(t, v):
+                ids[u] = v
+    return ids
+
+
 def is_connected(t: Topology) -> bool:
     """True iff every node is reachable from node 0 (single node counts)."""
     return len(bfs_hops(t, 0)) == t.n
@@ -271,6 +284,8 @@ def parse_topology(text: str) -> Topology:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad node count line: {lines[0]!r}") from None
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"node count must lie in 1..{MAX_NODES}, got {n}")
     links = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -78,6 +78,31 @@ def test_compare_rejects_node_range(capsys, nodes):
     assert "1..1024" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--weights", "nan,1,1"),
+    ("--weights", "1,inf,1"),
+    ("--demand", "nan"),
+    ("--demand", "inf"),
+    ("--bw", "1:inf"),
+    ("--delay", "nan:20"),
+])
+def test_compare_rejects_non_finite_numbers(capsys, flags):
+    code, out, err = run(capsys, "compare", "--nodes", "6", "--format", "json",
+                         *flags)
+    assert code == 2
+    assert out == ""
+    assert "fitroute: error:" in err
+
+
+@pytest.mark.parametrize("link", ["0 1 10 nan 0 0", "0 1 inf 1 0 0"])
+def test_compare_rejects_non_finite_topology_file(tmp_path, capsys, link):
+    path = tmp_path / "topo.txt"
+    path.write_text(f"n=2\n{link}\n")
+    code, out, _ = run(capsys, "compare", "--topology", str(path))
+    assert code == 2
+    assert out == ""
+
+
 def test_compare_rejects_out_of_range_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "0:9")
     assert code == 2

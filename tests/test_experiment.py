@@ -67,6 +67,12 @@ def test_config_rejects_bad_values():
         ExperimentConfig(demand=-1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_demand(bad):
+    with pytest.raises(ValueError):
+        ExperimentConfig(demand=bad)
+
+
 def test_replay_topology_must_match_node_count():
     with pytest.raises(ValueError):
         run_comparison(ExperimentConfig(n=5), line_topology(3))
@@ -162,6 +168,26 @@ def test_single_node_queries_are_self_ties():
         assert row.dv_hops == 0
         assert isinstance(row.ff, Route) and row.ff.hops == 0
     assert report.summary.ties == 3
+
+
+def test_outcomes_across_three_components():
+    # components {0,1,2} (1-2 too thin at demand 5), {3,4}, and isolated 5
+    t = Topology(6, (
+        QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
+        QosLink(1, 2, 2.0, 1.0, 0.0, 0.0),
+        QosLink(3, 4, 10.0, 2.0, 0.0, 0.0),
+    ))
+    cfg = ExperimentConfig(n=6, demand=5.0, explicit_queries=(
+        (0, 1), (0, 2), (0, 3), (4, 3), (5, 5)))
+    report = run_comparison(cfg, t)
+    assert [row.ff.status for row in report.rows] == [
+        "route", "no_bandwidth", "unreachable", "route", "route"]
+    assert report.rows[3].ff == Route((4, 3), 1, 2.0, 1.0 / 3.0)
+    assert report.rows[4].ff == Route((5,), 0, 0.0, 1.0)
+    s = report.summary
+    assert (s.ff_wins, s.ties, s.ff_longer, s.refusals, s.unreachable) == (
+        0, 3, 0, 1, 1)
+    assert s.violations == ()
 
 
 # --- verify_claims fault injection ---
@@ -305,3 +331,10 @@ def test_report_json_schema():
     assert refusal_row["ff_status"] == "no_bandwidth"
     assert refusal_row["ff_hops"] is None
     assert doc["config"]["demand"] == 4.0
+
+
+def test_report_json_rejects_non_finite_numbers():
+    report, _ = refusal_report()
+    bad = tamper(report, 0, ff=Route((0, 1, 2), 2, float("nan"), float("nan")))
+    with pytest.raises(ValueError):
+        report_to_json(bad)

@@ -61,6 +61,14 @@ def test_weights_validation():
     Weights(0.0, 0.0, 2.0)  # a single positive weight is fine
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weights_and_demand_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        Weights(1.0, bad, 1.0)
+    with pytest.raises(ValueError):
+        RouteRequest(0, 1, bad, UNIT)
+
+
 def test_edge_cost_formula():
     link = QosLink(0, 1, 10.0, 2.0, 1.0, 0.0)
     assert edge_cost(link, UNIT) == 3.0
@@ -179,6 +187,22 @@ def test_tree_equal_label_keeps_smaller_predecessor():
     ))
     tree = build_spanning_tree(t, 0, UNIT)
     assert tree.parent[3][0] == 1
+
+
+def test_tree_equal_label_tie_ignores_discovery_order():
+    # layer 2 is reached as 4 (via 1) before 3 (via 2); 5 ties between
+    # them and must still take the smaller id, 3
+    t = Topology(6, (
+        QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
+        QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
+        QosLink(1, 4, 10.0, 1.0, 0.0, 0.0),
+        QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
+        QosLink(3, 5, 10.0, 1.0, 0.0, 0.0),
+        QosLink(4, 5, 10.0, 1.0, 0.0, 0.0),
+    ))
+    tree = build_spanning_tree(t, 0, UNIT)
+    assert tree.label[5] == (3, 3.0)
+    assert tree.path_to(5) == [0, 2, 3, 5]
 
 
 @pytest.mark.parametrize("seed", range(10))

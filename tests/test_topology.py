@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,8 @@ from fitroute import (
     remove_link,
     topology_fingerprint,
 )
+
+from fitroute.topology import component_ids
 
 from helpers import line_topology, triangle_topology
 
@@ -74,6 +78,21 @@ def test_link_rejects_bad_attributes(kwargs):
         QosLink(**base)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(bandwidth=math.inf),
+    dict(bandwidth=math.nan),
+    dict(delay=math.nan),
+    dict(delay=math.inf),
+    dict(jitter=math.inf),
+    dict(loss=math.nan),
+])
+def test_link_rejects_non_finite_attributes(kwargs):
+    base = dict(a=0, b=1, bandwidth=10.0, delay=1.0, jitter=0.0, loss=0.0)
+    base.update(kwargs)
+    with pytest.raises(ValueError):
+        QosLink(**base)
+
+
 def test_gen_params_validation():
     with pytest.raises(ValueError):
         GenParams(edge_prob=1.5)
@@ -83,6 +102,14 @@ def test_gen_params_validation():
         GenParams(loss_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         GenParams(bandwidth_range=(0.0, 10.0))
+
+
+@pytest.mark.parametrize("name", ["bandwidth_range", "delay_range",
+                                  "jitter_range", "loss_range"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_gen_params_rejects_non_finite_ranges(name, bad):
+    with pytest.raises(ValueError):
+        GenParams(**{name: (0.5, bad)})
 
 
 def test_topology_rejects_duplicates_and_stray_endpoints():
@@ -283,6 +310,12 @@ def test_parse_rejects_malformed(text):
         parse_topology(text)
 
 
+def test_parse_bounds_node_count_before_allocating():
+    with pytest.raises(ValueError, match="1..1024"):
+        parse_topology("n=1025\n")
+    assert parse_topology("n=1024\n").n == 1024
+
+
 def test_fingerprints_distinct_across_seeds():
     prints = {topology_fingerprint(generate_topology(16, seed=s))
               for s in range(200)}
@@ -293,3 +326,13 @@ def test_fingerprint_sensitive_to_any_change():
     t = generate_topology(6, seed=1)
     t2 = remove_link(t, *t.links[0].pair)
     assert topology_fingerprint(t) != topology_fingerprint(t2)
+
+
+def test_component_ids():
+    t = Topology(6, (
+        QosLink(1, 4, 10.0, 1.0, 0.0, 0.0),
+        QosLink(4, 5, 10.0, 1.0, 0.0, 0.0),
+        QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
+    ))
+    assert component_ids(t) == [0, 1, 0, 3, 1, 1]
+    assert component_ids(generate_topology(20, seed=3)) == [0] * 20
