@@ -6,6 +6,9 @@ count-to-infinity behaviour after a link failure. Distances cap at a
 configurable infinity metric (conventionally 16), at which point a
 destination is reported unreachable.
 
+Only hop metrics are kept: at a fixed point they already name every next
+hop, so paths are read off the converged table.
+
 All transitions are pure: a round maps one DvState to a new one, computed
 entirely from the previous round's vectors.
 """
@@ -19,16 +22,14 @@ from .topology import Topology, remove_link
 
 @dataclass(frozen=True)
 class DvState:
-    """Per-node distance vectors and next hops.
+    """Per-node distance vectors.
 
     dist[v][d] is the hop metric from v to d, stored capped: a value equal to
-    infinity_metric means unreachable. next_hop[v][d] is the neighbor v
-    forwards through, or None for self/unreachable entries.
+    infinity_metric means unreachable.
     """
 
     topology: Topology
     dist: tuple[tuple[int, ...], ...]
-    next_hop: tuple[tuple[int | None, ...], ...]
     infinity_metric: int
 
 
@@ -50,56 +51,39 @@ def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
         raise ValueError("infinity_metric must be at least 2")
     inf = infinity_metric
     dist = []
-    next_hop = []
     for v in range(t.n):
         row = [inf] * t.n
-        hops: list[int | None] = [None] * t.n
         row[v] = 0
         for u, _ in t.adjacency(v):
             row[u] = 1
-            hops[u] = u
         dist.append(tuple(row))
-        next_hop.append(tuple(hops))
-    return DvState(t, tuple(dist), tuple(next_hop), inf)
+    return DvState(t, tuple(dist), inf)
 
 
 def exchange_round(s: DvState) -> tuple[DvState, bool]:
     """One synchronous exchange: every node recomputes its vector from its
     neighbors' previous-round vectors.
 
-    dist[v][d] = min over neighbors m of 1 + dist[m][d], capped at the
-    infinity metric (0 for v = d). Next-hop ties go to the smallest neighbor
-    id. Returns the new state and whether any entry changed.
+    dist[v][d] = min(infinity, 1 + min over neighbors m of dist[m][d]), and
+    0 for v = d. Returns the new state and whether any entry changed.
     """
     t = s.topology
-    inf = s.infinity_metric
     old = s.dist
+    cap = s.infinity_metric - 1
     new_dist = []
-    new_next = []
     for v in range(t.n):
-        row = [inf] * t.n
-        hops: list[int | None] = [None] * t.n
-        row[v] = 0
-        neighbors = t.adjacency(v)
+        rows = [old[m] for m, _ in t.adjacency(v)]
+        row = []
         for d in range(t.n):
-            if d == v:
-                continue
-            best = inf
-            best_hop = None
-            for m, _ in neighbors:  # ascending m: strict < keeps smallest id
-                cand = 1 + old[m][d]
-                if cand < best:
-                    best = cand
-                    best_hop = m
-            if best >= inf:
-                best, best_hop = inf, None
-            row[d] = best
-            hops[d] = best_hop
+            best = cap
+            for r in rows:
+                if r[d] < best:
+                    best = r[d]
+            row.append(best + 1)
+        row[v] = 0
         new_dist.append(tuple(row))
-        new_next.append(tuple(hops))
-    state = DvState(t, tuple(new_dist), tuple(new_next), inf)
-    changed = state.dist != s.dist or state.next_hop != s.next_hop
-    return state, changed
+    new_dist = tuple(new_dist)
+    return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
 def converge(s: DvState, max_rounds: int) -> tuple[DvState, int]:
@@ -125,29 +109,30 @@ def converge(s: DvState, max_rounds: int) -> tuple[DvState, int]:
 
 
 def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
-    """Follow next hops from src to dst; None when dst is unreachable.
+    """Walk a converged table from src to dst; None when dst is unreachable.
 
-    Requires a converged state. A next-hop cycle cannot occur after
-    convergence, so hitting one raises RuntimeError.
+    Each step goes to the smallest-id neighbor one metric closer to dst.
+    The metric strictly decreases, so the walk cannot cycle; a node with no
+    such neighbor means s is not a fixed point and raises RuntimeError.
     """
     n = s.topology.n
     if not (0 <= src < n and 0 <= dst < n):
         raise ValueError(f"query ({src}, {dst}) outside [0, {n})")
-    if src == dst:
-        return [src]
     if s.dist[src][dst] >= s.infinity_metric:
         return None
     path = [src]
-    seen = {src}
     v = src
     while v != dst:
-        nxt = s.next_hop[v][dst]
-        if nxt is None or nxt in seen:
+        closer = s.dist[v][dst] - 1
+        for m, _ in s.topology.adjacency(v):  # ascending: first is smallest
+            if s.dist[m][dst] == closer:
+                break
+        else:
             raise RuntimeError(
-                f"next-hop cycle at node {v} for destination {dst} (engine bug)")
-        path.append(nxt)
-        seen.add(nxt)
-        v = nxt
+                f"no next hop at node {v} for destination {dst} "
+                f"(table not converged)")
+        path.append(m)
+        v = m
     return path
 
 
@@ -158,10 +143,13 @@ def fail_link_and_trace(s: DvState, a: int, b: int, probe: int, dest: int,
 
     Rounds stop when the probe metric caps at the infinity metric, when the
     whole destination column stops changing (the failure did not affect any
-    route toward dest, or counting has finished), or after max_rounds.
+    route toward dest, or counting has finished), or after max_rounds, which
+    must be at least 1.
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     t = remove_link(s.topology, a, b)
-    state = DvState(t, s.dist, s.next_hop, s.infinity_metric)
+    state = DvState(t, s.dist, s.infinity_metric)
     entries = []
     for rnd in range(1, max_rounds + 1):
         prev_col = tuple(state.dist[v][dest] for v in range(t.n))

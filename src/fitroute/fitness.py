@@ -180,8 +180,8 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
 
     Returns a Route when the destination is reached in the pruned graph,
     NoSufficientBandwidth when it is reachable only in the unpruned
-    topology, and Unreachable otherwise. All failure modes are outcomes,
-    never exceptions.
+    topology, and Unreachable otherwise. Routing failures are outcomes; only
+    bad input raises ValueError (see classify_outcome).
     """
     n = t.n
     if not (0 <= req.src < n and 0 <= req.dst < n):
@@ -197,10 +197,16 @@ def classify_outcome(t: Topology, tree: SpanningTree, req: RouteRequest,
 
     Routes come from the tree labels. An unreached destination is refused
     when `t` connects it to the source: `components` (component_ids of `t`)
-    tells, else one BFS from the root.
+    tells, else one BFS from the root. Finite weights and attributes can
+    still sum to an infinite cost, which raises ValueError.
     """
     if tree.settled(req.dst):
         hops, cost = tree.label[req.dst]
+        if not math.isfinite(cost):
+            raise ValueError(
+                f"route cost {req.src}->{req.dst} overflows to {cost}: the "
+                f"weights {req.weights} times the delay, jitter and loss "
+                f"ranges of the links exceed the float range")
         return Route(tuple(tree.path_to(req.dst)), hops, cost, 1 / (1 + cost))
     if components is None:
         reachable = req.dst in bfs_hops(t, tree.root)

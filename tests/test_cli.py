@@ -103,6 +103,16 @@ def test_compare_rejects_non_finite_topology_file(tmp_path, capsys, link):
     assert out == ""
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_compare_rejects_cost_overflow(capsys, fmt):
+    code, out, err = run(capsys, "compare", "--nodes", "3", "--query", "0:1",
+                         "--weights", "1e308,1e308,1",
+                         "--delay", "1e308:1e308", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err and "weights" in err
+
+
 def test_compare_rejects_out_of_range_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "0:9")
     assert code == 2
@@ -217,6 +227,15 @@ def test_demo_rejects_missing_link(capsys):
 def test_demo_rejects_bad_probe(capsys):
     code, _, err = run(capsys, "demo-count-to-infinity", "--probe", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_demo_rejects_max_rounds_below_one(capsys, rounds):
+    code, out, err = run(capsys, "demo-count-to-infinity",
+                         "--max-rounds", rounds)
+    assert code == 2
+    assert out == ""
+    assert "max_rounds" in err
 
 
 def test_demo_custom_topology(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from fitroute import (
+    DvState,
     QosLink,
     Topology,
     bfs_hops,
@@ -31,9 +32,8 @@ def converged_line(n=3, infinity=16):
 def test_init_tables_line():
     s = init_tables(line_topology(3), 16)
     assert s.dist[0][2] == 16  # not a neighbor yet
-    assert s.dist[0][1] == 1 and s.next_hop[0][1] == 1
+    assert s.dist[0][1] == 1
     assert all(s.dist[v][v] == 0 for v in range(3))
-    assert all(s.next_hop[v][v] is None for v in range(3))
 
 
 def test_init_tables_single_node():
@@ -50,7 +50,7 @@ def test_exchange_round_single_relaxation():
     s = init_tables(line_topology(3), 16)
     s2, changed = exchange_round(s)
     assert changed
-    assert s2.dist[0][2] == 2 and s2.next_hop[0][2] == 1
+    assert s2.dist[0][2] == 2
 
 
 def test_exchange_round_fixed_point_reports_unchanged():
@@ -69,7 +69,7 @@ def test_next_hop_tie_breaks_to_smallest_neighbor():
     ))
     s, _ = converge(init_tables(t, 16), 5)
     assert s.dist[0][3] == 2
-    assert s.next_hop[0][3] == 1
+    assert extract_path(s, 0, 3) == [0, 1, 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
@@ -126,18 +126,26 @@ def test_extract_path_rejects_bad_nodes():
         extract_path(s, 0, 9)
 
 
+def test_extract_path_raises_without_next_hop():
+    # line 0-1-2 whose table claims 0 reaches 2 in one hop: 0's only
+    # neighbor, 1, is also at metric 1 from 2, so no neighbor is closer
+    s = DvState(line_topology(3), ((0, 1, 1), (1, 0, 1), (2, 1, 0)), 16)
+    with pytest.raises(RuntimeError):
+        extract_path(s, 0, 2)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_converged_tables_self_consistent(seed):
-    # every finite entry satisfies dist[u][d] = 1 + dist[next_hop[u][d]][d]
+    # every finite entry satisfies dist[u][d] = 1 + min over neighbors m
+    # of dist[m][d]
     t = generate_topology(10, seed=seed)
     s, _ = converge(init_tables(t, 16), t.n + 1)
     for u in range(t.n):
         for d in range(t.n):
             if u == d or s.dist[u][d] >= s.infinity_metric:
                 continue
-            m = s.next_hop[u][d]
-            assert t.has_link(u, m)
-            assert s.dist[u][d] == 1 + s.dist[m][d]
+            assert s.dist[u][d] == 1 + min(s.dist[m][d]
+                                           for m, _ in t.adjacency(u))
 
 
 @pytest.mark.parametrize("seed", range(8))

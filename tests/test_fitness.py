@@ -277,6 +277,17 @@ def test_select_route_rejects_bad_nodes():
         select_route(line_topology(2), RouteRequest(0, 5, 1.0, UNIT))
 
 
+def test_select_route_rejects_cost_overflow():
+    # each link costs a finite 1e308; two of them sum past the float range
+    t = Topology(3, (
+        QosLink(0, 1, 10.0, 1e308, 0.0, 0.0),
+        QosLink(1, 2, 10.0, 1e308, 0.0, 0.0),
+    ))
+    assert select_route(t, RouteRequest(0, 1, 5.0, UNIT)).cost == 1e308
+    with pytest.raises(ValueError, match="overflows"):
+        select_route(t, RouteRequest(0, 2, 5.0, UNIT))
+
+
 def test_request_rejects_negative_demand():
     with pytest.raises(ValueError):
         RouteRequest(0, 1, -2.0, UNIT)
