@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 from . import dv as dv_engine
 from .fitness import (
@@ -80,9 +80,12 @@ class ComparisonRow:
 
     src: int
     dst: int
-    dv_hops: int | None
     dv_path: tuple[int, ...] | None
     ff: RouteOutcome
+
+    @property
+    def dv_hops(self) -> int | None:
+        return None if self.dv_path is None else len(self.dv_path) - 1
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,12 @@ def run_comparison(cfg: ExperimentConfig,
 
     The topology is generated from cfg unless an explicit one is supplied
     (replay mode); queries then come from the same seeded stream, after the
-    generation draws. The distance-vector engine converges once and is
-    reused across queries; the fitness engine prunes once per report (the
-    demand is fixed), builds one spanning tree per distinct source and
-    labels the full topology's components once to tell refusals from
-    unreachable rows. The summary's violation list is filled by
+    generation draws, which replay skips, so a written topology replayed with
+    its seed draws the generated run's queries. The distance-vector engine
+    converges once and is reused across queries; the fitness engine prunes
+    once per report (the demand is fixed), builds one spanning tree per
+    distinct source and labels the full topology's components once to tell
+    refusals from unreachable rows. The summary's violation list is filled by
     verify_claims and is empty unless an engine misbehaved.
     """
     rng = SplitMix64(cfg.seed)
@@ -153,6 +157,8 @@ def run_comparison(cfg: ExperimentConfig,
     elif topology.n != cfg.n:
         raise ValueError(
             f"config says n={cfg.n} but topology has {topology.n} nodes")
+    else:
+        rng.skip(cfg.n * (cfg.n - 1) // 2 + 4 * len(topology.links))
     t = topology
 
     if cfg.explicit_queries is not None:
@@ -170,14 +176,12 @@ def run_comparison(cfg: ExperimentConfig,
     rows = []
     for src, dst in queries:
         dv_path = dv_engine.extract_path(state, src, dst)
-        dv_hops = None if dv_path is None else len(dv_path) - 1
         if src not in trees:
             trees[src] = build_spanning_tree(pruned, src, cfg.weights)
         req = RouteRequest(src, dst, cfg.demand, cfg.weights)
         ff = classify_outcome(t, trees[src], req, components)
         rows.append(ComparisonRow(
-            src, dst, dv_hops,
-            None if dv_path is None else tuple(dv_path), ff))
+            src, dst, None if dv_path is None else tuple(dv_path), ff))
 
     wins = ties = longer = refusals = unreachable = 0
     for row in rows:
@@ -193,14 +197,10 @@ def run_comparison(cfg: ExperimentConfig,
             longer += 1
 
     report = ComparisonReport(
-        config=cfg,
-        fingerprint=topology_fingerprint(t),
-        rows=tuple(rows),
-        summary=Summary(wins, ties, longer, refusals, unreachable, ()),
-    )
-    violations = verify_claims(report, t)
-    summary = Summary(wins, ties, longer, refusals, unreachable, violations)
-    return ComparisonReport(report.config, report.fingerprint, report.rows, summary)
+        cfg, topology_fingerprint(t), tuple(rows),
+        Summary(wins, ties, longer, refusals, unreachable, ()))
+    return replace(report, summary=replace(
+        report.summary, violations=verify_claims(report, t)))
 
 
 def _is_simple_path(path: tuple[int, ...], t: Topology,
@@ -364,30 +364,8 @@ def emit_plot_series(report: ComparisonReport) -> str:
 
 def report_to_json(report: ComparisonReport) -> str:
     """Report as a stable JSON document: {config, fingerprint, rows, summary}."""
-    cfg = report.config
     doc = {
-        "config": {
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "gen": {
-                "edge_prob": cfg.gen.edge_prob,
-                "bandwidth_range": list(cfg.gen.bandwidth_range),
-                "delay_range": list(cfg.gen.delay_range),
-                "jitter_range": list(cfg.gen.jitter_range),
-                "loss_range": list(cfg.gen.loss_range),
-            },
-            "query_count": cfg.query_count,
-            "explicit_queries": (
-                None if cfg.explicit_queries is None
-                else [list(q) for q in cfg.explicit_queries]),
-            "demand": cfg.demand,
-            "weights": {
-                "delay": cfg.weights.delay,
-                "jitter": cfg.weights.jitter,
-                "loss": cfg.weights.loss,
-            },
-            "infinity_metric": cfg.infinity_metric,
-        },
+        "config": asdict(report.config),
         "fingerprint": f"{report.fingerprint:016x}",
         "rows": [],
         "summary": {
@@ -397,9 +375,7 @@ def report_to_json(report: ComparisonReport) -> str:
             "ff_longer": report.summary.ff_longer,
             "refusals": report.summary.refusals,
             "unreachable": report.summary.unreachable,
-            "violations": [
-                {"row": v.row, "claim": v.claim, "detail": v.detail}
-                for v in report.summary.violations],
+            "violations": [asdict(v) for v in report.summary.violations],
         },
     }
     for row in report.rows:

@@ -118,13 +118,13 @@ class SpanningTree:
     """Predecessor tree of a layered search from `root`.
 
     label maps every reached node to its final (hops, cost); parent maps
-    every reached node except the root to (predecessor, link). Tree paths are
-    loop-free by construction. relaxations counts edge examinations, bounded
-    by twice the link count.
+    every reached node except the root to its predecessor, which defines the
+    tree. Tree paths are loop-free by construction. relaxations counts edge
+    examinations, bounded by twice the link count.
     """
 
     root: int
-    parent: dict[int, tuple[int, QosLink]]
+    parent: dict[int, int]
     label: dict[int, tuple[int, float]]
     relaxations: int
 
@@ -137,7 +137,7 @@ class SpanningTree:
             return None
         path = [node]
         while node != self.root:
-            node = self.parent[node][0]
+            node = self.parent[node]
             path.append(node)
         path.reverse()
         return path
@@ -155,11 +155,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
-    parent: dict[int, tuple[int, QosLink]] = {}
+    parent: dict[int, int] = {}
     layer = [root]
     relaxations = 0
     while layer:
-        reached: dict[int, tuple[float, int, QosLink]] = {}
+        reached: dict[int, tuple[float, int]] = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             hops, cost_u = label[u]
             for v, link in t.adjacency(u):
@@ -167,10 +167,10 @@ def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
                 if v not in label:
                     cost = cost_u + edge_cost(link, w)
                     if v not in reached or cost < reached[v][0]:
-                        reached[v] = (cost, u, link)
-        for v, (cost, u, link) in reached.items():
+                        reached[v] = (cost, u)
+        for v, (cost, u) in reached.items():
             label[v] = (hops + 1, cost)
-            parent[v] = (u, link)
+            parent[v] = u
         layer = sorted(reached)
     return SpanningTree(root, parent, label, relaxations)
 

@@ -37,6 +37,10 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
+    def skip(self, count: int) -> None:
+        """Advance the stream past `count` draws, as `count` next_u64 calls."""
+        self.state = (self.state + count * 0x9E3779B97F4A7C15) & _MASK64
+
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
         z = self.state
@@ -117,8 +121,10 @@ class GenParams:
 class Topology:
     """Immutable undirected graph: node count plus QoS links keyed by pair.
 
-    Links are stored sorted by (a, b); adjacency lists (sorted by neighbor id)
-    are precomputed once at construction and shared by every traversal.
+    Links are stored sorted by (a, b); adjacency lists are precomputed once at
+    construction and shared by every traversal. They come out sorted by
+    neighbor id: node x receives its neighbors a < x in ascending order from
+    the links (a, x), then its neighbors b > x from the links (x, b).
     """
 
     n: int
@@ -141,8 +147,6 @@ class Topology:
             by_pair[link.pair] = link
             adj[link.a].append((link.b, link))
             adj[link.b].append((link.a, link))
-        for lst in adj:
-            lst.sort(key=lambda item: item[0])
         object.__setattr__(self, "_by_pair", by_pair)
         object.__setattr__(self, "_adj", tuple(tuple(lst) for lst in adj))
 
@@ -174,6 +178,9 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
        chain consume no draw.
     4. Visit links in ascending (a, b) order and draw bandwidth, delay,
        jitter, loss for each, in that order, as min + (draw/2^64)*(max-min).
+
+    In all that is n(n-1)/2 + 4*len(links) draws, the count run_comparison
+    skips when it replays a topology.
     """
     if n < 1:
         raise ValueError("topology needs at least one node")

@@ -24,17 +24,13 @@ from fitroute import (
     Topology,
     NoSufficientBandwidth,
     Unreachable,
-    bfs_hops,
-    build_spanning_tree,
-    converge,
-    fail_link_and_trace,
-    feasible_subgraph,
     generate_topology,
-    init_tables,
-    remove_link,
     run_comparison,
     select_route,
 )
+from fitroute.dv import converge, fail_link_and_trace, init_tables
+from fitroute.fitness import build_spanning_tree
+from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 from fitroute.cli import run_cli
 from fitroute.experiment import PLOT_HEADER, REFUSAL_TEXT, emit_plot_series, render_table
 
@@ -169,7 +165,7 @@ def test_criterion_5_loop_freedom(suite):
                 while node != tree.root:
                     assert node not in seen
                     seen.add(node)
-                    node = tree.parent[node][0]
+                    node = tree.parent[node]
                 assert len(seen) <= len(tree.label)
     print(f"criterion 5 PASS: {paths} paths simple, {trees} spanning-tree "
           f"parent maps acyclic")

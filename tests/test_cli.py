@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fitroute import parse_topology
+from fitroute.topology import parse_topology
 from fitroute.cli import run_cli
 from fitroute.experiment import PLOT_HEADER
 
@@ -183,6 +183,18 @@ def test_compare_replays_topology_file(tmp_path, capsys):
     code2, out2, _ = run(capsys, "compare", "--nodes", "9", "--seed", "21",
                          "--queries", "5", "--format", "json")
     assert json.loads(out2)["fingerprint"] == doc["fingerprint"]
+
+
+def test_replayed_file_draws_the_generated_queries(tmp_path, capsys):
+    path = tmp_path / "topo.txt"
+    run(capsys, "gen-topology", "--nodes", "40", "--seed", "3",
+        "--out", str(path))
+    code, replayed, _ = run(capsys, "compare", "--topology", str(path),
+                            "--seed", "3", "--queries", "200", "--format", "csv")
+    assert code == 0
+    _, generated, _ = run(capsys, "compare", "--nodes", "40", "--seed", "3",
+                          "--queries", "200", "--format", "csv")
+    assert replayed == generated
 
 
 def test_compare_replay_node_mismatch(tmp_path, capsys):

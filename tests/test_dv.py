@@ -1,18 +1,16 @@
 import pytest
 
-from fitroute import (
+from fitroute import QosLink, Topology, generate_topology
+from fitroute.dv import (
     DvState,
-    QosLink,
-    Topology,
-    bfs_hops,
     converge,
     exchange_round,
     extract_path,
     fail_link_and_trace,
     format_trace,
-    generate_topology,
     init_tables,
 )
+from fitroute.topology import bfs_hops
 
 from helpers import line_topology
 

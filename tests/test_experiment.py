@@ -4,20 +4,15 @@ import json
 import pytest
 
 from fitroute import (
-    NO_SUFFICIENT_BANDWIDTH,
     ExperimentConfig,
     GenParams,
     QosLink,
     Route,
     RouteRequest,
     Topology,
-    emit_plot_series,
     generate_topology,
-    render_table,
-    report_to_json,
     run_comparison,
     select_route,
-    verify_claims,
 )
 from fitroute.experiment import (
     CLAIM_BANDWIDTH,
@@ -27,7 +22,12 @@ from fitroute.experiment import (
     CLAIM_SIMPLE_PATH,
     REFUSAL_TEXT,
     PLOT_HEADER,
+    emit_plot_series,
+    render_table,
+    report_to_json,
+    verify_claims,
 )
+from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH
 
 from helpers import line_topology, triangle_topology
 
@@ -76,6 +76,15 @@ def test_config_rejects_non_finite_demand(bad):
 def test_replay_topology_must_match_node_count():
     with pytest.raises(ValueError):
         run_comparison(ExperimentConfig(n=5), line_topology(3))
+
+
+@pytest.mark.parametrize("n, edge_prob", [
+    (1, 0.15), (2, 0.0), (12, 0.0), (12, 1.0), (40, 0.016), (40, 0.15)])
+def test_replay_draws_the_generated_queries(n, edge_prob):
+    gen = GenParams(edge_prob=edge_prob)
+    cfg = ExperimentConfig(n=n, seed=3, gen=gen, query_count=60)
+    replayed = run_comparison(cfg, generate_topology(n, gen, seed=3))
+    assert replayed.rows == run_comparison(cfg).rows
 
 
 # --- run_comparison ---

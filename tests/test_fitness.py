@@ -13,13 +13,11 @@ from fitroute import (
     Topology,
     Unreachable,
     Weights,
-    build_spanning_tree,
-    edge_cost,
-    feasible_subgraph,
     generate_topology,
-    path_fitness,
     select_route,
 )
+from fitroute.fitness import build_spanning_tree, edge_cost, path_fitness
+from fitroute.topology import feasible_subgraph
 
 from helpers import line_topology, square_topology, triangle_topology
 
@@ -140,7 +138,7 @@ def test_tree_on_line():
     t = line_topology(3, delay=2.0)
     tree = build_spanning_tree(t, 0, UNIT)
     assert tree.label == {0: (0, 0.0), 1: (1, 2.0), 2: (2, 4.0)}
-    assert tree.parent[1][0] == 0 and tree.parent[2][0] == 1
+    assert tree.parent[1] == 0 and tree.parent[2] == 1
     assert tree.path_to(2) == [0, 1, 2]
 
 
@@ -148,7 +146,7 @@ def test_tree_square_prefers_cheaper_equal_hop_path():
     # 0-1-2 costs 2.0 total, 0-3-2 costs 10.0; equal hops, cost decides
     tree = build_spanning_tree(square_topology(), 0, UNIT)
     assert tree.label[2] == (2, 2.0)
-    assert tree.parent[2][0] == 1
+    assert tree.parent[2] == 1
 
 
 def test_tree_isolated_root():
@@ -186,7 +184,7 @@ def test_tree_equal_label_keeps_smaller_predecessor():
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
     tree = build_spanning_tree(t, 0, UNIT)
-    assert tree.parent[3][0] == 1
+    assert tree.parent[3] == 1
 
 
 def test_tree_equal_label_tie_ignores_discovery_order():

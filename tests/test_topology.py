@@ -3,22 +3,18 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fitroute import (
-    GenParams,
-    QosLink,
+from fitroute import GenParams, QosLink, Topology, generate_topology
+from fitroute.topology import (
     SplitMix64,
-    Topology,
     bfs_hops,
+    component_ids,
     feasible_subgraph,
     format_topology,
-    generate_topology,
     is_connected,
     parse_topology,
     remove_link,
     topology_fingerprint,
 )
-
-from fitroute.topology import component_ids
 
 from helpers import line_topology, triangle_topology
 
@@ -44,6 +40,16 @@ def test_splitmix64_seed1_seed2_differ():
 def test_splitmix64_same_seed_same_sequence(seed):
     a, b = SplitMix64(seed), SplitMix64(seed)
     assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=300))
+def test_splitmix64_skip_equals_draws(seed, count):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    a.skip(count)
+    for _ in range(count):
+        b.next_u64()
+    assert a.state == b.state
 
 
 def test_next_float_in_unit_interval():
