@@ -2,10 +2,10 @@
 
 Two engines over the same random topologies: a classical hop-count
 distance-vector baseline (complete with its count-to-infinity pathology) and
-a fitness-estimation router that prunes bandwidth-infeasible links and picks
-loop-free minimum-(hops, cost) paths from a spanning tree built one hop layer
-at a time. The experiment harness runs paired queries over both and verifies
-the routing claims against independent BFS oracles.
+a fitness-estimation router that never crosses bandwidth-infeasible links and
+picks loop-free minimum-(hops, cost) paths from a spanning tree built one hop
+layer at a time. The experiment harness runs paired queries over both and
+verifies the routing claims against independent BFS oracles.
 
 The package exports the library API the README documents; everything else is
 imported from its module: fitroute.topology, .dv, .fitness, .experiment and

@@ -165,7 +165,7 @@ def _cmd_compare(args) -> int:
         n=n,
         seed=args.seed,
         gen=_gen_params(args),
-        query_count=args.queries,
+        query_count=args.queries if explicit is None else len(explicit),
         explicit_queries=explicit,
         demand=args.demand,
         weights=_parse_weights(args.weights),

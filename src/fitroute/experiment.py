@@ -169,6 +169,8 @@ def run_comparison(cfg: ExperimentConfig,
     state = dv_engine.init_tables(t, cfg.infinity_metric)
     state, _ = dv_engine.converge(state, t.n + 1)
 
+    # every tree here shares one demand, so the thin links are dropped once
+    # instead of being gated again in each search (select_route gates)
     pruned = feasible_subgraph(t, cfg.demand)
     components = component_ids(t)
     trees: dict[int, SpanningTree] = {}

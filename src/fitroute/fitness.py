@@ -1,14 +1,17 @@
 """Fitness-estimation router: bandwidth gating plus loop-free path search.
 
-Bandwidth is a hard constraint, not a cost term: links that cannot carry the
-requested demand are pruned before any search runs, which is what gives the
-engine its bandwidth guarantee. The remaining QoS attributes (delay, jitter,
+Bandwidth is a hard constraint, not a cost term: the search never crosses a
+link that cannot carry the requested demand, which is what gives the engine
+its bandwidth guarantee. A single request applies that gate inside its search;
+the comparison harness, which builds many trees at one demand, prunes those
+links once per report instead. The remaining QoS attributes (delay, jitter,
 loss) are folded into an additive edge cost, and paths minimise the
 lexicographic label (hops, cost). The search expands one hop layer at a time,
 each newly reached node taking its cheapest predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
-which makes routing loops structurally impossible.
+which makes routing loops structurally impossible. A search given a
+destination stops once the destination's layer is labelled.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -22,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology, bfs_hops, feasible_subgraph
+from .topology import QosLink, Topology, bfs_hops
+# unused here; kept importable because the benchmark's tracer wraps this name
+from .topology import feasible_subgraph  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -92,8 +97,9 @@ UNREACHABLE = Unreachable()
 def edge_cost(link: QosLink, w: Weights) -> float:
     """w.delay*delay + w.jitter*jitter + w.loss*(-ln(1-loss)).
 
-    Bandwidth is deliberately absent: it is enforced by pruning, never
-    traded off against the other attributes. QosLink keeps loss below 1.
+    Bandwidth is deliberately absent: it gates which links a search may
+    cross, never traded off against the other attributes. QosLink keeps loss
+    below 1.
     """
     return (w.delay * link.delay
             + w.jitter * link.jitter
@@ -119,8 +125,10 @@ class SpanningTree:
 
     label maps every reached node to its final (hops, cost); parent maps
     every reached node except the root to its predecessor, which defines the
-    tree. Tree paths are loop-free by construction. relaxations counts edge
-    examinations, bounded by twice the link count.
+    tree. A tree built for one destination labels only the layers up to and
+    including the destination's. Tree paths are loop-free by construction.
+    relaxations counts adjacency entries examined, bounded by twice the link
+    count.
     """
 
     root: int
@@ -143,14 +151,19 @@ class SpanningTree:
         return path
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
+def build_spanning_tree(t: Topology, root: int, w: Weights,
+                        demand: float = 0.0,
+                        dst: int | None = None) -> SpanningTree:
     """Minimum (hops, cost) labels from `root`, one hop layer at a time.
 
-    Hops compare first, so a node's hop count is its breadth-first layer: a
-    node first reached from layer k joins layer k+1 under the neighbour u in
-    layer k with the smallest (cost_u + edge_cost, u), ties thus going to
-    the smaller id. Each node is labelled once and each link examined at
-    most twice, so the search is bounded whatever the topology.
+    Only links with bandwidth >= demand are crossed. Hops compare first, so a
+    node's hop count is its breadth-first layer: a node first reached from
+    layer k joins layer k+1 under the neighbour u in layer k with the smallest
+    (cost_u + edge_cost, u), ties thus going to the smaller id. A layer is
+    final once labelled, so the search stops as soon as `dst` is labelled;
+    with dst None it labels the whole reachable component. Each node is
+    labelled once and each link examined at most twice, so the search is
+    bounded whatever the topology.
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
@@ -158,13 +171,14 @@ def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
     parent: dict[int, int] = {}
     layer = [root]
     relaxations = 0
-    while layer:
+    while layer and dst not in label:
         reached: dict[int, tuple[float, int]] = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             hops, cost_u = label[u]
-            for v, link in t.adjacency(u):
-                relaxations += 1
-                if v not in label:
+            adj = t.adjacency(u)
+            relaxations += len(adj)
+            for v, link in adj:
+                if v not in label and link.bandwidth >= demand:
                     cost = cost_u + edge_cost(link, w)
                     if v not in reached or cost < reached[v][0]:
                         reached[v] = (cost, u)
@@ -176,24 +190,25 @@ def build_spanning_tree(t: Topology, root: int, w: Weights) -> SpanningTree:
 
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
-    """Route a request: prune infeasible links, search, classify the result.
+    """Route a request: search over the links that carry the demand, up to
+    the destination's layer, then classify the result.
 
-    Returns a Route when the destination is reached in the pruned graph,
-    NoSufficientBandwidth when it is reachable only in the unpruned
+    Returns a Route when the destination is reached over such links,
+    NoSufficientBandwidth when it is reachable only in the ungated
     topology, and Unreachable otherwise. Routing failures are outcomes; only
     bad input raises ValueError (see classify_outcome).
     """
     n = t.n
     if not (0 <= req.src < n and 0 <= req.dst < n):
         raise ValueError(f"query ({req.src}, {req.dst}) outside [0, {n})")
-    pruned = feasible_subgraph(t, req.demand)
-    tree = build_spanning_tree(pruned, req.src, req.weights)
+    tree = build_spanning_tree(t, req.src, req.weights, req.demand, req.dst)
     return classify_outcome(t, tree, req)
 
 
 def classify_outcome(t: Topology, tree: SpanningTree, req: RouteRequest,
                      components: list[int] | None = None) -> RouteOutcome:
-    """Turn a search from req.src over the pruned graph into a RouteOutcome.
+    """Turn a search from req.src over the links that carry req.demand into
+    a RouteOutcome.
 
     Routes come from the tree labels. An unreached destination is refused
     when `t` connects it to the source: `components` (component_ids of `t`)

@@ -62,6 +62,14 @@ def test_compare_explicit_queries(capsys):
     assert [(r["src"], r["dst"]) for r in doc["rows"]] == [(0, 5), (5, 0)]
 
 
+def test_compare_explicit_queries_echo_their_count(capsys):
+    code, out, _ = run(capsys, "compare", "--nodes", "6", "--query", "0:3",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["query_count"] == doc["summary"]["rows"] == 1
+
+
 def test_compare_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "compare", "--nodes", "8", "--queries", "3",

@@ -16,8 +16,13 @@ from fitroute import (
     generate_topology,
     select_route,
 )
-from fitroute.fitness import build_spanning_tree, edge_cost, path_fitness
-from fitroute.topology import feasible_subgraph
+from fitroute.fitness import (
+    build_spanning_tree,
+    classify_outcome,
+    edge_cost,
+    path_fitness,
+)
+from fitroute.topology import feasible_subgraph, remove_link
 
 from helpers import line_topology, square_topology, triangle_topology
 
@@ -332,3 +337,99 @@ def test_route_cost_matches_tree_label_exactly():
         assert isinstance(out, Route)
         assert out.cost == tree.label[dst][1]  # identical accumulation order
         assert out.fitness == 1.0 / (1.0 + out.cost)
+
+
+# --- bandwidth gate and early stop inside the search ---
+
+
+def test_tree_stops_at_destination_layer():
+    tree = build_spanning_tree(line_topology(5), 0, UNIT, dst=1)
+    assert set(tree.label) == {0, 1}
+    assert tree.path_to(1) == [0, 1]
+
+
+def test_tree_to_its_own_root_does_no_work():
+    tree = build_spanning_tree(line_topology(5), 2, UNIT, dst=2)
+    assert tree.label == {2: (0, 0.0)}
+    assert tree.relaxations == 0
+
+
+def test_select_route_builds_no_pruned_topology(monkeypatch):
+    def no_pruning(*args):
+        raise AssertionError("select_route built a pruned topology")
+
+    monkeypatch.setattr("fitroute.fitness.feasible_subgraph", no_pruning)
+    monkeypatch.setattr("fitroute.topology.feasible_subgraph", no_pruning)
+    t = triangle_topology(10.0, 10.0, 2.0)
+    assert select_route(t, RouteRequest(0, 2, 5.0, UNIT)) == Route(
+        (0, 1, 2), 2, 2.0, 1.0 / 3.0)
+    assert select_route(t, RouteRequest(0, 2, 2.0, UNIT)) == Route(
+        (0, 2), 1, 1.0, 0.5)
+    assert isinstance(select_route(t, RouteRequest(0, 2, 20.0, UNIT)),
+                      NoSufficientBandwidth)
+    split = Topology(3, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
+    assert isinstance(select_route(split, RouteRequest(0, 2, 5.0, UNIT)),
+                      Unreachable)
+
+
+BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)
+WEIGHT_CHOICES = (UNIT, Weights(1.0, 0.0, 0.0), Weights(0.0, 0.0, 2.0),
+                  Weights(0.5, 2.0, 1.0))
+
+
+@st.composite
+def drawn_topologies(draw):
+    """Up to 7 nodes over any link subset, often in several components; few
+    distinct attribute values, so equal labels are common."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Topology(n, tuple(
+        QosLink(a, b, draw(st.sampled_from(BANDWIDTHS)),
+                draw(st.sampled_from((0.0, 1.0, 2.0))), 0.0,
+                draw(st.sampled_from((0.0, 0.25))))
+        for a, b in chosen))
+
+
+@st.composite
+def cut_topologies(draw):
+    """A generated (connected) topology with up to three links removed."""
+    t = generate_topology(draw(st.integers(2, 9)),
+                          GenParams(edge_prob=0.2, bandwidth_range=(1.0, 10.0)),
+                          seed=draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 3))):
+        if t.links:
+            link = draw(st.sampled_from(t.links))
+            t = remove_link(t, link.a, link.b)
+    return t
+
+
+@given(st.data())
+def test_gated_search_equals_prune_then_search(data):
+    t = data.draw(st.one_of(drawn_topologies(), cut_topologies()))
+    src = data.draw(st.integers(0, t.n - 1))
+    dst = data.draw(st.integers(0, t.n - 1))
+    demands = st.floats(0.0, 12.0)
+    if t.links:  # a demand equal to a link's bandwidth pins the >= boundary
+        demands |= st.sampled_from([link.bandwidth for link in t.links])
+    demand = data.draw(demands)
+    w = data.draw(st.sampled_from(WEIGHT_CHOICES))
+    req = RouteRequest(src, dst, demand, w)
+
+    pruned_tree = build_spanning_tree(feasible_subgraph(t, demand), src, w)
+    assert select_route(t, req) == classify_outcome(t, pruned_tree, req)
+
+    gated = build_spanning_tree(t, src, w, demand)
+    assert gated.label == pruned_tree.label
+    assert gated.parent == pruned_tree.parent
+    assert gated.relaxations <= 2 * len(t.links)
+
+    # a search for dst labels exactly the layers up to dst's, or everything
+    # when dst is never reached
+    bounded = build_spanning_tree(t, src, w, demand, dst)
+    last = gated.label[dst][0] if dst in gated.label else t.n
+    assert bounded.label == {v: label for v, label in gated.label.items()
+                             if label[0] <= last}
+    assert bounded.parent == {v: u for v, u in gated.parent.items()
+                              if v in bounded.label}
+    assert bounded.relaxations <= gated.relaxations
