@@ -145,10 +145,10 @@ def run_comparison(cfg: ExperimentConfig,
     (replay mode); queries then come from the same seeded stream, after the
     generation draws, which replay skips, so a written topology replayed with
     its seed draws the generated run's queries. The distance-vector engine
-    converges once and is reused across queries; the fitness engine prunes
-    once per report (the demand is fixed), builds one spanning tree per
-    distinct source and labels the full topology's components once to tell
-    refusals from unreachable rows. The summary's violation list is filled by
+    converges once and is reused across queries; the fitness engine builds
+    one full spanning tree per distinct source over the links that carry the
+    demand and labels the full topology's components once to tell refusals
+    from unreachable rows. The summary's violation list is filled by
     verify_claims and is empty unless an engine misbehaved.
     """
     rng = SplitMix64(cfg.seed)
@@ -169,9 +169,6 @@ def run_comparison(cfg: ExperimentConfig,
     state = dv_engine.init_tables(t, cfg.infinity_metric)
     state, _ = dv_engine.converge(state, t.n + 1)
 
-    # every tree here shares one demand, so the thin links are dropped once
-    # instead of being gated again in each search (select_route gates)
-    pruned = feasible_subgraph(t, cfg.demand)
     components = component_ids(t)
     trees: dict[int, SpanningTree] = {}
 
@@ -179,7 +176,7 @@ def run_comparison(cfg: ExperimentConfig,
     for src, dst in queries:
         dv_path = dv_engine.extract_path(state, src, dst)
         if src not in trees:
-            trees[src] = build_spanning_tree(pruned, src, cfg.weights)
+            trees[src] = build_spanning_tree(t, src, cfg.weights, cfg.demand)
         req = RouteRequest(src, dst, cfg.demand, cfg.weights)
         ff = classify_outcome(t, trees[src], req, components)
         rows.append(ComparisonRow(

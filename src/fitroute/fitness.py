@@ -2,12 +2,12 @@
 
 Bandwidth is a hard constraint, not a cost term: the search never crosses a
 link that cannot carry the requested demand, which is what gives the engine
-its bandwidth guarantee. A single request applies that gate inside its search;
-the comparison harness, which builds many trees at one demand, prunes those
-links once per report instead. The remaining QoS attributes (delay, jitter,
-loss) are folded into an additive edge cost, and paths minimise the
-lexicographic label (hops, cost). The search expands one hop layer at a time,
-each newly reached node taking its cheapest predecessor in the layer before.
+its bandwidth guarantee. The search applies that gate itself, skipping such
+links as it scans each adjacency list, so no pruned topology is built. The
+remaining QoS attributes (delay, jitter, loss) are folded into an additive
+edge cost, and paths minimise the lexicographic label (hops, cost). The
+search expands one hop layer at a time, each newly reached node taking its
+cheapest predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
 which makes routing loops structurally impossible. A search given a
@@ -156,7 +156,8 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
                         dst: int | None = None) -> SpanningTree:
     """Minimum (hops, cost) labels from `root`, one hop layer at a time.
 
-    Only links with bandwidth >= demand are crossed. Hops compare first, so a
+    Only links with bandwidth >= demand are crossed (demand 0 crosses every
+    link, as on a topology pruned beforehand). Hops compare first, so a
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. A layer is
