@@ -32,7 +32,6 @@ from .topology import (
     SplitMix64,
     Topology,
     bfs_hops,
-    component_ids,
     feasible_subgraph,
     generate_topology_rng,
     topology_fingerprint,
@@ -147,9 +146,9 @@ def run_comparison(cfg: ExperimentConfig,
     its seed draws the generated run's queries. The distance-vector engine
     converges once and is reused across queries; the fitness engine builds
     one full spanning tree per distinct source over the links that carry the
-    demand and labels the full topology's components once to tell refusals
-    from unreachable rows. The summary's violation list is filled by
-    verify_claims and is empty unless an engine misbehaved.
+    demand; classify_outcome tells refusals from unreachable rows by the
+    topology's memoised connectivity labels. The summary's violation list is
+    filled by verify_claims and is empty unless an engine misbehaved.
     """
     rng = SplitMix64(cfg.seed)
     if topology is None:
@@ -169,7 +168,6 @@ def run_comparison(cfg: ExperimentConfig,
     state = dv_engine.init_tables(t, cfg.infinity_metric)
     state, _ = dv_engine.converge(state, t.n + 1)
 
-    components = component_ids(t)
     trees: dict[int, SpanningTree] = {}
 
     rows = []
@@ -178,7 +176,7 @@ def run_comparison(cfg: ExperimentConfig,
         if src not in trees:
             trees[src] = build_spanning_tree(t, src, cfg.weights, cfg.demand)
         req = RouteRequest(src, dst, cfg.demand, cfg.weights)
-        ff = classify_outcome(t, trees[src], req, components)
+        ff = classify_outcome(t, trees[src], req)
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path), ff))
 

@@ -11,7 +11,8 @@ cheapest predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
 which makes routing loops structurally impossible. A search given a
-destination stops once the destination's layer is labelled.
+destination stops once the destination's layer is labelled. The topology's
+component labels, computed once, tell a refusal from an unreachable verdict.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -25,9 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology, bfs_hops
-# unused here; kept importable because the benchmark's tracer wraps this name
-from .topology import feasible_subgraph  # noqa: F401
+from .topology import QosLink, Topology
+# unused here; kept importable because the benchmark's tracer wraps these names
+from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -195,9 +196,9 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     the destination's layer, then classify the result.
 
     Returns a Route when the destination is reached over such links,
-    NoSufficientBandwidth when it is reachable only in the ungated
-    topology, and Unreachable otherwise. Routing failures are outcomes; only
-    bad input raises ValueError (see classify_outcome).
+    NoSufficientBandwidth when t.components puts it in the source's
+    component, and Unreachable otherwise. Routing failures are outcomes;
+    only bad input raises ValueError (see classify_outcome).
     """
     n = t.n
     if not (0 <= req.src < n and 0 <= req.dst < n):
@@ -206,15 +207,15 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     return classify_outcome(t, tree, req)
 
 
-def classify_outcome(t: Topology, tree: SpanningTree, req: RouteRequest,
-                     components: list[int] | None = None) -> RouteOutcome:
+def classify_outcome(t: Topology, tree: SpanningTree,
+                     req: RouteRequest) -> RouteOutcome:
     """Turn a search from req.src over the links that carry req.demand into
     a RouteOutcome.
 
     Routes come from the tree labels. An unreached destination is refused
-    when `t` connects it to the source: `components` (component_ids of `t`)
-    tells, else one BFS from the root. Finite weights and attributes can
-    still sum to an infinite cost, which raises ValueError.
+    when it shares the source's component of `t` (t.components), else it is
+    unreachable. Finite weights and attributes can still sum to an infinite
+    cost, which raises ValueError.
     """
     if tree.settled(req.dst):
         hops, cost = tree.label[req.dst]
@@ -224,8 +225,5 @@ def classify_outcome(t: Topology, tree: SpanningTree, req: RouteRequest,
                 f"weights {req.weights} times the delay, jitter and loss "
                 f"ranges of the links exceed the float range")
         return Route(tuple(tree.path_to(req.dst)), hops, cost, 1 / (1 + cost))
-    if components is None:
-        reachable = req.dst in bfs_hops(t, tree.root)
-    else:
-        reachable = components[tree.root] == components[req.dst]
+    reachable = t.components[tree.root] == t.components[req.dst]
     return NO_SUFFICIENT_BANDWIDTH if reachable else UNREACHABLE

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 _MASK64 = (1 << 64) - 1
 
@@ -125,6 +126,7 @@ class Topology:
     construction and shared by every traversal. They come out sorted by
     neighbor id: node x receives its neighbors a < x in ascending order from
     the links (a, x), then its neighbors b > x from the links (x, b).
+    `components` is memoised on first read, outside the compared fields.
     """
 
     n: int
@@ -159,6 +161,16 @@ class Topology:
 
     def has_link(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self._by_pair
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """Each node's component id, the smallest node id in its component."""
+        ids = [-1] * self.n
+        for v in range(self.n):
+            if ids[v] < 0:
+                for u in bfs_hops(self, v):
+                    ids[u] = v
+        return tuple(ids)
 
 
 DEFAULT_GEN_PARAMS = GenParams()
@@ -253,16 +265,6 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
                 hops[v] = hops[u] + 1
                 queue.append(v)
     return hops
-
-
-def component_ids(t: Topology) -> list[int]:
-    """Each node's component id, the smallest node id in its component."""
-    ids = [-1] * t.n
-    for v in range(t.n):
-        if ids[v] < 0:
-            for u in bfs_hops(t, v):
-                ids[u] = v
-    return ids
 
 
 def is_connected(t: Topology) -> bool:

@@ -22,7 +22,7 @@ from fitroute.fitness import (
     edge_cost,
     path_fitness,
 )
-from fitroute.topology import feasible_subgraph, remove_link
+from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
 from helpers import line_topology, square_topology, triangle_topology
 
@@ -417,12 +417,20 @@ def test_gated_search_equals_prune_then_search(data):
     req = RouteRequest(src, dst, demand, w)
 
     pruned_tree = build_spanning_tree(feasible_subgraph(t, demand), src, w)
-    assert select_route(t, req) == classify_outcome(t, pruned_tree, req)
+    out = select_route(t, req)
+    assert out == classify_outcome(t, pruned_tree, req)
 
     gated = build_spanning_tree(t, src, w, demand)
     assert gated.label == pruned_tree.label
     assert gated.parent == pruned_tree.parent
     assert gated.relaxations <= 2 * len(t.links)
+
+    # the refusal/unreachable split against an unpruned BFS, independent of
+    # the component labels select_route and classify_outcome share
+    full = bfs_hops(t, src)
+    assert isinstance(out, Unreachable) == (dst not in full)
+    assert isinstance(out, NoSufficientBandwidth) == (
+        dst in full and dst not in gated.label)
 
     # a search for dst labels exactly the layers up to dst's, or everything
     # when dst is never reached
@@ -433,3 +441,45 @@ def test_gated_search_equals_prune_then_search(data):
     assert bounded.parent == {v: u for v, u in gated.parent.items()
                               if v in bounded.label}
     assert bounded.relaxations <= gated.relaxations
+
+
+# --- component labels ---
+
+
+@given(st.one_of(drawn_topologies(), cut_topologies()))
+def test_components_match_bfs_and_stay_out_of_identity(t):
+    assert "components" not in vars(t)  # labelled on first read only
+    for a in range(t.n):
+        reached = bfs_hops(t, a)
+        for b in range(t.n):
+            assert (t.components[a] == t.components[b]) == (b in reached)
+    fresh = Topology(t.n, t.links)
+    assert t == fresh
+    assert hash(t) == hash(fresh)
+    assert repr(t) == repr(fresh)
+
+
+def test_one_labelling_per_topology(monkeypatch):
+    params = GenParams(edge_prob=0.1, bandwidth_range=(1.0, 10.0))
+    t = generate_topology(24, params, seed=5)
+    for link in t.links:  # isolate nodes 0 and 1
+        if link.a in (0, 1):
+            t = remove_link(t, link.a, link.b)
+    component_count = len({min(bfs_hops(t, v)) for v in range(t.n)})
+    assert component_count >= 3
+
+    calls = []
+
+    def counting_bfs(topology, src):
+        calls.append(src)
+        return bfs_hops(topology, src)
+
+    monkeypatch.setattr("fitroute.topology.bfs_hops", counting_bfs)
+    monkeypatch.setattr("fitroute.fitness.bfs_hops", counting_bfs)
+    outcomes = [select_route(t, RouteRequest(src, dst, demand, UNIT))
+                for demand in (6.0, 9.0) for src in range(t.n)
+                for dst in range(t.n)]
+    refusals = sum(isinstance(o, NoSufficientBandwidth) for o in outcomes)
+    unreachable = sum(isinstance(o, Unreachable) for o in outcomes)
+    assert refusals > 100 and unreachable > 100
+    assert len(calls) == component_count

@@ -7,7 +7,6 @@ from fitroute import GenParams, QosLink, Topology, generate_topology
 from fitroute.topology import (
     SplitMix64,
     bfs_hops,
-    component_ids,
     feasible_subgraph,
     format_topology,
     is_connected,
@@ -340,5 +339,5 @@ def test_component_ids():
         QosLink(4, 5, 10.0, 1.0, 0.0, 0.0),
         QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
     ))
-    assert component_ids(t) == [0, 1, 0, 3, 1, 1]
-    assert component_ids(generate_topology(20, seed=3)) == [0] * 20
+    assert t.components == (0, 1, 0, 3, 1, 1)
+    assert generate_topology(20, seed=3).components == (0,) * 20
