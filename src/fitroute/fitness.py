@@ -5,9 +5,11 @@ link that cannot carry the requested demand, which is what gives the engine
 its bandwidth guarantee. The search applies that gate itself, skipping such
 links as it scans each adjacency list, so no pruned topology is built. The
 remaining QoS attributes (delay, jitter, loss) are folded into an additive
-edge cost, and paths minimise the lexicographic label (hops, cost). The
-search expands one hop layer at a time, each newly reached node taking its
-cheapest predecessor in the layer before.
+edge cost, and paths minimise the lexicographic label (hops, cost). Link
+costs are computed once per topology and weights, on the first search that
+uses them, and every later search scans that table. The search expands one
+hop layer at a time, each newly reached node taking its cheapest
+predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
 which makes routing loops structurally impossible. A search given a
@@ -100,24 +102,29 @@ def edge_cost(link: QosLink, w: Weights) -> float:
 
     Bandwidth is deliberately absent: it gates which links a search may
     cross, never traded off against the other attributes. QosLink keeps loss
-    below 1.
+    below 1. The search does not call this per relaxation: cost_adjacency
+    calls it once per adjacency entry, i.e. twice per link, for each
+    topology and weights.
     """
     return (w.delay * link.delay
             + w.jitter * link.jitter
             + w.loss * -math.log1p(-link.loss))
 
 
-def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
-                 w: Weights) -> tuple[float, float]:
-    """(cost, fitness) of a concrete path: cost sums edge costs left to
-    right, fitness = 1/(1+cost). A single-node path costs 0 (fitness 1)."""
-    cost = 0.0
-    for u, v in zip(path, path[1:]):
-        link = t.link_between(u, v)
-        if link is None:
-            raise ValueError(f"path step {u}-{v} is not a link")
-        cost += edge_cost(link, w)
-    return cost, 1.0 / (1.0 + cost)
+def cost_adjacency(t: Topology, w: Weights
+                   ) -> tuple[tuple[tuple[int, float, float], ...], ...]:
+    """Per node, (neighbour, edge_cost, bandwidth) in t.adjacency order.
+
+    Built on the first call for weights equal to `w` and memoised in
+    t.cost_tables, so later calls for equal weights only look it up.
+    """
+    table = t.cost_tables.get(w)
+    if table is None:
+        table = t.cost_tables[w] = tuple(
+            tuple((v, edge_cost(link, w), link.bandwidth)
+                  for v, link in t.adjacency(u))
+            for u in range(t.n))
+    return table
 
 
 @dataclass(frozen=True)
@@ -161,14 +168,16 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     link, as on a topology pruned beforehand). Hops compare first, so a
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
-    (cost_u + edge_cost, u), ties thus going to the smaller id. A layer is
-    final once labelled, so the search stops as soon as `dst` is labelled;
-    with dst None it labels the whole reachable component. Each node is
-    labelled once and each link examined at most twice, so the search is
-    bounded whatever the topology.
+    (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
+    come from cost_adjacency(t, w), computed on the first search under `w`.
+    A layer is final once labelled, so the search stops as soon as `dst` is
+    labelled; with dst None it labels the whole reachable component. Each
+    node is labelled once and each link examined at most twice, so the
+    search is bounded whatever the topology.
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
+    costs = cost_adjacency(t, w)
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     layer = [root]
@@ -177,11 +186,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
         reached: dict[int, tuple[float, int]] = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             hops, cost_u = label[u]
-            adj = t.adjacency(u)
+            adj = costs[u]
             relaxations += len(adj)
-            for v, link in adj:
-                if v not in label and link.bandwidth >= demand:
-                    cost = cost_u + edge_cost(link, w)
+            for v, edge, bandwidth in adj:
+                if v not in label and bandwidth >= demand:
+                    cost = cost_u + edge
                     if v not in reached or cost < reached[v][0]:
                         reached[v] = (cost, u)
         for v, (cost, u) in reached.items():

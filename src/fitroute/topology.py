@@ -126,13 +126,17 @@ class Topology:
     construction and shared by every traversal. They come out sorted by
     neighbor id: node x receives its neighbors a < x in ascending order from
     the links (a, x), then its neighbors b > x from the links (x, b).
-    `components` is memoised on first read, outside the compared fields.
+    `components` is memoised on first read, and `cost_tables` holds the
+    fitness search's per-weights link costs from the first search that uses
+    them (see fitness.cost_adjacency); both live outside the compared fields.
     """
 
     n: int
     links: tuple[QosLink, ...]
     _by_pair: dict = field(init=False, repr=False, compare=False)
     _adj: tuple = field(init=False, repr=False, compare=False)
+    cost_tables: dict = field(init=False, repr=False, compare=False,
+                              default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1:
@@ -265,11 +269,6 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
                 hops[v] = hops[u] + 1
                 queue.append(v)
     return hops
-
-
-def is_connected(t: Topology) -> bool:
-    """True iff every node is reachable from node 0 (single node counts)."""
-    return len(bfs_hops(t, 0)) == t.n
 
 
 def format_topology(t: Topology) -> str:

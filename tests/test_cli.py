@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,22 @@ def test_compare_output_is_pure_function_of_args(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# SHA-256 of the JSON reports as the engine wrote them before link costs
+# were memoised per topology and weights; every ff_cost float is covered.
+# The sparse run refuses 106 of its rows.
+@pytest.mark.parametrize("argv, digest", [
+    (("--nodes", "128"),
+     "1e86aa659b07d470351cbe84ed3fc7644c10c00aea4d4d7b63464ad863636b06"),
+    (("--nodes", "256", "--edge-prob", "0.016", "--demand", "50"),
+     "e0c5f7f4d8d188a606e3be8ae0b61b3a60a197fa8b1c42736193f47fbb509bdb"),
+])
+def test_compare_report_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "compare", *argv, "--seed", "1",
+                       "--queries", "1000", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compare_csv_format(capsys):

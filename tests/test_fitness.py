@@ -20,11 +20,11 @@ from fitroute.fitness import (
     build_spanning_tree,
     classify_outcome,
     edge_cost,
-    path_fitness,
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
-from helpers import line_topology, square_topology, triangle_topology
+from helpers import (line_topology, path_fitness, square_topology,
+                     triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -442,17 +442,33 @@ def test_gated_search_equals_prune_then_search(data):
                               if v in bounded.label}
     assert bounded.relaxations <= gated.relaxations
 
+    # the exhaustive oracle costs paths with edge_cost, never with the
+    # memoised cost table
+    best = brute_force_best(feasible_subgraph(t, demand), src, dst, w)
+    assert isinstance(out, Route) == (best is not None)
+    if isinstance(out, Route):
+        assert (out.hops, out.cost) == best
+
+    # t now holds a cost table for w: routing under other weights must
+    # match a topology that has none
+    again = RouteRequest(src, dst, demand,
+                         data.draw(st.sampled_from(WEIGHT_CHOICES)))
+    assert select_route(t, again) == select_route(Topology(t.n, t.links), again)
+
 
 # --- component labels ---
 
 
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_components_match_bfs_and_stay_out_of_identity(t):
-    assert "components" not in vars(t)  # labelled on first read only
+    # labelled and costed on first use only
+    assert "components" not in vars(t) and t.cost_tables == {}
     for a in range(t.n):
         reached = bfs_hops(t, a)
         for b in range(t.n):
             assert (t.components[a] == t.components[b]) == (b in reached)
+    build_spanning_tree(t, 0, UNIT)
+    assert list(t.cost_tables) == [UNIT]
     fresh = Topology(t.n, t.links)
     assert t == fresh
     assert hash(t) == hash(fresh)
@@ -483,3 +499,25 @@ def test_one_labelling_per_topology(monkeypatch):
     unreachable = sum(isinstance(o, Unreachable) for o in outcomes)
     assert refusals > 100 and unreachable > 100
     assert len(calls) == component_count
+
+
+def test_links_costed_once_per_weights(monkeypatch):
+    t = generate_topology(32, GenParams(edge_prob=0.2), seed=11)
+    weight_args = ((1.0, 1.0, 1.0), (0.5, 2.0, 1.0))
+    calls = []
+
+    def counting_cost(link, w):
+        calls.append(w)
+        return edge_cost(link, w)
+
+    monkeypatch.setattr("fitroute.fitness.edge_cost", counting_cost)
+    refusals = 0
+    for src in range(t.n):  # 1024 requests, half under each weights
+        for dst in range(t.n):
+            # a fresh Weights per request: the memo goes by equality
+            w = Weights(*weight_args[(src + dst) % 2])
+            out = select_route(t, RouteRequest(src, dst, 10.0 * (dst % 10), w))
+            refusals += isinstance(out, NoSufficientBandwidth)
+    assert refusals > 0
+    for args in weight_args:
+        assert 0 < calls.count(Weights(*args)) <= 2 * len(t.links)

@@ -9,13 +9,12 @@ from fitroute.topology import (
     bfs_hops,
     feasible_subgraph,
     format_topology,
-    is_connected,
     parse_topology,
     remove_link,
     topology_fingerprint,
 )
 
-from helpers import line_topology, triangle_topology
+from helpers import is_connected, line_topology, triangle_topology
 
 
 # --- SplitMix64 ---
