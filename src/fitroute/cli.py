@@ -220,7 +220,7 @@ def _cmd_demo(args) -> int:
         raise ValueError(f"--fail {a}:{b} is not a link of the topology")
 
     state = init_tables(t, args.infinity)
-    state, _ = converge(state, t.n + 1)
+    state, _ = converge(state)
     trace = fail_link_and_trace(state, a, b, args.probe, args.dest,
                                 args.max_rounds)
 

@@ -86,25 +86,24 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
-def converge(s: DvState, max_rounds: int) -> tuple[DvState, int]:
+def converge(s: DvState) -> tuple[DvState, int]:
     """Run exchange rounds until a fixed point; return it and the number of
     rounds that changed anything.
 
     On a static topology the fixed point always arrives within n-1 changing
-    rounds; not reaching it within max_rounds exchanges is an engine bug and
-    raises RuntimeError.
+    rounds; not reaching it within n+1 exchanges is an engine bug and raises
+    RuntimeError.
     """
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
+    limit = s.topology.n + 1
     changing = 0
-    for _ in range(max_rounds):
+    for _ in range(limit):
         nxt, changed = exchange_round(s)
         if not changed:
             return s, changing
         s = nxt
         changing += 1
     raise RuntimeError(
-        f"distance-vector failed to converge within {max_rounds} rounds "
+        f"distance-vector failed to converge within {limit} rounds "
         f"on a static topology (engine bug)")
 
 

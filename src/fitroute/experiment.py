@@ -9,6 +9,7 @@ testable byte for byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -166,7 +167,7 @@ def run_comparison(cfg: ExperimentConfig,
         queries = _draw_queries(cfg, rng)
 
     state = dv_engine.init_tables(t, cfg.infinity_metric)
-    state, _ = dv_engine.converge(state, t.n + 1)
+    state, _ = dv_engine.converge(state)
 
     trees: dict[int, SpanningTree] = {}
 
@@ -200,47 +201,44 @@ def run_comparison(cfg: ExperimentConfig,
         report.summary, violations=verify_claims(report, t)))
 
 
-def _is_simple_path(path: tuple[int, ...], t: Topology,
-                    src: int, dst: int) -> str | None:
-    """None when the path is a valid simple src->dst walk, else a reason."""
-    if len(path) == 0:
-        return "empty path"
-    if path[0] != src or path[-1] != dst:
-        return f"endpoints {path[0]}->{path[-1]} do not match query {src}->{dst}"
-    if len(set(path)) != len(path):
-        return "repeated node"
+def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
+          demand: float) -> tuple[str | None, list[tuple[int, int, float | None]]]:
+    """One pass over a path: why it is not a simple src->dst walk (None when
+    it is), and its steps (u, v, bandwidth) that are not links (bandwidth
+    None) or carry less than the demand."""
+    reason = None
+    if not path or path[0] != src or path[-1] != dst:
+        reason = f"endpoints of {list(path)} do not match query {src}->{dst}"
+    elif len(set(path)) != len(path):
+        reason = f"{_path_text(path)} repeats a node"
+    short = []
     for u, v in zip(path, path[1:]):
-        if not t.has_link(u, v):
-            return f"step {u}-{v} is not a link"
-    return None
+        link = t.link_between(u, v)
+        if link is None:
+            reason = reason or f"step {u}-{v} is not a link"
+            short.append((u, v, None))
+        elif link.bandwidth < demand:
+            short.append((u, v, link.bandwidth))
+    return reason, short
 
 
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
     """Re-check every row against independent oracles.
 
-    Per row: (bandwidth) every fitness-route link carries the demand;
+    Each row gets one expected outcome from BFS: `route` when the pruned
+    subgraph reaches dst, `no_bandwidth` when only the full topology does,
+    else `unreachable`; (refusal) the fitness status must equal it. Each path
+    is walked once: (bandwidth) every fitness-route link carries the demand;
     (simple_path) both paths are simple and consistent with the query;
     (min_hop) fitness hop counts equal BFS on the pruned subgraph;
     (dominance) when the DV path itself is bandwidth-feasible, the fitness
-    route exists and uses no more hops; (refusal) the outcome class matches
-    full-vs-pruned BFS reachability exactly. Returns structured violations,
+    route exists and uses no more hops. Returns structured violations,
     empty when every claim holds.
     """
-    cfg = report.config
-    pruned = feasible_subgraph(t, cfg.demand)
-    full_cache: dict[int, dict[int, int]] = {}
-    pruned_cache: dict[int, dict[int, int]] = {}
-
-    def full(src: int) -> dict[int, int]:
-        if src not in full_cache:
-            full_cache[src] = bfs_hops(t, src)
-        return full_cache[src]
-
-    def feas(src: int) -> dict[int, int]:
-        if src not in pruned_cache:
-            pruned_cache[src] = bfs_hops(pruned, src)
-        return pruned_cache[src]
-
+    demand = report.config.demand
+    pruned = feasible_subgraph(t, demand)
+    full = functools.cache(lambda src: bfs_hops(t, src))
+    feas = functools.cache(lambda src: bfs_hops(pruned, src))
     violations = []
 
     def flag(i: int, claim: str, detail: str):
@@ -248,53 +246,33 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
 
     for i, row in enumerate(report.rows):
         ff = row.ff
+        oracle = feas(row.src).get(row.dst)
+        expected = (Route.status if oracle is not None
+                    else NoSufficientBandwidth.status if row.dst in full(row.src)
+                    else Unreachable.status)
         if isinstance(ff, Route):
-            for u, v in zip(ff.path, ff.path[1:]):
-                link = t.link_between(u, v)
-                if link is not None and link.bandwidth < cfg.demand:
-                    flag(i, CLAIM_BANDWIDTH,
-                         f"link {u}-{v} bandwidth {link.bandwidth:.6g} "
-                         f"< demand {cfg.demand:.6g}")
-            reason = _is_simple_path(ff.path, t, row.src, row.dst)
+            reason, short = _walk(ff.path, t, row.src, row.dst, demand)
+            for u, v, bandwidth in short:
+                if bandwidth is not None:
+                    flag(i, CLAIM_BANDWIDTH, f"link {u}-{v} bandwidth "
+                         f"{bandwidth:.6g} < demand {demand:.6g}")
             if reason is not None:
                 flag(i, CLAIM_SIMPLE_PATH, f"fitness path invalid: {reason}")
-            oracle = feas(row.src).get(row.dst)
-            if ff.hops != len(ff.path) - 1:
-                flag(i, CLAIM_MIN_HOP,
-                     f"hops {ff.hops} != path length {len(ff.path) - 1}")
-            elif oracle is None:
-                flag(i, CLAIM_REFUSAL,
-                     "route returned but destination unreachable at this demand")
-            elif ff.hops != oracle:
-                flag(i, CLAIM_MIN_HOP,
-                     f"fitness hops {ff.hops} != pruned BFS {oracle}")
-        elif isinstance(ff, NoSufficientBandwidth):
-            if row.dst in feas(row.src):
-                flag(i, CLAIM_REFUSAL,
-                     "refusal despite a feasible path at this demand")
-            elif row.dst not in full(row.src):
-                flag(i, CLAIM_REFUSAL,
-                     "refusal for a destination unreachable even unpruned")
-        else:
-            if row.dst in full(row.src):
-                flag(i, CLAIM_REFUSAL,
-                     "unreachable verdict despite full-graph reachability")
+            if ff.hops != len(ff.path) - 1 or oracle not in (None, ff.hops):
+                flag(i, CLAIM_MIN_HOP, f"fitness hops {ff.hops}, path length "
+                     f"{len(ff.path) - 1}, pruned BFS {oracle}")
+        if ff.status != expected:
+            flag(i, CLAIM_REFUSAL, f"status {ff.status} for {row.src}->{row.dst}"
+                 f" at demand {demand:.6g}, BFS expects {expected}")
 
         if row.dv_path is not None:
-            reason = _is_simple_path(row.dv_path, t, row.src, row.dst)
+            reason, short = _walk(row.dv_path, t, row.src, row.dst, demand)
             if reason is not None:
                 flag(i, CLAIM_SIMPLE_PATH, f"dv path invalid: {reason}")
-            dv_feasible = all(
-                t.link_between(u, v) is not None
-                and t.link_between(u, v).bandwidth >= cfg.demand
-                for u, v in zip(row.dv_path, row.dv_path[1:]))
-            if dv_feasible:
-                if not isinstance(ff, Route):
-                    flag(i, CLAIM_DOMINANCE,
-                         "dv path is bandwidth-feasible but fitness found no route")
-                elif ff.hops > row.dv_hops:
-                    flag(i, CLAIM_DOMINANCE,
-                         f"fitness hops {ff.hops} > feasible dv hops {row.dv_hops}")
+            if not short and not (isinstance(ff, Route)
+                                  and ff.hops <= row.dv_hops):
+                flag(i, CLAIM_DOMINANCE, f"dv path of {row.dv_hops} hops "
+                     f"carries the demand, fitness answered {ff}")
 
     return tuple(violations)
 

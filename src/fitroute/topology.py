@@ -89,9 +89,6 @@ class QosLink:
     def pair(self) -> tuple[int, int]:
         return (self.a, self.b)
 
-    def other(self, node: int) -> int:
-        return self.b if node == self.a else self.a
-
 
 @dataclass(frozen=True)
 class GenParams:

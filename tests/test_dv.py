@@ -1,6 +1,6 @@
 import pytest
 
-from fitroute import QosLink, Topology, generate_topology
+from fitroute import QosLink, Topology, dv, generate_topology
 from fitroute.dv import (
     DvState,
     converge,
@@ -23,7 +23,7 @@ PROBE1_SEQUENCE = [3, 3, 5, 5, 7, 7, 9, 9, 11, 11, 13, 13, 15, 15, 16]
 
 def converged_line(n=3, infinity=16):
     s = init_tables(line_topology(n), infinity)
-    s, _ = converge(s, n + 1)
+    s, _ = converge(s)
     return s
 
 
@@ -65,14 +65,14 @@ def test_next_hop_tie_breaks_to_smallest_neighbor():
         QosLink(1, 3, 10.0, 1.0, 0.0, 0.0),
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    s, _ = converge(init_tables(t, 16), 5)
+    s, _ = converge(init_tables(t, 16))
     assert s.dist[0][3] == 2
     assert extract_path(s, 0, 3) == [0, 1, 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_converge_chain_bound_and_distance(n):
-    s, rounds = converge(init_tables(line_topology(n), max(16, n + 1)), n + 1)
+    s, rounds = converge(init_tables(line_topology(n), max(16, n + 1)))
     assert rounds <= max(0, n - 1)
     assert s.dist[0][n - 1] == n - 1
 
@@ -80,20 +80,29 @@ def test_converge_chain_bound_and_distance(n):
 def test_converge_complete_graph_immediate():
     links = tuple(QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
                   for a in range(4) for b in range(a + 1, 4))
-    s, rounds = converge(init_tables(Topology(4, links), 16), 5)
+    s, rounds = converge(init_tables(Topology(4, links), 16))
     assert rounds == 0  # neighbor initialization is already the fixed point
     assert all(s.dist[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
 
-def test_converge_raises_when_starved_of_rounds():
-    with pytest.raises(RuntimeError):
-        converge(init_tables(line_topology(6), 16), 1)
+def test_converge_raises_when_rounds_never_settle(monkeypatch):
+    # a round that always reports a change stands in for an engine bug
+    rounds = []
+
+    def never_settles(s):
+        rounds.append(s)
+        return s, True
+
+    monkeypatch.setattr(dv, "exchange_round", never_settles)
+    with pytest.raises(RuntimeError, match="within 7 rounds"):
+        converge(init_tables(line_topology(6), 16))
+    assert len(rounds) == 7  # n + 1 exchanges
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_converged_metrics_equal_bfs_oracle(seed):
     t = generate_topology(2 + seed, seed=seed)
-    s, rounds = converge(init_tables(t, 16), t.n + 1)
+    s, rounds = converge(init_tables(t, 16))
     assert rounds <= t.n - 1
     for src in range(t.n):
         oracle = bfs_hops(t, src)
@@ -103,7 +112,7 @@ def test_converged_metrics_equal_bfs_oracle(seed):
 
 def test_extract_path_direct_link():
     t = Topology(2, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
-    s, _ = converge(init_tables(t, 16), 3)
+    s, _ = converge(init_tables(t, 16))
     assert extract_path(s, 1, 0) == [1, 0]
 
 
@@ -114,7 +123,7 @@ def test_extract_path_self():
 
 def test_extract_path_unreachable():
     t = Topology(3, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
-    s, _ = converge(init_tables(t, 16), 4)
+    s, _ = converge(init_tables(t, 16))
     assert extract_path(s, 0, 2) is None
 
 
@@ -137,7 +146,7 @@ def test_converged_tables_self_consistent(seed):
     # every finite entry satisfies dist[u][d] = 1 + min over neighbors m
     # of dist[m][d]
     t = generate_topology(10, seed=seed)
-    s, _ = converge(init_tables(t, 16), t.n + 1)
+    s, _ = converge(init_tables(t, 16))
     for u in range(t.n):
         for d in range(t.n):
             if u == d or s.dist[u][d] >= s.infinity_metric:
@@ -149,7 +158,7 @@ def test_converged_tables_self_consistent(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_extracted_paths_simple_and_consistent(seed):
     t = generate_topology(10, seed=seed)
-    s, _ = converge(init_tables(t, 16), t.n + 1)
+    s, _ = converge(init_tables(t, 16))
     for src in range(t.n):
         for dst in range(t.n):
             path = extract_path(s, src, dst)
@@ -192,7 +201,7 @@ def test_irrelevant_failure_terminates_first_round():
         QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
         QosLink(0, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    s, _ = converge(init_tables(t, 16), 5)
+    s, _ = converge(init_tables(t, 16))
     before = s.dist[1][3]
     trace = fail_link_and_trace(s, 1, 2, probe=1, dest=3, max_rounds=64)
     assert trace.entries == ((1, before),)

@@ -14,6 +14,7 @@ from fitroute import (
     run_comparison,
     select_route,
 )
+from fitroute import experiment
 from fitroute.experiment import (
     CLAIM_BANDWIDTH,
     CLAIM_DOMINANCE,
@@ -27,7 +28,7 @@ from fitroute.experiment import (
     report_to_json,
     verify_claims,
 )
-from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH
+from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
 
 from helpers import line_topology, triangle_topology
 
@@ -42,6 +43,15 @@ def refusal_topology() -> Topology:
     ))
 
 
+def three_component_topology() -> Topology:
+    """Components {0,1,2} (1-2 too thin at demand 5), {3,4}, and isolated 5."""
+    return Topology(6, (
+        QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
+        QosLink(1, 2, 2.0, 1.0, 0.0, 0.0),
+        QosLink(3, 4, 10.0, 2.0, 0.0, 0.0),
+    ))
+
+
 def refusal_report():
     cfg = ExperimentConfig(n=4, explicit_queries=((0, 2), (0, 3)), demand=4.0)
     return run_comparison(cfg, refusal_topology()), refusal_topology()
@@ -51,6 +61,11 @@ def tamper(report, idx, **row_changes):
     rows = list(report.rows)
     rows[idx] = dataclasses.replace(rows[idx], **row_changes)
     return dataclasses.replace(report, rows=tuple(rows))
+
+
+def flagged(report, t) -> set[tuple[int, str]]:
+    """The (row, claim) pairs verify_claims flags."""
+    return {(v.row, v.claim) for v in verify_claims(report, t)}
 
 
 # --- config validation ---
@@ -180,12 +195,7 @@ def test_single_node_queries_are_self_ties():
 
 
 def test_outcomes_across_three_components():
-    # components {0,1,2} (1-2 too thin at demand 5), {3,4}, and isolated 5
-    t = Topology(6, (
-        QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
-        QosLink(1, 2, 2.0, 1.0, 0.0, 0.0),
-        QosLink(3, 4, 10.0, 2.0, 0.0, 0.0),
-    ))
+    t = three_component_topology()
     cfg = ExperimentConfig(n=6, demand=5.0, explicit_queries=(
         (0, 1), (0, 2), (0, 3), (4, 3), (5, 5)))
     report = run_comparison(cfg, t)
@@ -197,6 +207,26 @@ def test_outcomes_across_three_components():
     assert (s.ff_wins, s.ties, s.ff_longer, s.refusals, s.unreachable) == (
         0, 3, 0, 1, 1)
     assert s.violations == ()
+
+
+def test_oracle_runs_one_bfs_per_source_and_graph(monkeypatch):
+    # the pruned graph's BFS runs once per source; the full graph's once per
+    # source with a refused or unreachable row
+    calls = []
+    real = experiment.bfs_hops
+
+    def counting(t, src):
+        calls.append(src)
+        return real(t, src)
+
+    monkeypatch.setattr(experiment, "bfs_hops", counting)
+    cfg = ExperimentConfig(n=64, seed=1, query_count=1000,
+                           gen=GenParams(bandwidth_range=(1.0, 8.0)))
+    report = run_comparison(cfg)
+    assert report.summary.refusals > 0 and report.summary.violations == ()
+    sources = {row.src for row in report.rows}
+    refused = {row.src for row in report.rows if row.ff.status != "route"}
+    assert len(calls) == len(sources) + len(refused)
 
 
 # --- verify_claims fault injection ---
@@ -212,8 +242,7 @@ def test_detects_bandwidth_violation():
     # forge a route over the thin 0-3 link
     forged = Route((0, 3), 1, 1.0, 0.5)
     bad = tamper(report, 1, ff=forged)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_BANDWIDTH in claims
+    assert flagged(bad, t) == {(1, CLAIM_BANDWIDTH), (1, CLAIM_REFUSAL)}
 
 
 def test_detects_inflated_hop_count():
@@ -221,8 +250,7 @@ def test_detects_inflated_hop_count():
     row = report.rows[0]
     forged = dataclasses.replace(row.ff, hops=row.ff.hops + 1)
     bad = tamper(report, 0, ff=forged)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_MIN_HOP in claims
+    assert flagged(bad, t) == {(0, CLAIM_MIN_HOP), (0, CLAIM_DOMINANCE)}
 
 
 def test_detects_non_minimal_path():
@@ -232,23 +260,21 @@ def test_detects_non_minimal_path():
     report = run_comparison(cfg, t)
     forged = Route((0, 1, 2), 2, 2.0, 1 / 3)
     bad = tamper(report, 0, ff=forged)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_MIN_HOP in claims
+    assert flagged(bad, t) == {(0, CLAIM_MIN_HOP), (0, CLAIM_DOMINANCE)}
 
 
 def test_detects_looping_path():
     report, t = refusal_report()
     forged = Route((0, 1, 0, 1, 2), 4, 4.0, 0.2)
     bad = tamper(report, 0, ff=forged)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_SIMPLE_PATH in claims
+    assert flagged(bad, t) == {
+        (0, CLAIM_SIMPLE_PATH), (0, CLAIM_MIN_HOP), (0, CLAIM_DOMINANCE)}
 
 
 def test_detects_bogus_refusal():
     report, t = refusal_report()
     bad = tamper(report, 0, ff=NO_SUFFICIENT_BANDWIDTH)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_REFUSAL in claims
+    assert flagged(bad, t) == {(0, CLAIM_REFUSAL), (0, CLAIM_DOMINANCE)}
 
 
 def test_detects_dominance_break():
@@ -257,8 +283,35 @@ def test_detects_dominance_break():
     cfg = ExperimentConfig(n=3, explicit_queries=((0, 2),), demand=4.0)
     report = run_comparison(cfg, t)
     bad = tamper(report, 0, ff=NO_SUFFICIENT_BANDWIDTH)
-    claims = {v.claim for v in verify_claims(bad, t)}
-    assert CLAIM_DOMINANCE in claims
+    assert flagged(bad, t) == {(0, CLAIM_REFUSAL), (0, CLAIM_DOMINANCE)}
+
+
+def test_detects_unreachable_verdict_for_reachable_destination():
+    # 0 reaches 3 over the thin link: a refusal, not an unreachable verdict
+    report, t = refusal_report()
+    bad = tamper(report, 1, ff=UNREACHABLE)
+    assert flagged(bad, t) == {(1, CLAIM_REFUSAL)}
+
+
+def test_detects_refusal_for_unreachable_destination():
+    # 3 lies in another component than 0, so no demand could be routed
+    t = three_component_topology()
+    cfg = ExperimentConfig(n=6, demand=5.0, explicit_queries=((0, 1), (0, 3)))
+    report = run_comparison(cfg, t)
+    bad = tamper(report, 1, ff=NO_SUFFICIENT_BANDWIDTH)
+    assert flagged(bad, t) == {(1, CLAIM_REFUSAL)}
+
+
+def test_detects_dv_step_over_non_link():
+    report, t = refusal_report()
+    bad = tamper(report, 0, dv_path=(0, 2))
+    assert flagged(bad, t) == {(0, CLAIM_SIMPLE_PATH)}
+
+
+def test_detects_dv_repeated_node():
+    report, t = refusal_report()
+    bad = tamper(report, 0, dv_path=(0, 1, 0, 1, 2))
+    assert flagged(bad, t) == {(0, CLAIM_SIMPLE_PATH)}
 
 
 def test_violations_carry_row_and_detail():
