@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dv import fail_link_and_trace, format_trace, init_tables, converge
+from .dv import fail_link_and_trace, format_trace
 from .experiment import (
     ExperimentConfig,
     emit_plot_series,
@@ -33,7 +33,6 @@ from .topology import (
     format_topology,
     generate_topology,
     parse_topology,
-    remove_link,
 )
 
 
@@ -213,19 +212,10 @@ def _cmd_demo(args) -> int:
     else:
         t = _line_topology()
     a, b = _parse_node_pair(args.fail)
-    for name, node in (("--probe", args.probe), ("--dest", args.dest)):
-        if not 0 <= node < t.n:
-            raise ValueError(f"{name} {node} outside [0, {t.n})")
-    if not t.has_link(a, b):
-        raise ValueError(f"--fail {a}:{b} is not a link of the topology")
-
-    state = init_tables(t, args.infinity)
-    state, _ = converge(state)
-    trace = fail_link_and_trace(state, a, b, args.probe, args.dest,
-                                args.max_rounds)
-
-    failed = remove_link(t, a, b)
-    outcome = select_route(failed, RouteRequest(args.probe, args.dest, 0.0))
+    trace = fail_link_and_trace(t, a, b, args.probe, args.dest,
+                                args.max_rounds, args.infinity)
+    outcome = select_route(trace.topology,
+                           RouteRequest(args.probe, args.dest, 0.0))
     text = (format_trace(trace)
             + f"# fitness estimation after the failure: {outcome.status}\n")
     _emit(text, args.out)

@@ -9,8 +9,11 @@ destination is reported unreachable.
 Only hop metrics are kept: at a fixed point they already name every next
 hop, so paths are read off the converged table.
 
-All transitions are pure: a round maps one DvState to a new one, computed
-entirely from the previous round's vectors.
+Both entry points start from a topology: `converge(t)` builds the initial
+vectors and runs rounds to the fixed point, and `fail_link_and_trace(t, ...)`
+checks its inputs, converges on t and counts on the topology without the
+failed link. All transitions are pure: a round maps one DvState to a new
+one, computed entirely from the previous round's vectors.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ class DvState:
 
 @dataclass(frozen=True)
 class DvTrace:
-    """Per-round (round index, probe metric) records after a link failure.
+    """Per-round (round index, probe metric) records after a link failure,
+    with the topology the rounds ran on (the failed link removed).
 
     Metrics are stored capped; a value equal to infinity_metric means the
     probe node reported the destination unreachable in that round.
     """
 
+    topology: Topology
     entries: tuple[tuple[int, int], ...]
     infinity_metric: int
 
@@ -48,7 +53,8 @@ class DvTrace:
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
     """Initial vectors: self at 0, direct neighbors at 1, all else infinity."""
     if infinity_metric < 2:
-        raise ValueError("infinity_metric must be at least 2")
+        raise ValueError(
+            f"infinity_metric must be at least 2, got {infinity_metric}")
     inf = infinity_metric
     dist = []
     for v in range(t.n):
@@ -86,15 +92,16 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
-def converge(s: DvState) -> tuple[DvState, int]:
-    """Run exchange rounds until a fixed point; return it and the number of
-    rounds that changed anything.
+def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
+    """Run exchange rounds from init_tables(t, infinity_metric) until a fixed
+    point; return it and the number of rounds that changed anything.
 
     On a static topology the fixed point always arrives within n-1 changing
     rounds; not reaching it within n+1 exchanges is an engine bug and raises
     RuntimeError.
     """
-    limit = s.topology.n + 1
+    s = init_tables(t, infinity_metric)
+    limit = t.n + 1
     changing = 0
     for _ in range(limit):
         nxt, changed = exchange_round(s)
@@ -135,32 +142,35 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
     return path
 
 
-def fail_link_and_trace(s: DvState, a: int, b: int, probe: int, dest: int,
-                        max_rounds: int) -> DvTrace:
-    """Remove link {a, b} from a converged state and record the probe node's
-    metric toward dest each synchronous round.
+def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
+                        max_rounds: int, infinity_metric: int = 16) -> DvTrace:
+    """Converge on t, remove link {a, b} and record the probe node's metric
+    toward dest each synchronous round on the failed topology.
 
-    Rounds stop when the probe metric caps at the infinity metric, when the
-    whole destination column stops changing (the failure did not affect any
-    route toward dest, or counting has finished), or after max_rounds, which
-    must be at least 1.
+    Every input is checked before any round runs, else ValueError: probe and
+    dest must lie in [0, n), {a, b} must be a link of t, max_rounds at least
+    1 and infinity_metric at least 2. Rounds stop when the probe metric caps
+    at the infinity metric, when the whole destination column stops changing
+    (the failure did not affect any route toward dest, or counting has
+    finished), or after max_rounds. The trace keeps the failed topology.
     """
     if max_rounds < 1:
-        raise ValueError("max_rounds must be at least 1")
-    t = remove_link(s.topology, a, b)
-    state = DvState(t, s.dist, s.infinity_metric)
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
+    for name, node in (("probe", probe), ("dest", dest)):
+        if not 0 <= node < t.n:
+            raise ValueError(f"{name} {node} outside [0, {t.n})")
+    failed = remove_link(t, a, b)
+    state, _ = converge(t, infinity_metric)
+    state = DvState(failed, state.dist, infinity_metric)
+    col = [row[dest] for row in state.dist]
     entries = []
     for rnd in range(1, max_rounds + 1):
-        prev_col = tuple(state.dist[v][dest] for v in range(t.n))
         state, _ = exchange_round(state)
-        metric = state.dist[probe][dest]
-        entries.append((rnd, metric))
-        if metric >= s.infinity_metric:
+        prev_col, col = col, [row[dest] for row in state.dist]
+        entries.append((rnd, col[probe]))
+        if col[probe] >= infinity_metric or col == prev_col:
             break
-        col = tuple(state.dist[v][dest] for v in range(t.n))
-        if col == prev_col:
-            break
-    return DvTrace(tuple(entries), s.infinity_metric)
+    return DvTrace(failed, tuple(entries), infinity_metric)
 
 
 def format_trace(trace: DvTrace) -> str:

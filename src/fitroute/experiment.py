@@ -166,8 +166,7 @@ def run_comparison(cfg: ExperimentConfig,
     else:
         queries = _draw_queries(cfg, rng)
 
-    state = dv_engine.init_tables(t, cfg.infinity_metric)
-    state, _ = dv_engine.converge(state)
+    state, _ = dv_engine.converge(t, cfg.infinity_metric)
 
     trees: dict[int, SpanningTree] = {}
 
@@ -231,9 +230,9 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
     is walked once: (bandwidth) every fitness-route link carries the demand;
     (simple_path) both paths are simple and consistent with the query;
     (min_hop) fitness hop counts equal BFS on the pruned subgraph;
-    (dominance) when the DV path itself is bandwidth-feasible, the fitness
-    route exists and uses no more hops. Returns structured violations,
-    empty when every claim holds.
+    (dominance) when the DV path is a simple src->dst walk that carries the
+    demand, the fitness route exists and uses no more hops. Returns
+    structured violations, empty when every claim holds.
     """
     demand = report.config.demand
     pruned = feasible_subgraph(t, demand)
@@ -269,8 +268,8 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
             reason, short = _walk(row.dv_path, t, row.src, row.dst, demand)
             if reason is not None:
                 flag(i, CLAIM_SIMPLE_PATH, f"dv path invalid: {reason}")
-            if not short and not (isinstance(ff, Route)
-                                  and ff.hops <= row.dv_hops):
+            elif not short and not (isinstance(ff, Route)
+                                    and ff.hops <= row.dv_hops):
                 flag(i, CLAIM_DOMINANCE, f"dv path of {row.dv_hops} hops "
                      f"carries the demand, fitness answered {ff}")
 

@@ -160,9 +160,6 @@ class Topology:
     def link_between(self, a: int, b: int) -> QosLink | None:
         return self._by_pair.get((min(a, b), max(a, b)))
 
-    def has_link(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._by_pair
-
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Each node's component id, the smallest node id in its component."""
@@ -203,29 +200,14 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
         j = rng.next_below(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
-    pairs: set[tuple[int, int]] = set()
-    for k in range(n - 1):
-        u, v = perm[k], perm[k + 1]
-        pairs.add((min(u, v), max(u, v)))
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if (a, b) in pairs:
-                continue
-            if rng.next_float() < params.edge_prob:
-                pairs.add((a, b))
-
-    def draw(lo: float, hi: float) -> float:
-        return lo + rng.next_float() * (hi - lo)
-
-    links = []
-    for a, b in sorted(pairs):
-        bandwidth = draw(*params.bandwidth_range)
-        delay = draw(*params.delay_range)
-        jitter = draw(*params.jitter_range)
-        loss = draw(*params.loss_range)
-        links.append(QosLink(a, b, bandwidth, delay, jitter, loss))
-    return Topology(n, tuple(links))
+    chain = {(min(u, v), max(u, v)) for u, v in zip(perm, perm[1:])}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if (a, b) in chain or rng.next_float() < params.edge_prob]
+    ranges = (params.bandwidth_range, params.delay_range,
+              params.jitter_range, params.loss_range)
+    return Topology(n, tuple(
+        QosLink(a, b, *(lo + rng.next_float() * (hi - lo) for lo, hi in ranges))
+        for a, b in pairs))
 
 
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
@@ -243,10 +225,10 @@ def feasible_subgraph(t: Topology, demand: float) -> Topology:
 
 def remove_link(t: Topology, a: int, b: int) -> Topology:
     """Copy of `t` without the link {a, b}. Missing link is an error."""
-    pair = (min(a, b), max(a, b))
-    if pair not in t._by_pair:
-        raise ValueError(f"no link {pair[0]}-{pair[1]} to remove")
-    return Topology(t.n, tuple(l for l in t.links if l.pair != pair))
+    gone = t.link_between(a, b)
+    if gone is None:
+        raise ValueError(f"{a}:{b} is not a link of the topology")
+    return Topology(t.n, tuple(l for l in t.links if l is not gone))
 
 
 def bfs_hops(t: Topology, src: int) -> dict[int, int]:

@@ -28,7 +28,7 @@ from fitroute import (
     run_comparison,
     select_route,
 )
-from fitroute.dv import converge, fail_link_and_trace, init_tables
+from fitroute.dv import converge, fail_link_and_trace
 from fitroute.fitness import build_spanning_tree
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 from fitroute.cli import run_cli
@@ -65,7 +65,7 @@ def test_criterion_1_oracle_equivalence():
     for seed in range(200):
         n = 2 + seed % 15
         t = generate_topology(n, DEFAULT_GEN, seed)
-        state, _ = converge(init_tables(t, 16))
+        state, _ = converge(t, 16)
         pruned = feasible_subgraph(t, SUITE_DEMAND)
         for src in range(n):
             oracle = bfs_hops(t, src)
@@ -174,8 +174,7 @@ def test_criterion_5_loop_freedom(suite):
 def test_criterion_6_count_to_infinity_contrast():
     line = Topology(3, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
                         QosLink(1, 2, 10.0, 1.0, 0.0, 0.0)))
-    state, _ = converge(init_tables(line, 16))
-    trace = fail_link_and_trace(state, 1, 2, probe=0, dest=2, max_rounds=100)
+    trace = fail_link_and_trace(line, 1, 2, probe=0, dest=2, max_rounds=100)
     expected = [2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12, 14, 14, 16]
     assert trace.entries == tuple(enumerate(expected, start=1))
     assert trace.entries[-1] == (14, 16)  # capped at infinity 16 by round 14

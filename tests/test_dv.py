@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from fitroute import QosLink, Topology, dv, generate_topology
+from fitroute import GenParams, QosLink, Topology, dv, generate_topology
 from fitroute.dv import (
     DvState,
     converge,
@@ -10,7 +11,7 @@ from fitroute.dv import (
     format_trace,
     init_tables,
 )
-from fitroute.topology import bfs_hops
+from fitroute.topology import bfs_hops, remove_link
 
 from helpers import line_topology
 
@@ -22,8 +23,7 @@ PROBE1_SEQUENCE = [3, 3, 5, 5, 7, 7, 9, 9, 11, 11, 13, 13, 15, 15, 16]
 
 
 def converged_line(n=3, infinity=16):
-    s = init_tables(line_topology(n), infinity)
-    s, _ = converge(s)
+    s, _ = converge(line_topology(n), infinity)
     return s
 
 
@@ -65,14 +65,14 @@ def test_next_hop_tie_breaks_to_smallest_neighbor():
         QosLink(1, 3, 10.0, 1.0, 0.0, 0.0),
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     assert s.dist[0][3] == 2
     assert extract_path(s, 0, 3) == [0, 1, 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
 def test_converge_chain_bound_and_distance(n):
-    s, rounds = converge(init_tables(line_topology(n), max(16, n + 1)))
+    s, rounds = converge(line_topology(n), max(16, n + 1))
     assert rounds <= max(0, n - 1)
     assert s.dist[0][n - 1] == n - 1
 
@@ -80,7 +80,7 @@ def test_converge_chain_bound_and_distance(n):
 def test_converge_complete_graph_immediate():
     links = tuple(QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
                   for a in range(4) for b in range(a + 1, 4))
-    s, rounds = converge(init_tables(Topology(4, links), 16))
+    s, rounds = converge(Topology(4, links), 16)
     assert rounds == 0  # neighbor initialization is already the fixed point
     assert all(s.dist[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
@@ -95,14 +95,14 @@ def test_converge_raises_when_rounds_never_settle(monkeypatch):
 
     monkeypatch.setattr(dv, "exchange_round", never_settles)
     with pytest.raises(RuntimeError, match="within 7 rounds"):
-        converge(init_tables(line_topology(6), 16))
+        converge(line_topology(6), 16)
     assert len(rounds) == 7  # n + 1 exchanges
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_converged_metrics_equal_bfs_oracle(seed):
     t = generate_topology(2 + seed, seed=seed)
-    s, rounds = converge(init_tables(t, 16))
+    s, rounds = converge(t, 16)
     assert rounds <= t.n - 1
     for src in range(t.n):
         oracle = bfs_hops(t, src)
@@ -112,7 +112,7 @@ def test_converged_metrics_equal_bfs_oracle(seed):
 
 def test_extract_path_direct_link():
     t = Topology(2, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     assert extract_path(s, 1, 0) == [1, 0]
 
 
@@ -123,7 +123,7 @@ def test_extract_path_self():
 
 def test_extract_path_unreachable():
     t = Topology(3, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     assert extract_path(s, 0, 2) is None
 
 
@@ -146,7 +146,7 @@ def test_converged_tables_self_consistent(seed):
     # every finite entry satisfies dist[u][d] = 1 + min over neighbors m
     # of dist[m][d]
     t = generate_topology(10, seed=seed)
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     for u in range(t.n):
         for d in range(t.n):
             if u == d or s.dist[u][d] >= s.infinity_metric:
@@ -158,34 +158,34 @@ def test_converged_tables_self_consistent(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_extracted_paths_simple_and_consistent(seed):
     t = generate_topology(10, seed=seed)
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     for src in range(t.n):
         for dst in range(t.n):
             path = extract_path(s, src, dst)
             assert path is not None
             assert len(set(path)) == len(path)
             assert len(path) - 1 == s.dist[src][dst]
-            assert all(t.has_link(u, v) for u, v in zip(path, path[1:]))
+            assert all(t.link_between(u, v) for u, v in zip(path, path[1:]))
 
 
 # --- count-to-infinity ---
 
 
 def test_count_to_infinity_probe_far_node():
-    trace = fail_link_and_trace(converged_line(), 1, 2, probe=0, dest=2,
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2,
                                 max_rounds=64)
     assert [m for _, m in trace.entries] == PROBE0_SEQUENCE
     assert [r for r, _ in trace.entries] == list(range(1, 15))
 
 
 def test_count_to_infinity_probe_near_node():
-    trace = fail_link_and_trace(converged_line(), 1, 2, probe=1, dest=2,
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=1, dest=2,
                                 max_rounds=64)
     assert [m for _, m in trace.entries] == PROBE1_SEQUENCE
 
 
 def test_counting_metric_monotone_and_bounded():
-    trace = fail_link_and_trace(converged_line(), 1, 2, probe=0, dest=2,
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2,
                                 max_rounds=64)
     metrics = [m for _, m in trace.entries]
     assert all(a <= b for a, b in zip(metrics, metrics[1:]))
@@ -201,20 +201,44 @@ def test_irrelevant_failure_terminates_first_round():
         QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
         QosLink(0, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    s, _ = converge(init_tables(t, 16))
+    s, _ = converge(t, 16)
     before = s.dist[1][3]
-    trace = fail_link_and_trace(s, 1, 2, probe=1, dest=3, max_rounds=64)
+    trace = fail_link_and_trace(t, 1, 2, probe=1, dest=3, max_rounds=64)
     assert trace.entries == ((1, before),)
 
 
+@pytest.mark.parametrize("probe, dest", [(-1, 2), (3, 2), (0, -1), (0, 3)])
+def test_trace_rejects_nodes_outside_the_topology(probe, dest):
+    with pytest.raises(ValueError, match="outside"):
+        fail_link_and_trace(line_topology(3), 1, 2, probe, dest, 64)
+
+
+@given(st.data())
+def test_trace_settles_on_the_failed_topology_distance(data):
+    # counting ends at the capped BFS distance on the failed topology, or at
+    # infinity when the failure cut dest off from probe
+    t = generate_topology(data.draw(st.integers(2, 10)),
+                          GenParams(edge_prob=0.2),
+                          seed=data.draw(st.integers(0, 2**16)))
+    link = data.draw(st.sampled_from(t.links))
+    probe = data.draw(st.integers(0, t.n - 1))
+    dest = data.draw(st.integers(0, t.n - 1))
+    inf = data.draw(st.integers(2, 16))
+    trace = fail_link_and_trace(t, link.a, link.b, probe, dest, 4 * inf, inf)
+    failed = remove_link(t, link.a, link.b)
+    assert trace.topology == failed
+    assert trace.entries[-1][1] == min(bfs_hops(failed, probe).get(dest, inf),
+                                       inf)
+
+
 def test_trace_deterministic():
-    a = fail_link_and_trace(converged_line(), 1, 2, 0, 2, 64)
-    b = fail_link_and_trace(converged_line(), 1, 2, 0, 2, 64)
+    a = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
+    b = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
     assert a == b
 
 
 def test_format_trace_csv():
-    trace = fail_link_and_trace(converged_line(), 1, 2, 0, 2, 64)
+    trace = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
     text = format_trace(trace)
     lines = text.splitlines()
     assert lines[0] == "round,metric"

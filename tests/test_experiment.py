@@ -314,6 +314,13 @@ def test_detects_dv_repeated_node():
     assert flagged(bad, t) == {(0, CLAIM_SIMPLE_PATH)}
 
 
+def test_detects_empty_dv_path():
+    # no walk at all: not a path, so there is no dominance to check
+    report, t = refusal_report()
+    bad = tamper(report, 0, dv_path=())
+    assert flagged(bad, t) == {(0, CLAIM_SIMPLE_PATH)}
+
+
 def test_violations_carry_row_and_detail():
     report, t = refusal_report()
     bad = tamper(report, 1, ff=Route((0, 3), 1, 1.0, 0.5))

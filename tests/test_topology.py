@@ -9,6 +9,7 @@ from fitroute.topology import (
     bfs_hops,
     feasible_subgraph,
     format_topology,
+    generate_topology_rng,
     parse_topology,
     remove_link,
     topology_fingerprint,
@@ -184,6 +185,18 @@ def test_generation_deterministic():
     b = generate_topology(17, seed=1234)
     assert a == b
     assert format_topology(a) == format_topology(b)
+
+
+@pytest.mark.parametrize("n, edge_prob, seed", [
+    (1, 0.15, 0), (2, 0.15, 5), (17, 0.15, 3), (40, 0.05, 11), (64, 0.9, 7)])
+def test_generation_consumes_the_draws_replay_skips(n, edge_prob, seed):
+    # run_comparison skips n(n-1)/2 + 4*len(links) draws when it replays a
+    # topology, so generation must consume exactly that many
+    rng = SplitMix64(seed)
+    t = generate_topology_rng(n, GenParams(edge_prob=edge_prob), rng)
+    skipped = SplitMix64(seed)
+    skipped.skip(n * (n - 1) // 2 + 4 * len(t.links))
+    assert rng.state == skipped.state
 
 
 def test_generation_fingerprint_pinned():
