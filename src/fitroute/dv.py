@@ -9,11 +9,18 @@ destination is reported unreachable.
 Only hop metrics are kept: at a fixed point they already name every next
 hop, so paths are read off the converged table.
 
-Both entry points start from a topology: `converge(t)` builds the initial
-vectors and runs rounds to the fixed point, and `fail_link_and_trace(t, ...)`
-checks its inputs, converges on t and counts on the topology without the
-failed link. All transitions are pure: a round maps one DvState to a new
-one, computed entirely from the previous round's vectors.
+In a synchronous round every node's metric toward d depends only on its
+neighbours' metrics toward d in the round before, so each destination's
+column evolves on its own. `converge(t)` builds the fixed point one column at
+a time with triggered updates, as RIP sends them (RFC 2453 section 3.10.1):
+from the initial vectors metrics only fall, so a round pushes just the
+entries that changed in the round before to their neighbours. Every column,
+and the number of rounds that changed anything, equals the full exchange's
+round for round; `init_tables` and `exchange_round` are that full exchange.
+`fail_link_and_trace(t, ...)` checks its inputs, takes dest's converged
+column on t and counts on the topology without the failed link, recomputing
+that one column every round, since there metrics rise and a push cannot
+raise an entry. All transitions are pure.
 """
 
 from __future__ import annotations
@@ -50,11 +57,15 @@ class DvTrace:
     infinity_metric: int
 
 
-def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
-    """Initial vectors: self at 0, direct neighbors at 1, all else infinity."""
+def _check_infinity(infinity_metric: int) -> None:
     if infinity_metric < 2:
         raise ValueError(
             f"infinity_metric must be at least 2, got {infinity_metric}")
+
+
+def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
+    """Initial vectors: self at 0, direct neighbors at 1, all else infinity."""
+    _check_infinity(infinity_metric)
     inf = infinity_metric
     dist = []
     for v in range(t.n):
@@ -71,7 +82,8 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     neighbors' previous-round vectors.
 
     dist[v][d] = min(infinity, 1 + min over neighbors m of dist[m][d]), and
-    0 for v = d. Returns the new state and whether any entry changed.
+    0 for v = d. Returns the new state and whether any entry changed. This
+    full-table round is the reference that converge equals round for round.
     """
     t = s.topology
     old = s.dist
@@ -92,26 +104,52 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
-def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
-    """Run exchange rounds from init_tables(t, infinity_metric) until a fixed
-    point; return it and the number of rounds that changed anything.
+def _neighbour_ids(t: Topology) -> list[list[int]]:
+    return [[m for m, _ in t.adjacency(v)] for v in range(t.n)]
 
-    On a static topology the fixed point always arrives within n-1 changing
-    rounds; not reaching it within n+1 exchanges is an engine bug and raises
-    RuntimeError.
+
+def _column(nbrs: list[list[int]], dest: int,
+            infinity_metric: int) -> tuple[list[int], int]:
+    """dest's column of the fixed point that exchange rounds reach from
+    init_tables, and the number of rounds in which it changed.
+
+    The first pass sets dest's neighbours to 1, as init_tables does; round r
+    then pushes the entries round r - 1 changed to their neighbours, setting
+    those still at infinity to metric r + 1, until no entry changes or the
+    metric would reach infinity_metric.
     """
-    s = init_tables(t, infinity_metric)
-    limit = t.n + 1
-    changing = 0
-    for _ in range(limit):
-        nxt, changed = exchange_round(s)
-        if not changed:
-            return s, changing
-        s = nxt
-        changing += 1
-    raise RuntimeError(
-        f"distance-vector failed to converge within {limit} rounds "
-        f"on a static topology (engine bug)")
+    col = [infinity_metric] * len(nbrs)
+    col[dest] = 0
+    changed = [dest]
+    metric = 1
+    while metric < infinity_metric:
+        pushed = []
+        for u in changed:
+            for v in nbrs[u]:
+                if col[v] == infinity_metric:
+                    col[v] = metric
+                    pushed.append(v)
+        if not pushed:
+            break
+        changed = pushed
+        metric += 1
+    return col, max(0, metric - 2)
+
+
+def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
+    """The fixed point that exchange rounds reach from
+    init_tables(t, infinity_metric), and the number of rounds that changed
+    anything.
+
+    Each destination's column is built on its own with triggered updates
+    (see _column); the table and the round count, the largest over the
+    columns, equal the full exchange's.
+    """
+    _check_infinity(infinity_metric)
+    nbrs = _neighbour_ids(t)
+    columns, rounds = zip(*(_column(nbrs, d, infinity_metric)
+                            for d in range(t.n)))
+    return DvState(t, tuple(zip(*columns)), infinity_metric), max(rounds)
 
 
 def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
@@ -149,10 +187,13 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
 
     Every input is checked before any round runs, else ValueError: probe and
     dest must lie in [0, n), {a, b} must be a link of t, max_rounds at least
-    1 and infinity_metric at least 2. Rounds stop when the probe metric caps
-    at the infinity metric, when the whole destination column stops changing
-    (the failure did not affect any route toward dest, or counting has
-    finished), or after max_rounds. The trace keeps the failed topology.
+    1 and infinity_metric at least 2. Only dest's column is computed: its
+    converged column on t, then one full recompute of it per round on the
+    failed topology, equal round for round to the full exchange's. Rounds
+    stop when the probe metric caps at the infinity metric, when the column
+    stops changing (the failure did not affect any route toward dest, or
+    counting has finished), or after max_rounds. The trace keeps the failed
+    topology.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -160,15 +201,17 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
         if not 0 <= node < t.n:
             raise ValueError(f"{name} {node} outside [0, {t.n})")
     failed = remove_link(t, a, b)
-    state, _ = converge(t, infinity_metric)
-    state = DvState(failed, state.dist, infinity_metric)
-    col = [row[dest] for row in state.dist]
+    _check_infinity(infinity_metric)
+    col, _ = _column(_neighbour_ids(t), dest, infinity_metric)
+    nbrs = _neighbour_ids(failed)
+    cap = infinity_metric - 1
     entries = []
     for rnd in range(1, max_rounds + 1):
-        state, _ = exchange_round(state)
-        prev_col, col = col, [row[dest] for row in state.dist]
+        prev = col
+        col = [1 + min([cap] + [prev[m] for m in ms]) for ms in nbrs]
+        col[dest] = 0
         entries.append((rnd, col[probe]))
-        if col[probe] >= infinity_metric or col == prev_col:
+        if col[probe] >= infinity_metric or col == prev:
             break
     return DvTrace(failed, tuple(entries), infinity_metric)
 

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from fitroute import GenParams, QosLink, Topology, dv, generate_topology
+from fitroute import GenParams, QosLink, Topology, generate_topology
 from fitroute.dv import (
     DvState,
     converge,
@@ -25,6 +25,48 @@ PROBE1_SEQUENCE = [3, 3, 5, 5, 7, 7, 9, 9, 11, 11, 13, 13, 15, 15, 16]
 def converged_line(n=3, infinity=16):
     s, _ = converge(line_topology(n), infinity)
     return s
+
+
+def reference_converge(t, infinity):
+    """The full-table engine: init_tables, then exchange rounds until one
+    changes nothing; the fixed point and the number of changing rounds."""
+    s = init_tables(t, infinity)
+    for rounds in range(t.n):
+        nxt, changed = exchange_round(s)
+        if not changed:
+            return s, rounds
+        s = nxt
+    raise AssertionError(f"no fixed point within {t.n} rounds")
+
+
+def reference_trace(t, a, b, probe, dest, max_rounds, infinity):
+    """fail_link_and_trace's entries from full-table rounds: every column
+    converged on t, then every column exchanged on the failed topology."""
+    s, _ = reference_converge(t, infinity)
+    s = DvState(remove_link(t, a, b), s.dist, infinity)
+    col = [row[dest] for row in s.dist]
+    entries = []
+    for rnd in range(1, max_rounds + 1):
+        s, _ = exchange_round(s)
+        prev, col = col, [row[dest] for row in s.dist]
+        entries.append((rnd, col[probe]))
+        if col[probe] >= infinity or col == prev:
+            break
+    return tuple(entries)
+
+
+@st.composite
+def any_topology(draw):
+    # every pair is a link with a drawn probability from 1/7 to 6/7, so
+    # sparse draws are often disconnected and have bridges
+    n = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    density = draw(st.integers(1, 6))
+    keep = draw(st.lists(st.integers(0, 6), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Topology(n, tuple(QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
+                             for (a, b), x in zip(pairs, keep)
+                             if x < density))
 
 
 def test_init_tables_line():
@@ -85,18 +127,17 @@ def test_converge_complete_graph_immediate():
     assert all(s.dist[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
 
-def test_converge_raises_when_rounds_never_settle(monkeypatch):
-    # a round that always reports a change stands in for an engine bug
-    rounds = []
+def test_converge_round_count_on_a_line():
+    # the far end of a line is n - 1 hops away, reached in round n - 2
+    # unless the cap k - 1 stops counting first
+    for n in range(1, 22):
+        for k in range(2, 17):
+            assert converge(line_topology(n), k)[1] == max(0, min(n, k) - 2)
 
-    def never_settles(s):
-        rounds.append(s)
-        return s, True
 
-    monkeypatch.setattr(dv, "exchange_round", never_settles)
-    with pytest.raises(RuntimeError, match="within 7 rounds"):
-        converge(line_topology(6), 16)
-    assert len(rounds) == 7  # n + 1 exchanges
+@given(any_topology(), st.integers(2, 16))
+def test_converge_equals_full_table_rounds(t, k):
+    assert converge(t, k) == reference_converge(t, k)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -229,6 +270,23 @@ def test_trace_settles_on_the_failed_topology_distance(data):
     assert trace.topology == failed
     assert trace.entries[-1][1] == min(bfs_hops(failed, probe).get(dest, inf),
                                        inf)
+
+
+@given(any_topology(), st.data())
+def test_trace_equals_full_table_rounds(t, data):
+    # same entries as exchanging every column, including failures that cut
+    # dest off and traces that max_rounds stops
+    assume(t.links)
+    link = data.draw(st.sampled_from(t.links))
+    # often the failed link's own endpoints, so failing a bridge cuts dest off
+    anywhere = st.integers(0, t.n - 1)
+    probe = data.draw(st.just(link.a) | anywhere)
+    dest = data.draw(st.just(link.b) | anywhere)
+    k = data.draw(st.integers(2, 16))
+    max_rounds = data.draw(st.integers(1, 4 * k))
+    trace = fail_link_and_trace(t, link.a, link.b, probe, dest, max_rounds, k)
+    assert trace.entries == reference_trace(t, link.a, link.b, probe, dest,
+                                            max_rounds, k)
 
 
 def test_trace_deterministic():
