@@ -35,7 +35,9 @@ class DvState:
     """Per-node distance vectors.
 
     dist[v][d] is the hop metric from v to d, stored capped: a value equal to
-    infinity_metric means unreachable.
+    infinity_metric means unreachable. Hop metrics are symmetric, so
+    converge stores destination d's column as row d, with no transpose; the
+    reference properties in the tests compare it with the full exchange.
     """
 
     topology: Topology
@@ -58,9 +60,9 @@ class DvTrace:
 
 
 def _check_infinity(infinity_metric: int) -> None:
-    if infinity_metric < 2:
+    if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
         raise ValueError(
-            f"infinity_metric must be at least 2, got {infinity_metric}")
+            f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
 
 
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
@@ -71,7 +73,7 @@ def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
     for v in range(t.n):
         row = [inf] * t.n
         row[v] = 0
-        for u, _ in t.adjacency(v):
+        for u in t.adjacency[v]:
             row[u] = 1
         dist.append(tuple(row))
     return DvState(t, tuple(dist), inf)
@@ -90,7 +92,7 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     cap = s.infinity_metric - 1
     new_dist = []
     for v in range(t.n):
-        rows = [old[m] for m, _ in t.adjacency(v)]
+        rows = [old[m] for m in t.adjacency[v]]
         row = []
         for d in range(t.n):
             best = cap
@@ -104,14 +106,11 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
-def _neighbour_ids(t: Topology) -> list[list[int]]:
-    return [[m for m, _ in t.adjacency(v)] for v in range(t.n)]
-
-
-def _column(nbrs: list[list[int]], dest: int,
+def _column(nbrs: tuple[tuple[int, ...], ...], dest: int,
             infinity_metric: int) -> tuple[list[int], int]:
     """dest's column of the fixed point that exchange rounds reach from
-    init_tables, and the number of rounds in which it changed.
+    init_tables, and the number of rounds in which it changed; nbrs is a
+    topology's adjacency.
 
     The first pass sets dest's neighbours to 1, as init_tables does; round r
     then pushes the entries round r - 1 changed to their neighbours, setting
@@ -142,14 +141,14 @@ def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     anything.
 
     Each destination's column is built on its own with triggered updates
-    (see _column); the table and the round count, the largest over the
-    columns, equal the full exchange's.
+    (see _column) and stored as row d, hop metrics being symmetric; the
+    table and the round count, the largest over the columns, equal the full
+    exchange's.
     """
     _check_infinity(infinity_metric)
-    nbrs = _neighbour_ids(t)
-    columns, rounds = zip(*(_column(nbrs, d, infinity_metric)
+    columns, rounds = zip(*(_column(t.adjacency, d, infinity_metric)
                             for d in range(t.n)))
-    return DvState(t, tuple(zip(*columns)), infinity_metric), max(rounds)
+    return DvState(t, tuple(map(tuple, columns)), infinity_metric), max(rounds)
 
 
 def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
@@ -168,7 +167,7 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
     v = src
     while v != dst:
         closer = s.dist[v][dst] - 1
-        for m, _ in s.topology.adjacency(v):  # ascending: first is smallest
+        for m in s.topology.adjacency[v]:  # ascending: first is smallest
             if s.dist[m][dst] == closer:
                 break
         else:
@@ -187,13 +186,13 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
 
     Every input is checked before any round runs, else ValueError: probe and
     dest must lie in [0, n), {a, b} must be a link of t, max_rounds at least
-    1 and infinity_metric at least 2. Only dest's column is computed: its
-    converged column on t, then one full recompute of it per round on the
-    failed topology, equal round for round to the full exchange's. Rounds
-    stop when the probe metric caps at the infinity metric, when the column
-    stops changing (the failure did not affect any route toward dest, or
-    counting has finished), or after max_rounds. The trace keeps the failed
-    topology.
+    1 and infinity_metric an integer at least 2. Only dest's column is
+    computed: its converged column on t, then one full recompute of it per
+    round on the failed topology, equal round for round to the full
+    exchange's. Rounds stop when the probe metric caps at the infinity
+    metric, when the column stops changing (the failure did not affect any
+    route toward dest, or counting has finished), or after max_rounds. The
+    trace keeps the failed topology.
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
@@ -202,13 +201,12 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
             raise ValueError(f"{name} {node} outside [0, {t.n})")
     failed = remove_link(t, a, b)
     _check_infinity(infinity_metric)
-    col, _ = _column(_neighbour_ids(t), dest, infinity_metric)
-    nbrs = _neighbour_ids(failed)
+    col, _ = _column(t.adjacency, dest, infinity_metric)
     cap = infinity_metric - 1
     entries = []
     for rnd in range(1, max_rounds + 1):
         prev = col
-        col = [1 + min([cap] + [prev[m] for m in ms]) for ms in nbrs]
+        col = [1 + min([cap] + [prev[m] for m in ms]) for ms in failed.adjacency]
         col[dest] = 0
         entries.append((rnd, col[probe]))
         if col[probe] >= infinity_metric or col == prev:

@@ -342,15 +342,7 @@ def report_to_json(report: ComparisonReport) -> str:
         "config": asdict(report.config),
         "fingerprint": f"{report.fingerprint:016x}",
         "rows": [],
-        "summary": {
-            "rows": len(report.rows),
-            "ff_wins": report.summary.ff_wins,
-            "ties": report.summary.ties,
-            "ff_longer": report.summary.ff_longer,
-            "refusals": report.summary.refusals,
-            "unreachable": report.summary.unreachable,
-            "violations": [asdict(v) for v in report.summary.violations],
-        },
+        "summary": {"rows": len(report.rows), **asdict(report.summary)},
     }
     for row in report.rows:
         entry = {

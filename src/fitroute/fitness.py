@@ -5,10 +5,10 @@ link that cannot carry the requested demand, which is what gives the engine
 its bandwidth guarantee. The search applies that gate itself, skipping such
 links as it scans each adjacency list, so no pruned topology is built. The
 remaining QoS attributes (delay, jitter, loss) are folded into an additive
-edge cost, and paths minimise the lexicographic label (hops, cost). Link
-costs are computed once per topology and weights, on the first search that
-uses them, and every later search scans that table. The search expands one
-hop layer at a time, each newly reached node taking its cheapest
+edge cost, and paths minimise the lexicographic label (hops, cost). Each
+link is costed once per topology and weights, on the first search that uses
+them, and later searches under the same weights scan that table. The search
+expands one hop layer at a time, each newly reached node taking its cheapest
 predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
@@ -103,8 +103,7 @@ def edge_cost(link: QosLink, w: Weights) -> float:
     Bandwidth is deliberately absent: it gates which links a search may
     cross, never traded off against the other attributes. QosLink keeps loss
     below 1. The search does not call this per relaxation: cost_adjacency
-    calls it once per adjacency entry, i.e. twice per link, for each
-    topology and weights.
+    calls it once per link for each topology and weights.
     """
     return (w.delay * link.delay
             + w.jitter * link.jitter
@@ -115,15 +114,21 @@ def cost_adjacency(t: Topology, w: Weights
                    ) -> tuple[tuple[tuple[int, float, float], ...], ...]:
     """Per node, (neighbour, edge_cost, bandwidth) in t.adjacency order.
 
-    Built on the first call for weights equal to `w` and memoised in
-    t.cost_tables, so later calls for equal weights only look it up.
+    One pass over t.links, ascending by (a, b), costs each link once and
+    appends its entry to both endpoints, which yields t.adjacency's order.
+    The table for the most recent weights is kept in t.cost_table, so calls
+    for weights equal to those only look it up; other weights replace it.
     """
-    table = t.cost_tables.get(w)
-    if table is None:
-        table = t.cost_tables[w] = tuple(
-            tuple((v, edge_cost(link, w), link.bandwidth)
-                  for v, link in t.adjacency(u))
-            for u in range(t.n))
+    slot = t.cost_table  # one read: a search under other weights may replace it
+    if slot is not None and slot[0] == w:
+        return slot[1]
+    rows: list[list[tuple[int, float, float]]] = [[] for _ in range(t.n)]
+    for link in t.links:
+        cost = edge_cost(link, w)
+        rows[link.a].append((link.b, cost, link.bandwidth))
+        rows[link.b].append((link.a, cost, link.bandwidth))
+    table = tuple(map(tuple, rows))
+    object.__setattr__(t, "cost_table", (w, table))
     return table
 
 
@@ -169,7 +174,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
-    come from cost_adjacency(t, w), computed on the first search under `w`.
+    come from cost_adjacency(t, w). demand must be finite and >= 0.
     A layer is final once labelled, so the search stops as soon as `dst` is
     labelled; with dst None it labels the whole reachable component. Each
     node is labelled once and each link examined at most twice, so the
@@ -177,6 +182,8 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
+    if not 0 <= demand < math.inf:
+        raise ValueError(f"demand must be finite and >= 0, got {demand}")
     costs = cost_adjacency(t, w)
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
@@ -200,6 +207,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     return SpanningTree(root, parent, label, relaxations)
 
 
+def _check_query(t: Topology, req: RouteRequest) -> None:
+    if not (0 <= req.src < t.n and 0 <= req.dst < t.n):
+        raise ValueError(f"query ({req.src}, {req.dst}) outside [0, {t.n})")
+
+
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search over the links that carry the demand, up to
     the destination's layer, then classify the result.
@@ -209,9 +221,7 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     component, and Unreachable otherwise. Routing failures are outcomes;
     only bad input raises ValueError (see classify_outcome).
     """
-    n = t.n
-    if not (0 <= req.src < n and 0 <= req.dst < n):
-        raise ValueError(f"query ({req.src}, {req.dst}) outside [0, {n})")
+    _check_query(t, req)
     tree = build_spanning_tree(t, req.src, req.weights, req.demand, req.dst)
     return classify_outcome(t, tree, req)
 
@@ -223,9 +233,10 @@ def classify_outcome(t: Topology, tree: SpanningTree,
 
     Routes come from the tree labels. An unreached destination is refused
     when it shares the source's component of `t` (t.components), else it is
-    unreachable. Finite weights and attributes can still sum to an infinite
-    cost, which raises ValueError.
+    unreachable. A destination outside [0, n) raises ValueError, and so do
+    finite weights and attributes that sum to an infinite cost.
     """
+    _check_query(t, req)
     if tree.settled(req.dst):
         hops, cost = tree.label[req.dst]
         if not math.isfinite(cost):

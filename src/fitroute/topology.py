@@ -119,21 +119,22 @@ class GenParams:
 class Topology:
     """Immutable undirected graph: node count plus QoS links keyed by pair.
 
-    Links are stored sorted by (a, b); adjacency lists are precomputed once at
-    construction and shared by every traversal. They come out sorted by
-    neighbor id: node x receives its neighbors a < x in ascending order from
-    the links (a, x), then its neighbors b > x from the links (x, b).
-    `components` is memoised on first read, and `cost_tables` holds the
-    fitness search's per-weights link costs from the first search that uses
-    them (see fitness.cost_adjacency); both live outside the compared fields.
+    Links are stored sorted by (a, b). `adjacency[x]` is node x's neighbour
+    ids in ascending order, built once at construction and shared by every
+    traversal: x receives its neighbours a < x from the links (a, x), then
+    its neighbours b > x from the links (x, b). `components` is memoised on
+    first read, and `cost_table` holds the fitness search's link costs for
+    the most recent weights as a (weights, table) pair (see
+    fitness.cost_adjacency); both live outside the compared fields.
     """
 
     n: int
     links: tuple[QosLink, ...]
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                   compare=False)
     _by_pair: dict = field(init=False, repr=False, compare=False)
-    _adj: tuple = field(init=False, repr=False, compare=False)
-    cost_tables: dict = field(init=False, repr=False, compare=False,
-                              default_factory=dict)
+    cost_table: tuple | None = field(init=False, repr=False, compare=False,
+                                     default=None)
 
     def __post_init__(self):
         if self.n < 1:
@@ -141,21 +142,17 @@ class Topology:
         links = tuple(sorted(self.links, key=lambda l: l.pair))
         object.__setattr__(self, "links", links)
         by_pair: dict[tuple[int, int], QosLink] = {}
-        adj: list[list[tuple[int, QosLink]]] = [[] for _ in range(self.n)]
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for link in links:
             if link.b >= self.n:
                 raise ValueError(f"link {link.pair} endpoint outside [0, {self.n})")
             if link.pair in by_pair:
                 raise ValueError(f"duplicate link {link.pair}")
             by_pair[link.pair] = link
-            adj[link.a].append((link.b, link))
-            adj[link.b].append((link.a, link))
+            adj[link.a].append(link.b)
+            adj[link.b].append(link.a)
         object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_adj", tuple(tuple(lst) for lst in adj))
-
-    def adjacency(self, node: int) -> tuple[tuple[int, QosLink], ...]:
-        """Neighbors of `node` as (neighbor, link) pairs, ascending by id."""
-        return self._adj[node]
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     def link_between(self, a: int, b: int) -> QosLink | None:
         return self._by_pair.get((min(a, b), max(a, b)))
@@ -218,8 +215,8 @@ def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
 
 def feasible_subgraph(t: Topology, demand: float) -> Topology:
     """Topology restricted to links with bandwidth >= demand; same nodes."""
-    if demand < 0:
-        raise ValueError("demand must be non-negative")
+    if not 0 <= demand < math.inf:
+        raise ValueError(f"demand must be finite and >= 0, got {demand}")
     return Topology(t.n, tuple(l for l in t.links if l.bandwidth >= demand))
 
 
@@ -243,7 +240,7 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v, _ in t.adjacency(u):
+        for v in t.adjacency[u]:
             if v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -84,6 +86,17 @@ def test_init_tables_single_node():
 def test_init_tables_rejects_tiny_infinity():
     with pytest.raises(ValueError):
         init_tables(line_topology(2), 1)
+
+
+@pytest.mark.parametrize("infinity", [math.nan, math.inf, 2.5])
+def test_engine_rejects_non_integer_infinity(infinity):
+    # none of these is a hop metric; nan would fill the table with nans
+    t = line_topology(3)
+    for run in (lambda: converge(t, infinity),
+                lambda: init_tables(t, infinity),
+                lambda: fail_link_and_trace(t, 1, 2, 0, 2, 64, infinity)):
+        with pytest.raises(ValueError, match="integer >= 2"):
+            run()
 
 
 def test_exchange_round_single_relaxation():
@@ -193,7 +206,7 @@ def test_converged_tables_self_consistent(seed):
             if u == d or s.dist[u][d] >= s.infinity_metric:
                 continue
             assert s.dist[u][d] == 1 + min(s.dist[m][d]
-                                           for m, _ in t.adjacency(u))
+                                           for m in t.adjacency[u])
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ from fitroute import (
 from fitroute.fitness import (
     build_spanning_tree,
     classify_outcome,
+    cost_adjacency,
     edge_cost,
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
@@ -37,7 +39,7 @@ def all_simple_paths(t: Topology, src: int, dst: int):
         if node == dst:
             yield path
             continue
-        for v, _ in t.adjacency(node):
+        for v in t.adjacency[node]:
             if v not in path:
                 stack.append((v, path + [v]))
 
@@ -167,6 +169,14 @@ def test_tree_rejects_bad_root():
         build_spanning_tree(line_topology(2), 7, UNIT)
 
 
+@pytest.mark.parametrize("demand", [math.nan, -1.0, math.inf])
+def test_tree_rejects_bad_demand(demand):
+    # nan would gate out every link and yield a root-only tree; a negative
+    # demand would cross every link
+    with pytest.raises(ValueError, match="demand"):
+        build_spanning_tree(line_topology(3), 0, UNIT, demand)
+
+
 def test_tree_hops_beat_cost():
     # direct expensive link vs two cheap hops: fewer hops must win
     t = Topology(3, (
@@ -278,6 +288,15 @@ def test_select_route_detours_around_thin_link():
 def test_select_route_rejects_bad_nodes():
     with pytest.raises(ValueError):
         select_route(line_topology(2), RouteRequest(0, 5, 1.0, UNIT))
+
+
+@pytest.mark.parametrize("dst", [-3, 3])
+def test_classify_outcome_rejects_bad_destination(dst):
+    # -3 would index node 0's component label, 3 past the end
+    t = line_topology(3)
+    tree = build_spanning_tree(t, 0, UNIT, 20.0)
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        classify_outcome(t, tree, RouteRequest(0, dst, 20.0, UNIT))
 
 
 def test_select_route_rejects_cost_overflow():
@@ -462,13 +481,13 @@ def test_gated_search_equals_prune_then_search(data):
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_components_match_bfs_and_stay_out_of_identity(t):
     # labelled and costed on first use only
-    assert "components" not in vars(t) and t.cost_tables == {}
+    assert "components" not in vars(t) and t.cost_table is None
     for a in range(t.n):
         reached = bfs_hops(t, a)
         for b in range(t.n):
             assert (t.components[a] == t.components[b]) == (b in reached)
     build_spanning_tree(t, 0, UNIT)
-    assert list(t.cost_tables) == [UNIT]
+    assert t.cost_table[0] == UNIT
     fresh = Topology(t.n, t.links)
     assert t == fresh
     assert hash(t) == hash(fresh)
@@ -503,21 +522,36 @@ def test_one_labelling_per_topology(monkeypatch):
 
 def test_links_costed_once_per_weights(monkeypatch):
     t = generate_topology(32, GenParams(edge_prob=0.2), seed=11)
-    weight_args = ((1.0, 1.0, 1.0), (0.5, 2.0, 1.0))
     calls = []
 
     def counting_cost(link, w):
-        calls.append(w)
+        calls.append((link.pair, w))
         return edge_cost(link, w)
 
+    def route_all(weight_args):
+        refusals = 0
+        for src in range(t.n):  # 1024 requests
+            for dst in range(t.n):
+                # a fresh Weights per request: the slot goes by equality
+                req = RouteRequest(src, dst, 10.0 * (dst % 10),
+                                   Weights(*weight_args))
+                refusals += isinstance(select_route(t, req),
+                                       NoSufficientBandwidth)
+        return refusals
+
     monkeypatch.setattr("fitroute.fitness.edge_cost", counting_cost)
-    refusals = 0
-    for src in range(t.n):  # 1024 requests, half under each weights
-        for dst in range(t.n):
-            # a fresh Weights per request: the memo goes by equality
-            w = Weights(*weight_args[(src + dst) % 2])
-            out = select_route(t, RouteRequest(src, dst, 10.0 * (dst % 10), w))
-            refusals += isinstance(out, NoSufficientBandwidth)
-    assert refusals > 0
-    for args in weight_args:
-        assert 0 < calls.count(Weights(*args)) <= 2 * len(t.links)
+    assert route_all((1.0, 1.0, 1.0)) > 0
+    assert calls == [(l.pair, UNIT) for l in t.links]
+    # switching weights costs each link once more
+    calls.clear()
+    route_all((0.5, 2.0, 1.0))
+    assert calls == [(l.pair, Weights(0.5, 2.0, 1.0)) for l in t.links]
+
+    # a sweep over ten weights holds one table, the last: the slot refers
+    # to it, and the nine built before it have no more references than an
+    # object nothing else holds
+    tables = [cost_adjacency(t, Weights(1.0, 1.0, float(k)))
+              for k in range(2, 12)] + [object()]
+    assert t.cost_table == (Weights(1.0, 1.0, 11.0), tables[-2])
+    refs = [sys.getrefcount(x) for x in tables]
+    assert refs == [refs[-1]] * 9 + [refs[-1] + 1, refs[-1]]

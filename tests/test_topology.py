@@ -132,7 +132,7 @@ def test_adjacency_sorted_by_neighbor():
         QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
         QosLink(1, 2, 10.0, 1.0, 0.0, 0.0),
     ))
-    assert [v for v, _ in t.adjacency(1)] == [0, 2, 3]
+    assert list(t.adjacency[1]) == [0, 2, 3]
     assert t.links == tuple(sorted(t.links, key=lambda l: l.pair))
 
 
@@ -228,6 +228,13 @@ def test_feasible_subgraph_demand_above_all():
 def test_feasible_subgraph_rejects_negative_demand():
     with pytest.raises(ValueError):
         feasible_subgraph(triangle_topology(1, 1, 1), -1.0)
+
+
+@pytest.mark.parametrize("demand", [math.nan, math.inf])
+def test_feasible_subgraph_rejects_non_finite_demand(demand):
+    # nan compares false with every bandwidth, so it would prune every link
+    with pytest.raises(ValueError, match="demand"):
+        feasible_subgraph(triangle_topology(1, 1, 1), demand)
 
 
 @given(st.floats(min_value=0, max_value=120), st.floats(min_value=0, max_value=120))
