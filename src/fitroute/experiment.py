@@ -20,7 +20,6 @@ from .fitness import (
     NoSufficientBandwidth,
     Route,
     RouteOutcome,
-    RouteRequest,
     SpanningTree,
     Unreachable,
     Weights,
@@ -61,6 +60,10 @@ class ExperimentConfig:
     infinity_metric: int = 16
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("seed", self.seed),
+                            ("query_count", self.query_count)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.query_count < 0:
@@ -68,10 +71,11 @@ class ExperimentConfig:
         if not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
         if self.explicit_queries is not None:
-            for src, dst in self.explicit_queries:
-                if not (0 <= src < self.n and 0 <= dst < self.n):
+            for src, dst in self.explicit_queries:  # node ids are ints in [0, n)
+                if not (isinstance(src, int) and isinstance(dst, int)
+                        and 0 <= src < self.n and 0 <= dst < self.n):
                     raise ValueError(
-                        f"query ({src}, {dst}) references nodes outside [0, {self.n})")
+                        f"query ({src!r}, {dst!r}) references nodes outside [0, {self.n})")
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,7 @@ def run_comparison(cfg: ExperimentConfig,
         dv_path = dv_engine.extract_path(state, src, dst)
         if src not in trees:
             trees[src] = build_spanning_tree(t, src, cfg.weights, cfg.demand)
-        req = RouteRequest(src, dst, cfg.demand, cfg.weights)
-        ff = classify_outcome(t, trees[src], req)
+        ff = classify_outcome(t, trees[src], dst)
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path), ff))
 
@@ -311,14 +314,11 @@ def render_table(report: ComparisonReport, which: str) -> str:
         cells.append((str(row.src), str(row.dst), hops, path))
 
     header = ("Source", "Destination", "Hop count", "Path")
-    widths = [len(h) for h in header]
-    for row_cells in cells:
-        for k, cell in enumerate(row_cells):
-            widths[k] = max(widths[k], len(cell))
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
 
     def fmt(row_cells):
-        return "  ".join(cell.ljust(widths[k])
-                         for k, cell in enumerate(row_cells)).rstrip()
+        return "  ".join(cell.ljust(width)
+                         for cell, width in zip(row_cells, widths)).rstrip()
 
     lines = [title, fmt(header)]
     lines.extend(fmt(rc) for rc in cells)
@@ -338,28 +338,24 @@ def emit_plot_series(report: ComparisonReport) -> str:
 
 def report_to_json(report: ComparisonReport) -> str:
     """Report as a stable JSON document: {config, fingerprint, rows, summary}."""
-    doc = {
-        "config": asdict(report.config),
-        "fingerprint": f"{report.fingerprint:016x}",
-        "rows": [],
-        "summary": {"rows": len(report.rows), **asdict(report.summary)},
-    }
-    for row in report.rows:
-        entry = {
+    def row_doc(row: ComparisonRow) -> dict:
+        route = isinstance(row.ff, Route)
+        return {
             "src": row.src,
             "dst": row.dst,
             "dv_hops": row.dv_hops,
             "dv_path": None if row.dv_path is None else list(row.dv_path),
             "ff_status": row.ff.status,
-            "ff_hops": None,
-            "ff_path": None,
-            "ff_cost": None,
-            "ff_fitness": None,
+            "ff_hops": row.ff.hops if route else None,
+            "ff_path": list(row.ff.path) if route else None,
+            "ff_cost": row.ff.cost if route else None,
+            "ff_fitness": row.ff.fitness if route else None,
         }
-        if isinstance(row.ff, Route):
-            entry["ff_hops"] = row.ff.hops
-            entry["ff_path"] = list(row.ff.path)
-            entry["ff_cost"] = row.ff.cost
-            entry["ff_fitness"] = row.ff.fitness
-        doc["rows"].append(entry)
+
+    doc = {
+        "config": asdict(report.config),
+        "fingerprint": f"{report.fingerprint:016x}",
+        "rows": [row_doc(row) for row in report.rows],
+        "summary": {"rows": len(report.rows), **asdict(report.summary)},
+    }
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"

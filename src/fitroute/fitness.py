@@ -61,6 +61,8 @@ class RouteRequest:
     weights: Weights = DEFAULT_WEIGHTS
 
     def __post_init__(self):
+        if not (isinstance(self.src, int) and isinstance(self.dst, int)):
+            raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
         if not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
 
@@ -138,19 +140,18 @@ class SpanningTree:
 
     label maps every reached node to its final (hops, cost); parent maps
     every reached node except the root to its predecessor, which defines the
-    tree. A tree built for one destination labels only the layers up to and
-    including the destination's. Tree paths are loop-free by construction.
-    relaxations counts adjacency entries examined, bounded by twice the link
-    count.
+    tree. dst is the destination the search was built for, or None when it
+    labelled the root's whole gated component; a tree built for a dst labels
+    only the layers up to dst's, so it answers only for dst. Tree paths are
+    loop-free by construction. relaxations counts adjacency entries
+    examined, bounded by twice the link count.
     """
 
     root: int
+    dst: int | None
     parent: dict[int, int]
     label: dict[int, tuple[int, float]]
     relaxations: int
-
-    def settled(self, node: int) -> bool:
-        return node in self.label
 
     def path_to(self, node: int) -> list[int] | None:
         """Root-to-node tree path, or None if the node was never reached."""
@@ -182,6 +183,8 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
+    if dst is not None and not 0 <= dst < t.n:
+        raise ValueError(f"dst {dst} outside [0, {t.n})")
     if not 0 <= demand < math.inf:
         raise ValueError(f"demand must be finite and >= 0, got {demand}")
     costs = cost_adjacency(t, w)
@@ -204,46 +207,42 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
             label[v] = (hops + 1, cost)
             parent[v] = u
         layer = sorted(reached)
-    return SpanningTree(root, parent, label, relaxations)
-
-
-def _check_query(t: Topology, req: RouteRequest) -> None:
-    if not (0 <= req.src < t.n and 0 <= req.dst < t.n):
-        raise ValueError(f"query ({req.src}, {req.dst}) outside [0, {t.n})")
+    return SpanningTree(root, dst, parent, label, relaxations)
 
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
-    """Route a request: search over the links that carry the demand, up to
-    the destination's layer, then classify the result.
+    """Route a request: search from req.src over the links that carry
+    req.demand, up to req.dst's layer, then classify req.dst on that tree.
 
     Returns a Route when the destination is reached over such links,
     NoSufficientBandwidth when t.components puts it in the source's
     component, and Unreachable otherwise. Routing failures are outcomes;
-    only bad input raises ValueError (see classify_outcome).
+    only bad input raises ValueError.
     """
-    _check_query(t, req)
     tree = build_spanning_tree(t, req.src, req.weights, req.demand, req.dst)
-    return classify_outcome(t, tree, req)
+    return classify_outcome(t, tree, req.dst)
 
 
-def classify_outcome(t: Topology, tree: SpanningTree,
-                     req: RouteRequest) -> RouteOutcome:
-    """Turn a search from req.src over the links that carry req.demand into
-    a RouteOutcome.
+def classify_outcome(t: Topology, tree: SpanningTree, dst: int) -> RouteOutcome:
+    """Read dst's outcome off a tree built on `t`: the source is tree.root
+    and the demand is the tree's gate, so neither can disagree with it.
 
-    Routes come from the tree labels. An unreached destination is refused
-    when it shares the source's component of `t` (t.components), else it is
-    unreachable. A destination outside [0, n) raises ValueError, and so do
-    finite weights and attributes that sum to an infinite cost.
+    A labelled dst yields its tree path as a Route; an unlabelled one is
+    refused when t.components puts it in the root's component, else it is
+    unreachable. ValueError when dst lies outside [0, n), when the tree was
+    built for another destination, or when the path cost overflows.
     """
-    _check_query(t, req)
-    if tree.settled(req.dst):
-        hops, cost = tree.label[req.dst]
+    if not 0 <= dst < t.n:
+        raise ValueError(f"dst {dst} outside [0, {t.n})")
+    if tree.dst not in (None, dst):
+        raise ValueError(
+            f"a tree built for destination {tree.dst} cannot answer for {dst}")
+    if dst in tree.label:
+        hops, cost = tree.label[dst]
         if not math.isfinite(cost):
             raise ValueError(
-                f"route cost {req.src}->{req.dst} overflows to {cost}: the "
-                f"weights {req.weights} times the delay, jitter and loss "
-                f"ranges of the links exceed the float range")
-        return Route(tuple(tree.path_to(req.dst)), hops, cost, 1 / (1 + cost))
-    reachable = t.components[tree.root] == t.components[req.dst]
+                f"route cost {tree.root}->{dst} overflows to {cost}: the weights times "
+                f"the delay, jitter and loss ranges of the links exceed the float range")
+        return Route(tuple(tree.path_to(dst)), hops, cost, 1 / (1 + cost))
+    reachable = t.components[tree.root] == t.components[dst]
     return NO_SUFFICIENT_BANDWIDTH if reachable else UNREACHABLE

@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence():
             tree = build_spanning_tree(pruned, src, ExperimentConfig().weights)
             for dst in range(n):
                 assert state.dist[src][dst] == oracle[dst]
-                if tree.settled(dst):
+                if dst in tree.label:
                     assert tree.label[dst][0] == pruned_oracle[dst]
                 else:
                     assert dst not in pruned_oracle

@@ -82,6 +82,16 @@ def test_config_rejects_bad_values():
         ExperimentConfig(demand=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 4.0), ("query_count", 2.5), ("query_count", float("nan")),
+    ("seed", 1.5), ("explicit_queries", ((0.0, 1),)),
+    ("explicit_queries", ((0, 1), (2, 3.0))),
+])
+def test_config_rejects_non_integer_ids_and_counts(field, value):
+    with pytest.raises(ValueError, match="integer|outside"):
+        ExperimentConfig(**{"n": 4, field: value})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_demand(bad):
     with pytest.raises(ValueError):

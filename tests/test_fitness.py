@@ -238,7 +238,7 @@ def test_tree_matches_brute_force(seed):
     for dst in range(1, t.n):
         expected = brute_force_best(t, 0, dst, UNIT)
         if expected is None:
-            assert not tree.settled(dst)
+            assert dst not in tree.label
         else:
             assert tree.label[dst] == expected
 
@@ -296,7 +296,50 @@ def test_classify_outcome_rejects_bad_destination(dst):
     t = line_topology(3)
     tree = build_spanning_tree(t, 0, UNIT, 20.0)
     with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-        classify_outcome(t, tree, RouteRequest(0, dst, 20.0, UNIT))
+        classify_outcome(t, tree, dst)
+
+
+def thin_middle_line() -> Topology:
+    """Line 0-1-2-3 whose middle link carries only 2 Mbps."""
+    return Topology(4, (
+        QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
+        QosLink(1, 2, 2.0, 1.0, 0.0, 0.0),
+        QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
+    ))
+
+
+def test_classify_outcome_reads_source_and_demand_off_the_tree():
+    t = thin_middle_line()
+    assert classify_outcome(t, build_spanning_tree(t, 0, UNIT), 3) == Route(
+        (0, 1, 2, 3), 3, 3.0, 0.25)
+    # the tree's gate is the demand: a demand-5 tree cannot cross 1-2
+    thick = build_spanning_tree(t, 0, UNIT, 5.0)
+    assert isinstance(classify_outcome(t, thick, 3), NoSufficientBandwidth)
+    assert classify_outcome(t, thick, 1).path == (0, 1)
+    # the tree's root is the source
+    assert classify_outcome(t, build_spanning_tree(t, 2, UNIT), 1).path == (2, 1)
+
+
+def test_tree_for_one_destination_answers_only_for_it():
+    t = thin_middle_line()
+    tree = build_spanning_tree(t, 0, UNIT, dst=1)
+    assert tree.dst == 1 and 3 not in tree.label
+    assert classify_outcome(t, tree, 1).path == (0, 1)
+    with pytest.raises(ValueError, match="built for destination 1"):
+        classify_outcome(t, tree, 3)
+    assert build_spanning_tree(t, 0, UNIT).dst is None
+
+
+@pytest.mark.parametrize("dst", [-1, 4, 99])
+def test_build_spanning_tree_rejects_bad_destination(dst):
+    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+        build_spanning_tree(thin_middle_line(), 0, UNIT, dst=dst)
+
+
+@pytest.mark.parametrize("src, dst", [(1, 2.0), (1.5, 2), (0, "1"), (None, 1)])
+def test_request_rejects_non_integer_nodes(src, dst):
+    with pytest.raises(ValueError, match="must be ints"):
+        RouteRequest(src, dst, 5.0, UNIT)
 
 
 def test_select_route_rejects_cost_overflow():
@@ -437,12 +480,18 @@ def test_gated_search_equals_prune_then_search(data):
 
     pruned_tree = build_spanning_tree(feasible_subgraph(t, demand), src, w)
     out = select_route(t, req)
-    assert out == classify_outcome(t, pruned_tree, req)
+    assert out == classify_outcome(t, pruned_tree, dst)
 
     gated = build_spanning_tree(t, src, w, demand)
     assert gated.label == pruned_tree.label
     assert gated.parent == pruned_tree.parent
     assert gated.relaxations <= 2 * len(t.links)
+
+    # a full tree answers for every destination as the early-stopping
+    # search for that destination does
+    for d in range(t.n):
+        assert classify_outcome(t, gated, d) == select_route(
+            t, RouteRequest(src, d, demand, w))
 
     # the refusal/unreachable split against an unpruned BFS, independent of
     # the component labels select_route and classify_outcome share
