@@ -14,9 +14,12 @@ neighbours' metrics toward d in the round before, so each destination's
 column evolves on its own. `converge(t)` builds the fixed point one column at
 a time with triggered updates, as RIP sends them (RFC 2453 section 3.10.1):
 from the initial vectors metrics only fall, so a round pushes just the
-entries that changed in the round before to their neighbours. Every column,
-and the number of rounds that changed anything, equals the full exchange's
-round for round; `init_tables` and `exchange_round` are that full exchange.
+entries that changed in the round before to their neighbours. Neighbour sets
+are bitsets built once per call, so a round is the OR of the changed
+entries' masks less the entries already set, a bitmap frontier (Beamer,
+Asanovic & Patterson, SC 2012). Every column, and the number of rounds that
+changed anything, equals the full exchange's round for round; `init_tables`
+and `exchange_round` are that full exchange.
 `fail_link_and_trace(t, ...)` checks its inputs, takes dest's converged
 column on t and counts on the topology without the failed link, recomputing
 that one column every round, since there metrics rise and a push cannot
@@ -106,31 +109,47 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
     return DvState(t, new_dist, s.infinity_metric), new_dist != old
 
 
-def _column(nbrs: tuple[tuple[int, ...], ...], dest: int,
+def _neighbour_masks(t: Topology) -> list[int]:
+    """Per node, its neighbours as a bitset: bit b of masks[a] is set when
+    {a, b} is a link of t."""
+    masks = [0] * t.n
+    for link in t.links:
+        masks[link.a] |= 1 << link.b
+        masks[link.b] |= 1 << link.a
+    return masks
+
+
+def _column(masks: list[int], dest: int,
             infinity_metric: int) -> tuple[list[int], int]:
     """dest's column of the fixed point that exchange rounds reach from
-    init_tables, and the number of rounds in which it changed; nbrs is a
-    topology's adjacency.
+    init_tables, and the number of rounds in which it changed; masks are a
+    topology's neighbour bitsets (see _neighbour_masks).
 
     The first pass sets dest's neighbours to 1, as init_tables does; round r
     then pushes the entries round r - 1 changed to their neighbours, setting
     those still at infinity to metric r + 1, until no entry changes or the
-    metric would reach infinity_metric.
+    metric would reach infinity_metric. The entries a round sets are the
+    union of the changed entries' masks less every entry already set.
     """
-    col = [infinity_metric] * len(nbrs)
+    col = [infinity_metric] * len(masks)
     col[dest] = 0
+    seen = 1 << dest
     changed = [dest]
     metric = 1
     while metric < infinity_metric:
-        pushed = []
+        bits = 0
         for u in changed:
-            for v in nbrs[u]:
-                if col[v] == infinity_metric:
-                    col[v] = metric
-                    pushed.append(v)
-        if not pushed:
+            bits |= masks[u]
+        bits &= ~seen
+        if not bits:
             break
-        changed = pushed
+        seen |= bits
+        changed = []
+        while bits:
+            v = bits.bit_length() - 1
+            bits ^= 1 << v
+            col[v] = metric
+            changed.append(v)
         metric += 1
     return col, max(0, metric - 2)
 
@@ -141,12 +160,13 @@ def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     anything.
 
     Each destination's column is built on its own with triggered updates
-    (see _column) and stored as row d, hop metrics being symmetric; the
-    table and the round count, the largest over the columns, equal the full
-    exchange's.
+    (see _column) over neighbour bitsets built once per call, and stored as
+    row d, hop metrics being symmetric; the table and the round count, the
+    largest over the columns, equal the full exchange's.
     """
     _check_infinity(infinity_metric)
-    columns, rounds = zip(*(_column(t.adjacency, d, infinity_metric)
+    masks = _neighbour_masks(t)
+    columns, rounds = zip(*(_column(masks, d, infinity_metric)
                             for d in range(t.n)))
     return DvState(t, tuple(map(tuple, columns)), infinity_metric), max(rounds)
 
@@ -201,7 +221,7 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
             raise ValueError(f"{name} {node} outside [0, {t.n})")
     failed = remove_link(t, a, b)
     _check_infinity(infinity_metric)
-    col, _ = _column(t.adjacency, dest, infinity_metric)
+    col, _ = _column(_neighbour_masks(t), dest, infinity_metric)
     cap = infinity_metric - 1
     entries = []
     for rnd in range(1, max_rounds + 1):

@@ -2,9 +2,11 @@
 
 One experiment generates a seeded topology, converges the distance-vector
 engine once, answers every query with both engines on that identical
-instance, and re-checks each row against independent BFS oracles. Everything
-downstream of the config is deterministic, so reports are golden-file
-testable byte for byte.
+instance, and re-checks each row against independent BFS oracles. The
+oracles' BFS is the module's own, a bitmap frontier over neighbour bitsets
+of the full and the bandwidth-pruned graph, sharing no code with the
+engines. Everything downstream of the config is deterministic, so reports
+are golden-file testable byte for byte.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from .topology import (
     GenParams,
     SplitMix64,
     Topology,
-    bfs_hops,
-    feasible_subgraph,
     generate_topology_rng,
     topology_fingerprint,
 )
+# unused here; kept importable because the benchmark's tracer wraps these names
+from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
 REFUSAL_TEXT = "No sufficient bandwidth available"
 PLOT_HEADER = "query,src,dst,dv_hops,ff_hops,ff_status"
@@ -224,23 +226,68 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
     return reason, short
 
 
+def _oracle_masks(t: Topology, demand: float) -> tuple[list[int], list[int]]:
+    """Neighbour bitsets of t and of its links that carry demand, built in
+    one pass over t.links: bit b of masks[a] is set when {a, b} is a link."""
+    full = [0] * t.n
+    feasible = [0] * t.n
+    for link in t.links:
+        a_bit, b_bit = 1 << link.a, 1 << link.b
+        full[link.a] |= b_bit
+        full[link.b] |= a_bit
+        if link.bandwidth >= demand:
+            feasible[link.a] |= b_bit
+            feasible[link.b] |= a_bit
+    return full, feasible
+
+
+def _oracle_hops(masks: list[int], src: int) -> dict[int, int]:
+    """Minimum hop count from src to every node it reaches, over neighbour
+    bitsets from _oracle_masks: each layer is the OR of the previous layer's
+    masks less every node already reached.
+
+    The claim oracle's own BFS, kept apart from the engines it checks.
+    """
+    hops = {src: 0}
+    seen = 1 << src
+    layer = [src]
+    depth = 0
+    while layer:
+        bits = 0
+        for u in layer:
+            bits |= masks[u]
+        bits &= ~seen
+        seen |= bits
+        depth += 1
+        layer = []
+        while bits:
+            v = bits.bit_length() - 1
+            bits ^= 1 << v
+            hops[v] = depth
+            layer.append(v)
+    return hops
+
+
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
     """Re-check every row against independent oracles.
 
-    Each row gets one expected outcome from BFS: `route` when the pruned
-    subgraph reaches dst, `no_bandwidth` when only the full topology does,
-    else `unreachable`; (refusal) the fitness status must equal it. Each path
-    is walked once: (bandwidth) every fitness-route link carries the demand;
+    Each row gets one expected outcome from the oracle's own hop BFS
+    (_oracle_hops) over neighbour bitsets of t and of its links that carry
+    the demand (_oracle_masks), with no pruned topology built: `route` when
+    the pruned graph reaches dst, `no_bandwidth` when only the full one
+    does, else `unreachable`; each BFS runs at most once per source and
+    graph. (refusal) the fitness status must equal it. Each path is walked
+    once: (bandwidth) every fitness-route link carries the demand;
     (simple_path) both paths are simple and consistent with the query;
-    (min_hop) fitness hop counts equal BFS on the pruned subgraph;
+    (min_hop) fitness hop counts equal BFS on the pruned graph;
     (dominance) when the DV path is a simple src->dst walk that carries the
     demand, the fitness route exists and uses no more hops. Returns
     structured violations, empty when every claim holds.
     """
     demand = report.config.demand
-    pruned = feasible_subgraph(t, demand)
-    full = functools.cache(lambda src: bfs_hops(t, src))
-    feas = functools.cache(lambda src: bfs_hops(pruned, src))
+    full_masks, feas_masks = _oracle_masks(t, demand)
+    full = functools.cache(lambda src: _oracle_hops(full_masks, src))
+    feas = functools.cache(lambda src: _oracle_hops(feas_masks, src))
     violations = []
 
     def flag(i: int, claim: str, detail: str):

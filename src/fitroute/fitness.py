@@ -13,8 +13,11 @@ predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
 which makes routing loops structurally impossible. A search given a
-destination stops once the destination's layer is labelled. The topology's
-component labels, computed once, tell a refusal from an unreachable verdict.
+destination stops once the destination's layer is labelled, and any search
+stops once it has labelled as many nodes as the root's component holds,
+sparing the scan of a last layer whose neighbours are all labelled. The
+topology's component labels and sizes, computed once, tell a refusal from
+an unreachable verdict and size that stop.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -144,7 +147,9 @@ class SpanningTree:
     labelled the root's whole gated component; a tree built for a dst labels
     only the layers up to dst's, so it answers only for dst. Tree paths are
     loop-free by construction. relaxations counts adjacency entries
-    examined, bounded by twice the link count.
+    examined, bounded by twice the link count; once the root's whole
+    component is labelled the search scans no further layer, so the last
+    layer of a full tree counts none.
     """
 
     root: int
@@ -177,9 +182,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
     come from cost_adjacency(t, w). demand must be finite and >= 0.
     A layer is final once labelled, so the search stops as soon as `dst` is
-    labelled; with dst None it labels the whole reachable component. Each
-    node is labelled once and each link examined at most twice, so the
-    search is bounded whatever the topology.
+    labelled; with dst None it labels the whole reachable component. It also
+    stops once it has labelled t.component_sizes[root] nodes: the gate only
+    shrinks what is reachable, so nothing is left to label. Each node is
+    labelled once and each link examined at most twice, so the search is
+    bounded whatever the topology.
     """
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
@@ -188,11 +195,12 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     if not 0 <= demand < math.inf:
         raise ValueError(f"demand must be finite and >= 0, got {demand}")
     costs = cost_adjacency(t, w)
+    size = t.component_sizes[root]
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     layer = [root]
     relaxations = 0
-    while layer and dst not in label:
+    while layer and dst not in label and len(label) < size:
         reached: dict[int, tuple[float, int]] = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             hops, cost_u = label[u]

@@ -10,7 +10,7 @@ decision is drawn from an explicit SplitMix64 stream in a fixed order.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,6 +70,8 @@ class QosLink:
     loss: float       # probability, in [0, 1)
 
     def __post_init__(self):
+        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+            raise ValueError(f"node ids must be ints, got {self.a!r}, {self.b!r}")
         if self.a == self.b:
             raise ValueError(f"self-loop at node {self.a}")
         if self.a > self.b:
@@ -122,10 +124,11 @@ class Topology:
     Links are stored sorted by (a, b). `adjacency[x]` is node x's neighbour
     ids in ascending order, built once at construction and shared by every
     traversal: x receives its neighbours a < x from the links (a, x), then
-    its neighbours b > x from the links (x, b). `components` is memoised on
-    first read, and `cost_table` holds the fitness search's link costs for
-    the most recent weights as a (weights, table) pair (see
-    fitness.cost_adjacency); both live outside the compared fields.
+    its neighbours b > x from the links (x, b). `components` and
+    `component_sizes` are memoised on first read, and `cost_table` holds
+    the fitness search's link costs for the most recent weights as a
+    (weights, table) pair (see fitness.cost_adjacency); all three live
+    outside the compared fields.
     """
 
     n: int
@@ -137,6 +140,8 @@ class Topology:
                                      default=None)
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise ValueError(f"node count must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("topology needs at least one node")
         links = tuple(sorted(self.links, key=lambda l: l.pair))
@@ -166,6 +171,12 @@ class Topology:
                 for u in bfs_hops(self, v):
                     ids[u] = v
         return tuple(ids)
+
+    @cached_property
+    def component_sizes(self) -> tuple[int, ...]:
+        """Each node's component size: the nodes it reaches, itself included."""
+        sizes = Counter(self.components)
+        return tuple(sizes[c] for c in self.components)
 
 
 DEFAULT_GEN_PARAMS = GenParams()

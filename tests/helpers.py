@@ -1,8 +1,11 @@
-"""Small topology builders and the oracles shared across the test modules."""
+"""Small topology builders, topology strategies and the oracles shared
+across the test modules."""
 
-from fitroute import QosLink, Topology, Weights
+from hypothesis import strategies as st
+
+from fitroute import GenParams, QosLink, Topology, Weights, generate_topology
 from fitroute.fitness import edge_cost
-from fitroute.topology import bfs_hops
+from fitroute.topology import bfs_hops, remove_link
 
 
 def line_topology(n: int, bandwidth: float = 10.0, delay: float = 1.0,
@@ -48,3 +51,33 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
 def is_connected(t: Topology) -> bool:
     """True iff every node is reachable from node 0 (single node counts)."""
     return len(bfs_hops(t, 0)) == t.n
+
+
+BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)
+
+
+@st.composite
+def drawn_topologies(draw):
+    """Up to 7 nodes over any link subset, often in several components; few
+    distinct attribute values, so equal labels are common."""
+    n = draw(st.integers(1, 7))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Topology(n, tuple(
+        QosLink(a, b, draw(st.sampled_from(BANDWIDTHS)),
+                draw(st.sampled_from((0.0, 1.0, 2.0))), 0.0,
+                draw(st.sampled_from((0.0, 0.25))))
+        for a, b in chosen))
+
+
+@st.composite
+def cut_topologies(draw):
+    """A generated (connected) topology with up to three links removed."""
+    t = generate_topology(draw(st.integers(2, 9)),
+                          GenParams(edge_prob=0.2, bandwidth_range=(1.0, 10.0)),
+                          seed=draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 3))):
+        if t.links:
+            link = draw(st.sampled_from(t.links))
+            t = remove_link(t, link.a, link.b)
+    return t

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fitroute import (
     ExperimentConfig,
@@ -29,8 +31,10 @@ from fitroute.experiment import (
     verify_claims,
 )
 from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
+from fitroute.topology import bfs_hops, feasible_subgraph
 
-from helpers import line_topology, triangle_topology
+from helpers import (cut_topologies, drawn_topologies, line_topology,
+                     triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -223,20 +227,37 @@ def test_oracle_runs_one_bfs_per_source_and_graph(monkeypatch):
     # the pruned graph's BFS runs once per source; the full graph's once per
     # source with a refused or unreachable row
     calls = []
-    real = experiment.bfs_hops
+    real = experiment._oracle_hops
 
-    def counting(t, src):
-        calls.append(src)
-        return real(t, src)
+    def counting(masks, src):
+        calls.append((id(masks), src))
+        return real(masks, src)
 
-    monkeypatch.setattr(experiment, "bfs_hops", counting)
+    monkeypatch.setattr(experiment, "_oracle_hops", counting)
     cfg = ExperimentConfig(n=64, seed=1, query_count=1000,
                            gen=GenParams(bandwidth_range=(1.0, 8.0)))
     report = run_comparison(cfg)
     assert report.summary.refusals > 0 and report.summary.violations == ()
     sources = {row.src for row in report.rows}
     refused = {row.src for row in report.rows if row.ff.status != "route"}
-    assert len(calls) == len(sources) + len(refused)
+    assert len(calls) == len(set(calls)) == len(sources) + len(refused)
+    per_graph = sorted(Counter(graph for graph, _ in calls).values())
+    assert per_graph == [len(refused), len(sources)]
+
+
+@given(st.one_of(drawn_topologies(), cut_topologies()), st.data())
+def test_oracle_bfs_equals_bfs_hops(t, data):
+    # the oracle's bitset BFS against the adjacency-list BFS on the full and
+    # the pruned topology, from every source
+    demands = st.floats(0.0, 12.0)
+    if t.links:  # a demand equal to a link's bandwidth pins the >= boundary
+        demands |= st.sampled_from([link.bandwidth for link in t.links])
+    demand = data.draw(demands)
+    full, feasible = experiment._oracle_masks(t, demand)
+    pruned = feasible_subgraph(t, demand)
+    for src in range(t.n):
+        assert experiment._oracle_hops(full, src) == bfs_hops(t, src)
+        assert experiment._oracle_hops(feasible, src) == bfs_hops(pruned, src)
 
 
 # --- verify_claims fault injection ---

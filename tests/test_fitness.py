@@ -25,8 +25,8 @@ from fitroute.fitness import (
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
-from helpers import (line_topology, path_fitness, square_topology,
-                     triangle_topology)
+from helpers import (cut_topologies, drawn_topologies, line_topology,
+                     path_fitness, square_topology, triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -416,6 +416,23 @@ def test_tree_to_its_own_root_does_no_work():
     assert tree.relaxations == 0
 
 
+def test_full_tree_stops_once_its_component_is_labelled():
+    # dense and connected at demand 5: the tree labels every node, and the
+    # stop spares the last layer's scan, where every neighbour is labelled
+    t = generate_topology(128, seed=1)
+    tree = build_spanning_tree(t, 0, UNIT, 5.0)
+    assert len(tree.label) == t.n
+    # the same search with a component size it can never reach runs to an
+    # empty layer
+    unstopped = Topology(t.n, t.links)
+    vars(unstopped)["component_sizes"] = (t.n + 1,) * t.n
+    full_scan = build_spanning_tree(unstopped, 0, UNIT, 5.0)
+    assert full_scan.relaxations == sum(len(t.adjacency[v]) for v in tree.label)
+    assert tree.relaxations < full_scan.relaxations <= 2 * len(t.links)
+    assert tree.label == full_scan.label
+    assert tree.parent == full_scan.parent
+
+
 def test_select_route_builds_no_pruned_topology(monkeypatch):
     def no_pruning(*args):
         raise AssertionError("select_route built a pruned topology")
@@ -434,36 +451,8 @@ def test_select_route_builds_no_pruned_topology(monkeypatch):
                       Unreachable)
 
 
-BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)
 WEIGHT_CHOICES = (UNIT, Weights(1.0, 0.0, 0.0), Weights(0.0, 0.0, 2.0),
                   Weights(0.5, 2.0, 1.0))
-
-
-@st.composite
-def drawn_topologies(draw):
-    """Up to 7 nodes over any link subset, often in several components; few
-    distinct attribute values, so equal labels are common."""
-    n = draw(st.integers(1, 7))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return Topology(n, tuple(
-        QosLink(a, b, draw(st.sampled_from(BANDWIDTHS)),
-                draw(st.sampled_from((0.0, 1.0, 2.0))), 0.0,
-                draw(st.sampled_from((0.0, 0.25))))
-        for a, b in chosen))
-
-
-@st.composite
-def cut_topologies(draw):
-    """A generated (connected) topology with up to three links removed."""
-    t = generate_topology(draw(st.integers(2, 9)),
-                          GenParams(edge_prob=0.2, bandwidth_range=(1.0, 10.0)),
-                          seed=draw(st.integers(0, 2**16)))
-    for _ in range(draw(st.integers(0, 3))):
-        if t.links:
-            link = draw(st.sampled_from(t.links))
-            t = remove_link(t, link.a, link.b)
-    return t
 
 
 @given(st.data())
@@ -529,8 +518,9 @@ def test_gated_search_equals_prune_then_search(data):
 
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_components_match_bfs_and_stay_out_of_identity(t):
-    # labelled and costed on first use only
+    # labelled, sized and costed on first use only
     assert "components" not in vars(t) and t.cost_table is None
+    assert "component_sizes" not in vars(t)
     for a in range(t.n):
         reached = bfs_hops(t, a)
         for b in range(t.n):

@@ -97,6 +97,13 @@ def test_link_rejects_non_finite_attributes(kwargs):
         QosLink(**base)
 
 
+@pytest.mark.parametrize("a, b", [(0, 1.0), (0.0, 1), (2.0, 1.0), ("0", 1),
+                                  (0, None)])
+def test_link_rejects_non_int_endpoints(a, b):
+    with pytest.raises(ValueError, match="node ids must be ints"):
+        QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
+
+
 def test_gen_params_validation():
     with pytest.raises(ValueError):
         GenParams(edge_prob=1.5)
@@ -124,6 +131,12 @@ def test_topology_rejects_duplicates_and_stray_endpoints():
         Topology(2, (QosLink(0, 5, 10.0, 1.0, 0.0, 0.0),))
     with pytest.raises(ValueError):
         Topology(0, ())
+
+
+@pytest.mark.parametrize("n", [3.0, "3", None, 2.5])
+def test_topology_rejects_non_int_node_count(n):
+    with pytest.raises(ValueError, match="node count must be an int"):
+        Topology(n, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
 
 
 def test_adjacency_sorted_by_neighbor():
@@ -358,4 +371,5 @@ def test_component_ids():
         QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
     ))
     assert t.components == (0, 1, 0, 3, 1, 1)
+    assert t.component_sizes == (2, 3, 2, 1, 3, 3)
     assert generate_topology(20, seed=3).components == (0,) * 20
