@@ -6,7 +6,9 @@ instance, and re-checks each row against independent BFS oracles. The
 oracles' BFS is the module's own, a bitmap frontier over neighbour bitsets
 of the full and the bandwidth-pruned graph, sharing no code with the
 engines. Everything downstream of the config is deterministic, so reports
-are golden-file testable byte for byte.
+are golden-file testable byte for byte. The JSON report is the stdlib's
+json.dumps(indent=2) layout byte for byte, written from a row template;
+the tests and CI check it against the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .topology import (
     SplitMix64,
     Topology,
     generate_topology_rng,
+    is_int,
     topology_fingerprint,
 )
 # unused here; kept importable because the benchmark's tracer wraps these names
@@ -64,17 +67,17 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, value in (("n", self.n), ("seed", self.seed),
                             ("query_count", self.query_count)):
-            if not isinstance(value, int):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.query_count < 0:
             raise ValueError("query_count must be non-negative")
-        if not 0 <= self.demand < math.inf:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
+        if isinstance(self.demand, bool) or not 0 <= self.demand < math.inf:
+            raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
         if self.explicit_queries is not None:
             for src, dst in self.explicit_queries:  # node ids are ints in [0, n)
-                if not (isinstance(src, int) and isinstance(dst, int)
+                if not (is_int(src) and is_int(dst)
                         and 0 <= src < self.n and 0 <= dst < self.n):
                     raise ValueError(
                         f"query ({src!r}, {dst!r}) references nodes outside [0, {self.n})")
@@ -383,26 +386,56 @@ def emit_plot_series(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: ComparisonReport) -> str:
-    """Report as a stable JSON document: {config, fingerprint, rows, summary}."""
-    def row_doc(row: ComparisonRow) -> dict:
-        route = isinstance(row.ff, Route)
-        return {
-            "src": row.src,
-            "dst": row.dst,
-            "dv_hops": row.dv_hops,
-            "dv_path": None if row.dv_path is None else list(row.dv_path),
-            "ff_status": row.ff.status,
-            "ff_hops": row.ff.hops if route else None,
-            "ff_path": list(row.ff.path) if route else None,
-            "ff_cost": row.ff.cost if route else None,
-            "ff_fitness": row.ff.fitness if route else None,
-        }
+def _json_float(x: float) -> str:
+    """A finite float as json.dumps writes it; NaN and infinities raise
+    ValueError, as allow_nan=False does."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
 
-    doc = {
-        "config": asdict(report.config),
-        "fingerprint": f"{report.fingerprint:016x}",
-        "rows": [row_doc(row) for row in report.rows],
-        "summary": {"rows": len(report.rows), **asdict(report.summary)},
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+def _json_path(path: tuple[int, ...]) -> str:
+    """A row's node list in the indent=2 layout, one element per line."""
+    if not path:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, path)) + "\n      ]"
+
+
+def _json_row(row: ComparisonRow) -> str:
+    ff = row.ff
+    if row.dv_path is None:
+        dv_hops = dv_path = "null"
+    else:
+        dv_hops, dv_path = str(row.dv_hops), _json_path(row.dv_path)
+    if isinstance(ff, Route):
+        ff_hops, ff_path = str(ff.hops), _json_path(ff.path)
+        ff_cost, ff_fitness = _json_float(ff.cost), _json_float(ff.fitness)
+    else:
+        ff_hops = ff_path = ff_cost = ff_fitness = "null"
+    return (f'    {{\n      "src": {row.src},\n      "dst": {row.dst},\n'
+            f'      "dv_hops": {dv_hops},\n      "dv_path": {dv_path},\n'
+            f'      "ff_status": "{ff.status}",\n      "ff_hops": {ff_hops},\n'
+            f'      "ff_path": {ff_path},\n      "ff_cost": {ff_cost},\n'
+            f'      "ff_fitness": {ff_fitness}\n    }}')
+
+
+def _json_member(value) -> str:
+    """A nested value as json.dumps(indent=2) writes it one level down. JSON
+    strings hold no raw newline, so every newline is a line break."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+
+
+def report_to_json(report: ComparisonReport) -> str:
+    """Report as a stable JSON document: {config, fingerprint, rows, summary}.
+
+    The text is json.dumps(doc, indent=2, allow_nan=False) byte for byte.
+    Config and summary go through json.dumps; each row is written from one
+    template, since an indent makes the stdlib use its pure-Python encoder.
+    """
+    rows = (("[\n" + ",\n".join(map(_json_row, report.rows)) + "\n  ]")
+            if report.rows else "[]")
+    summary = {"rows": len(report.rows), **asdict(report.summary)}
+    return (f'{{\n  "config": {_json_member(asdict(report.config))},\n'
+            f'  "fingerprint": "{report.fingerprint:016x}",\n'
+            f'  "rows": {rows},\n'
+            f'  "summary": {_json_member(summary)}\n}}\n')

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology
+from .topology import QosLink, Topology, is_int
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
@@ -64,7 +64,7 @@ class RouteRequest:
     weights: Weights = DEFAULT_WEIGHTS
 
     def __post_init__(self):
-        if not (isinstance(self.src, int) and isinstance(self.dst, int)):
+        if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
         if not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand}")

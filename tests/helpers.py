@@ -1,9 +1,13 @@
 """Small topology builders, topology strategies and the oracles shared
 across the test modules."""
 
+import json
+from dataclasses import asdict
+
 from hypothesis import strategies as st
 
-from fitroute import GenParams, QosLink, Topology, Weights, generate_topology
+from fitroute import GenParams, QosLink, Route, Topology, Weights, generate_topology
+from fitroute.experiment import ComparisonReport
 from fitroute.fitness import edge_cost
 from fitroute.topology import bfs_hops, remove_link
 
@@ -51,6 +55,42 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
 def is_connected(t: Topology) -> bool:
     """True iff every node is reachable from node 0 (single node counts)."""
     return len(bfs_hops(t, 0)) == t.n
+
+
+def report_json_reference(report: ComparisonReport) -> str:
+    """The report as the stdlib's json.dumps(doc, indent=2, allow_nan=False)
+    writes it: the oracle that report_to_json must equal byte for byte."""
+    def row_doc(row) -> dict:
+        route = isinstance(row.ff, Route)
+        return {
+            "src": row.src,
+            "dst": row.dst,
+            "dv_hops": row.dv_hops,
+            "dv_path": None if row.dv_path is None else list(row.dv_path),
+            "ff_status": row.ff.status,
+            "ff_hops": row.ff.hops if route else None,
+            "ff_path": list(row.ff.path) if route else None,
+            "ff_cost": row.ff.cost if route else None,
+            "ff_fitness": row.ff.fitness if route else None,
+        }
+
+    doc = {
+        "config": asdict(report.config),
+        "fingerprint": f"{report.fingerprint:016x}",
+        "rows": [row_doc(row) for row in report.rows],
+        "summary": {"rows": len(report.rows), **asdict(report.summary)},
+    }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def fnv1a64_reference(data: bytes) -> int:
+    """64-bit FNV-1a (Fowler-Noll-Vo, draft-eastlake-fnv), one byte per step
+    as the algorithm is published."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & ((1 << 64) - 1)
+    return h
 
 
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)

@@ -12,6 +12,7 @@ from fitroute import (
     Route,
     RouteRequest,
     Topology,
+    Weights,
     generate_topology,
     run_comparison,
     select_route,
@@ -25,6 +26,7 @@ from fitroute.experiment import (
     CLAIM_SIMPLE_PATH,
     REFUSAL_TEXT,
     PLOT_HEADER,
+    Violation,
     emit_plot_series,
     render_table,
     report_to_json,
@@ -34,7 +36,7 @@ from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
 from fitroute.topology import bfs_hops, feasible_subgraph
 
 from helpers import (cut_topologies, drawn_topologies, line_topology,
-                     triangle_topology)
+                     report_json_reference, triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -93,6 +95,16 @@ def test_config_rejects_bad_values():
 ])
 def test_config_rejects_non_integer_ids_and_counts(field, value):
     with pytest.raises(ValueError, match="integer|outside"):
+        ExperimentConfig(**{"n": 4, field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", True), ("seed", True), ("query_count", False), ("demand", True),
+    ("explicit_queries", ((True, False),)), ("explicit_queries", ((0, True),)),
+])
+def test_config_rejects_bools(field, value):
+    # bool subclasses int; the JSON report would echo `true`
+    with pytest.raises(ValueError):
         ExperimentConfig(**{"n": 4, field: value})
 
 
@@ -433,8 +445,78 @@ def test_report_json_schema():
     assert doc["config"]["demand"] == 4.0
 
 
-def test_report_json_rejects_non_finite_numbers():
+@pytest.mark.parametrize("field", ["ff_cost", "ff_fitness"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_report_json_rejects_non_finite_numbers(field, bad):
     report, _ = refusal_report()
-    bad = tamper(report, 0, ff=Route((0, 1, 2), 2, float("nan"), float("nan")))
+    route = report.rows[0].ff
+    numbers = {"ff_cost": route.cost, "ff_fitness": route.fitness, field: bad}
+    bad_report = tamper(report, 0, ff=Route(
+        route.path, route.hops, numbers["ff_cost"], numbers["ff_fitness"]))
     with pytest.raises(ValueError):
-        report_to_json(bad)
+        report_to_json(bad_report)
+
+
+# --- report_to_json against the stdlib's indent=2 encoder ---
+
+
+def assert_stdlib_layout(report):
+    text = report_to_json(report)
+    assert text == report_json_reference(report)
+    assert json.dumps(json.loads(text), indent=2, allow_nan=False) + "\n" == text
+
+
+@st.composite
+def drawn_reports(draw):
+    """Reports on generated topologies or on drawn, often disconnected, ones
+    with explicit queries (src == dst allowed), across demands that refuse,
+    non-default weights and distance-vector infinities that cap."""
+    common = dict(
+        demand=draw(st.sampled_from((0.0, 2.5, 5.0, 50.0))),
+        weights=draw(st.sampled_from((Weights(), Weights(0.5, 2.0, 40.0)))),
+        infinity_metric=draw(st.integers(2, 16)))
+    if draw(st.booleans()):
+        t = draw(drawn_topologies())
+        node = st.integers(0, t.n - 1)
+        queries = draw(st.lists(st.tuples(node, node), max_size=12))
+        return run_comparison(ExperimentConfig(
+            n=t.n, explicit_queries=tuple(queries), **common), t)
+    return run_comparison(ExperimentConfig(
+        n=draw(st.integers(1, 24)), seed=draw(st.integers(0, 2**32)),
+        gen=GenParams(edge_prob=draw(st.sampled_from((0.0, 0.15, 0.5)))),
+        query_count=draw(st.integers(0, 30)), **common))
+
+
+@given(drawn_reports())
+def test_report_json_equals_stdlib_encoder(report):
+    assert_stdlib_layout(report)
+
+
+def test_report_json_equals_stdlib_encoder_on_edge_cases():
+    empty = run_comparison(ExperimentConfig(n=1, query_count=0))
+    assert empty.rows == ()
+    self_query = run_comparison(ExperimentConfig(
+        n=4, explicit_queries=((0, 0), (0, 1))))
+    components = run_comparison(ExperimentConfig(
+        n=6, explicit_queries=((0, 1), (0, 2), (0, 3), (5, 5))),
+        three_component_topology())
+    refusals, _ = refusal_report()
+    capped = run_comparison(ExperimentConfig(
+        n=40, seed=5, query_count=40, infinity_metric=3))
+    weighted = run_comparison(ExperimentConfig(
+        n=12, seed=2, query_count=10, weights=Weights(0.25, 3.0, 100.0)))
+    # an empty DV path and a violation detail with characters JSON escapes
+    detail = 'fitness path "0->1" \\ broke\nat node é'
+    tampered = tamper(refusals, 0, dv_path=())
+    tampered = dataclasses.replace(tampered, summary=dataclasses.replace(
+        refusals.summary, violations=(Violation(1, CLAIM_REFUSAL, detail),)))
+
+    assert {row.ff.status for row in components.rows} == {
+        "route", "no_bandwidth", "unreachable"}
+    assert any(row.dv_path is None and isinstance(row.ff, Route)
+               for row in capped.rows)
+    for report in (empty, self_query, components, refusals, capped, weighted,
+                   tampered):
+        assert_stdlib_layout(report)
+    assert json.loads(report_to_json(tampered))["summary"]["violations"][0][
+        "detail"] == detail

@@ -336,7 +336,8 @@ def test_build_spanning_tree_rejects_bad_destination(dst):
         build_spanning_tree(thin_middle_line(), 0, UNIT, dst=dst)
 
 
-@pytest.mark.parametrize("src, dst", [(1, 2.0), (1.5, 2), (0, "1"), (None, 1)])
+@pytest.mark.parametrize("src, dst", [(1, 2.0), (1.5, 2), (0, "1"), (None, 1),
+                                      (True, 1), (0, False)])
 def test_request_rejects_non_integer_nodes(src, dst):
     with pytest.raises(ValueError, match="must be ints"):
         RouteRequest(src, dst, 5.0, UNIT)

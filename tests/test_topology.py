@@ -15,7 +15,8 @@ from fitroute.topology import (
     topology_fingerprint,
 )
 
-from helpers import is_connected, line_topology, triangle_topology
+from helpers import (drawn_topologies, fnv1a64_reference, is_connected,
+                     line_topology, triangle_topology)
 
 
 # --- SplitMix64 ---
@@ -98,7 +99,7 @@ def test_link_rejects_non_finite_attributes(kwargs):
 
 
 @pytest.mark.parametrize("a, b", [(0, 1.0), (0.0, 1), (2.0, 1.0), ("0", 1),
-                                  (0, None)])
+                                  (0, None), (True, 2), (0, True)])
 def test_link_rejects_non_int_endpoints(a, b):
     with pytest.raises(ValueError, match="node ids must be ints"):
         QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
@@ -133,7 +134,7 @@ def test_topology_rejects_duplicates_and_stray_endpoints():
         Topology(0, ())
 
 
-@pytest.mark.parametrize("n", [3.0, "3", None, 2.5])
+@pytest.mark.parametrize("n", [3.0, "3", None, 2.5, True])
 def test_topology_rejects_non_int_node_count(n):
     with pytest.raises(ValueError, match="node count must be an int"):
         Topology(n, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
@@ -350,6 +351,28 @@ def test_parse_bounds_node_count_before_allocating():
     with pytest.raises(ValueError, match="1..1024"):
         parse_topology("n=1025\n")
     assert parse_topology("n=1024\n").n == 1024
+
+
+@pytest.mark.parametrize("data, digest", [
+    (b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C),
+    (b"foobar", 0x85944171F73967E8)])
+def test_fnv1a64_reference_published_vectors(data, digest):
+    assert fnv1a64_reference(data) == digest
+
+
+@pytest.mark.parametrize("n, length", [(1, 4), (10, 5), (100, 6), (1000, 7)])
+def test_fingerprint_equals_bytewise_fnv1a_at_every_tail_length(n, length):
+    # the texts "n=1\n" .. "n=1000\n" leave every remainder mod 4 after the
+    # four-byte steps
+    data = format_topology(Topology(n, ())).encode()
+    assert len(data) == length
+    assert topology_fingerprint(Topology(n, ())) == fnv1a64_reference(data)
+
+
+@given(drawn_topologies())
+def test_fingerprint_equals_bytewise_fnv1a(t):
+    data = format_topology(t).encode()
+    assert topology_fingerprint(t) == fnv1a64_reference(data)
 
 
 def test_fingerprints_distinct_across_seeds():
