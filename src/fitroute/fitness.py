@@ -12,12 +12,13 @@ expands one hop layer at a time, each newly reached node taking its cheapest
 predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a spanning tree of the reachable component,
-which makes routing loops structurally impossible. A search given a
-destination stops once the destination's layer is labelled, and any search
-stops once it has labelled as many nodes as the root's component holds,
-sparing the scan of a last layer whose neighbours are all labelled. The
-topology's component labels and sizes, computed once, tell a refusal from
-an unreachable verdict and size that stop.
+which makes routing loops structurally impossible. A search for one
+destination costs only the nodes on its min-hop gated paths, found by
+bitset layers (a bitmap frontier, Beamer, Asanovic & Patterson, SC 2012);
+a full search stops once it has labelled as many nodes as the root's
+component holds, sparing the scan of a last layer whose neighbours are all
+labelled. The topology's component labels and sizes, computed once, tell a
+refusal from an unreachable verdict and size that stop.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -28,6 +29,7 @@ accumulated cost grows.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -47,6 +49,8 @@ class Weights:
 
     def __post_init__(self):
         weights = (self.delay, self.jitter, self.loss)
+        if any(isinstance(x, bool) for x in weights):
+            raise ValueError("weights must be numbers, not bools")
         if not all(0 <= x < math.inf for x in weights):
             raise ValueError("weights must be finite and non-negative")
         if self.delay == self.jitter == self.loss == 0:
@@ -66,8 +70,8 @@ class RouteRequest:
     def __post_init__(self):
         if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
-        if not 0 <= self.demand < math.inf:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand}")
+        if isinstance(self.demand, bool) or not 0 <= self.demand < math.inf:
+            raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +148,13 @@ class SpanningTree:
     label maps every reached node to its final (hops, cost); parent maps
     every reached node except the root to its predecessor, which defines the
     tree. dst is the destination the search was built for, or None when it
-    labelled the root's whole gated component; a tree built for a dst labels
-    only the layers up to dst's, so it answers only for dst. Tree paths are
-    loop-free by construction. relaxations counts adjacency entries
-    examined, bounded by twice the link count; once the root's whole
-    component is labelled the search scans no further layer, so the last
-    layer of a full tree counts none.
+    labelled the root's whole gated component. A tree built for a dst labels
+    the root and, if the gate lets it reach dst, every node on dst's min-hop
+    gated paths, as the full tree labels them; it answers only for dst.
+    Tree paths are loop-free by construction. relaxations counts adjacency
+    entries costed: a full tree's of every layer it expands (its last layer
+    none, once the root's component is labelled), at most twice the link
+    count; a dst tree's of its nodes before dst's layer, no more.
     """
 
     root: int
@@ -180,14 +185,16 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
-    come from cost_adjacency(t, w). demand must be finite and >= 0.
-    A layer is final once labelled, so the search stops as soon as `dst` is
-    labelled; with dst None it labels the whole reachable component. It also
-    stops once it has labelled t.component_sizes[root] nodes: the gate only
-    shrinks what is reachable, so nothing is left to label. Each node is
-    labelled once and each link examined at most twice, so the search is
-    bounded whatever the topology.
+    come from cost_adjacency(t, w). root and dst are int node ids of t, and
+    demand is finite and >= 0. With a dst the search labels only dst's
+    min-hop gated paths (_min_hop_tree); with dst None it stops once it has
+    labelled t.component_sizes[root] nodes: the gate only shrinks what is
+    reachable, so nothing is left to label. Each node is labelled once and
+    each link examined at most twice, so the search is bounded whatever the
+    topology.
     """
+    if not (is_int(root) and (dst is None or is_int(dst))):
+        raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
     if not 0 <= root < t.n:
         raise ValueError(f"root {root} outside [0, {t.n})")
     if dst is not None and not 0 <= dst < t.n:
@@ -195,12 +202,14 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
     if not 0 <= demand < math.inf:
         raise ValueError(f"demand must be finite and >= 0, got {demand}")
     costs = cost_adjacency(t, w)
+    if dst is not None:
+        return _min_hop_tree(t, root, dst, costs, demand)
     size = t.component_sizes[root]
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     layer = [root]
     relaxations = 0
-    while layer and dst not in label and len(label) < size:
+    while layer and len(label) < size:
         reached: dict[int, tuple[float, int]] = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             hops, cost_u = label[u]
@@ -215,12 +224,79 @@ def build_spanning_tree(t: Topology, root: int, w: Weights,
             label[v] = (hops + 1, cost)
             parent[v] = u
         layer = sorted(reached)
+    return SpanningTree(root, None, parent, label, relaxations)
+
+
+def _ids(bits: int) -> list[int]:
+    """The node ids whose bits are set, ascending."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length() - 1)
+        bits ^= low
+    return ids
+
+
+def _min_hop_tree(t: Topology, root: int, dst: int, costs, demand: float
+                  ) -> SpanningTree:
+    """build_spanning_tree for one dst. Forward: bitset hop layers, each the
+    OR of the last one's gated masks (t.bandwidth_index) less the nodes seen,
+    until one holds dst. Backward: keep each layer's nodes with a gated link
+    into the next layer's kept ones, i.e. those on dst's min-hop paths; all
+    candidate predecessors of a kept node are kept, so the full search's
+    layer step, run from kept nodes into the next kept layer only, gives
+    them the full tree's labels and parents."""
+    index = t.bandwidth_index
+    key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
+    layers = []
+    seen = frontier = 1 << root
+    while frontier and not frontier >> dst & 1:
+        layers.append(frontier)
+        bits, reach = frontier, 0
+        while bits:
+            u = bits.bit_length() - 1
+            bits ^= 1 << u
+            keys, masks = index[u]
+            reach |= masks[bisect_right(keys, key)]
+        frontier = reach & ~seen
+        seen |= frontier
+    if not frontier:
+        return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
+    kept = [[dst]]
+    for layer in reversed(layers):  # layers[0] is the root alone
+        reach = 0
+        for v in kept[-1]:
+            keys, masks = index[v]
+            reach |= masks[bisect_right(keys, key)]
+        kept.append(_ids(reach & layer))
+    kept.reverse()
+    label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
+    parent: dict[int, int] = {}
+    relaxations = 0
+    # the full search's step, filtered to the kept next layer: costing every
+    # unlabelled neighbour, as it does, made dense requests a third slower
+    for hops, (layer, nxt) in enumerate(zip(kept, kept[1:]), 1):
+        wanted = set(nxt)
+        reached: dict[int, tuple[float, int]] = {}
+        for u in layer:  # ascending, so strict < keeps the smaller u on a tie
+            cost_u = label[u][1]
+            adj = costs[u]
+            relaxations += len(adj)
+            for v, edge, bandwidth in adj:
+                if v in wanted and bandwidth >= demand:
+                    cost = cost_u + edge
+                    if v not in reached or cost < reached[v][0]:
+                        reached[v] = (cost, u)
+        for v, (cost, u) in reached.items():
+            label[v] = (hops, cost)
+            parent[v] = u
     return SpanningTree(root, dst, parent, label, relaxations)
 
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search from req.src over the links that carry
-    req.demand, up to req.dst's layer, then classify req.dst on that tree.
+    req.demand for req.dst's min-hop paths alone (build_spanning_tree with a
+    dst), then classify req.dst on that tree.
 
     Returns a Route when the destination is reached over such links,
     NoSufficientBandwidth when t.components puts it in the source's

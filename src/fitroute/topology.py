@@ -13,6 +13,8 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,6 +111,10 @@ class GenParams:
     loss_range: tuple[float, float] = (0.0, 0.05)
 
     def __post_init__(self):
+        values = (self.edge_prob, *self.bandwidth_range, *self.delay_range,
+                  *self.jitter_range, *self.loss_range)
+        if any(isinstance(x, bool) for x in values):
+            raise ValueError("generator parameters must be numbers, not bools")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
@@ -131,10 +137,10 @@ class Topology:
     ids in ascending order, built once at construction and shared by every
     traversal: x receives its neighbours a < x from the links (a, x), then
     its neighbours b > x from the links (x, b). `components` and
-    `component_sizes` are memoised on first read, and `cost_table` holds
-    the fitness search's link costs for the most recent weights as a
-    (weights, table) pair (see fitness.cost_adjacency); all three live
-    outside the compared fields.
+    `component_sizes` (and `bandwidth_index`) are memoised on first read,
+    and `cost_table` holds the fitness search's link costs for the most
+    recent weights as a (weights, table) pair (see fitness.cost_adjacency);
+    all four live outside the compared fields.
     """
 
     n: int
@@ -183,6 +189,20 @@ class Topology:
         """Each node's component size: the nodes it reaches, itself included."""
         sizes = Counter(self.components)
         return tuple(sizes[c] for c in self.components)
+
+    @cached_property
+    def bandwidth_index(self) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:
+        """Per node, (keys, masks): keys are its links' bandwidths negated,
+        ascending, and masks[i] the neighbour bitset (bit b for neighbour b)
+        of its first i links, so masks[bisect_right(keys, -demand)] holds
+        its neighbours over links with bandwidth >= demand."""
+        rows: list[list[tuple[float, int]]] = [[] for _ in range(self.n)]
+        for link in self.links:
+            rows[link.a].append((-link.bandwidth, 1 << link.b))
+            rows[link.b].append((-link.bandwidth, 1 << link.a))
+        return tuple((tuple(key for key, _ in row),
+                      tuple(accumulate((bit for _, bit in row), or_, initial=0)))
+                     for row in map(sorted, rows))
 
 
 DEFAULT_GEN_PARAMS = GenParams()

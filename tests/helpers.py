@@ -2,13 +2,16 @@
 across the test modules."""
 
 import json
+import random
+from collections import defaultdict
 from dataclasses import asdict
 
 from hypothesis import strategies as st
 
-from fitroute import GenParams, QosLink, Route, Topology, Weights, generate_topology
+from fitroute import (GenParams, QosLink, Route, RouteRequest, Topology, Weights,
+                      generate_topology, select_route)
 from fitroute.experiment import ComparisonReport
-from fitroute.fitness import edge_cost
+from fitroute.fitness import build_spanning_tree, classify_outcome, edge_cost
 from fitroute.topology import bfs_hops, remove_link
 
 
@@ -91,6 +94,37 @@ def fnv1a64_reference(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) & ((1 << 64) - 1)
     return h
+
+
+def check_routes_against_full_trees(n: int, edge_prob: float, seed: int,
+                                    requests: int,
+                                    demands: tuple[float, float]) -> list:
+    """select_route on `requests` random src != dst requests, demands uniform
+    in `demands`, on the seeded n-node topology; every outcome must equal
+    classify_outcome on the full gated tree from its source, a Route's cost
+    compared with ==. Returns the outcomes.
+
+    Run from the repository root, for example:
+    PYTHONPATH=src:tests python -c 'from helpers import check_routes_against_full_trees as c; c(512, 0.016, 1, 2000, (1.0, 90.0))'
+    """
+    t = generate_topology(n, GenParams(edge_prob=edge_prob), seed)
+    rng = random.Random(seed)
+    lo, hi = demands
+    batches = defaultdict(list)  # one full tree per (src, demand)
+    for _ in range(requests):
+        src = rng.randrange(n)
+        dst = rng.randrange(n - 1)
+        dst += dst >= src
+        req = RouteRequest(src, dst, lo + rng.random() * (hi - lo))
+        batches[req.src, req.demand].append(req)
+    outcomes = []
+    for (src, demand), batch in batches.items():
+        tree = build_spanning_tree(t, src, batch[0].weights, demand)
+        for req in batch:
+            out = select_route(t, req)
+            assert out == classify_outcome(t, tree, req.dst), req
+            outcomes.append(out)
+    return outcomes
 
 
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)

@@ -25,8 +25,9 @@ from fitroute.fitness import (
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
-from helpers import (cut_topologies, drawn_topologies, line_topology,
-                     path_fitness, square_topology, triangle_topology)
+from helpers import (check_routes_against_full_trees, cut_topologies,
+                     drawn_topologies, line_topology, path_fitness,
+                     square_topology, triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -42,6 +43,24 @@ def all_simple_paths(t: Topology, src: int, dst: int):
         for v in t.adjacency[node]:
             if v not in path:
                 stack.append((v, path + [v]))
+
+
+def gated_hops(t: Topology, src: int, demand: float) -> dict[int, int]:
+    """Hop counts from src over the links with bandwidth >= demand, by a
+    queue over t.links that shares no code with the engines."""
+    neighbours: list[list[int]] = [[] for _ in range(t.n)]
+    for link in t.links:
+        if link.bandwidth >= demand:
+            neighbours[link.a].append(link.b)
+            neighbours[link.b].append(link.a)
+    hops = {src: 0}
+    queue = [src]
+    for u in queue:
+        for v in neighbours[u]:
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 def brute_force_best(t: Topology, src: int, dst: int, w: Weights):
@@ -66,7 +85,7 @@ def test_weights_validation():
     Weights(0.0, 0.0, 2.0)  # a single positive weight is fine
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
 def test_weights_and_demand_reject_non_finite(bad):
     with pytest.raises(ValueError):
         Weights(1.0, bad, 1.0)
@@ -341,6 +360,9 @@ def test_build_spanning_tree_rejects_bad_destination(dst):
 def test_request_rejects_non_integer_nodes(src, dst):
     with pytest.raises(ValueError, match="must be ints"):
         RouteRequest(src, dst, 5.0, UNIT)
+    # the search itself: a bit shift by a float id would raise TypeError
+    with pytest.raises(ValueError, match="must be ints"):
+        build_spanning_tree(line_topology(3), src, UNIT, dst=dst)
 
 
 def test_select_route_rejects_cost_overflow():
@@ -490,14 +512,24 @@ def test_gated_search_equals_prune_then_search(data):
     assert isinstance(out, NoSufficientBandwidth) == (
         dst in full and dst not in gated.label)
 
-    # a search for dst labels exactly the layers up to dst's, or everything
-    # when dst is never reached
+    # a search for dst labels the root and, when the gate lets it reach dst,
+    # exactly the nodes on dst's min-hop gated paths (by this module's own
+    # BFS), each with the full tree's label and parent
     bounded = build_spanning_tree(t, src, w, demand, dst)
-    last = gated.label[dst][0] if dst in gated.label else t.n
-    assert bounded.label == {v: label for v, label in gated.label.items()
-                             if label[0] <= last}
-    assert bounded.parent == {v: u for v, u in gated.parent.items()
-                              if v in bounded.label}
+    assert (dst in bounded.label) == (dst in gated.label)
+    assert bounded.label == {v: gated.label[v] for v in bounded.label}
+    assert bounded.parent == {v: gated.parent[v] for v in bounded.label
+                              if v != src}
+    if dst in gated.label:
+        last = bounded.label[dst][0]
+        to_dst = gated_hops(t, dst, demand)
+        assert all(label[0] + to_dst[v] == last
+                   for v, label in bounded.label.items())
+        assert set(bounded.label) == {v for v, label in gated.label.items()
+                                      if label[0] + to_dst[v] == last}
+    else:
+        assert bounded.label == {src: (0, 0.0)} and bounded.parent == {}
+        assert bounded.relaxations == 0
     assert bounded.relaxations <= gated.relaxations
 
     # the exhaustive oracle costs paths with edge_cost, never with the
@@ -595,3 +627,23 @@ def test_links_costed_once_per_weights(monkeypatch):
     assert t.cost_table == (Weights(1.0, 1.0, 11.0), tables[-2])
     refs = [sys.getrefcount(x) for x in tables]
     assert refs == [refs[-1]] * 9 + [refs[-1] + 1, refs[-1]]
+
+
+# --- agreement at the benchmark's shapes ---
+
+
+@pytest.mark.parametrize("n, edge_prob, seed, demands", [
+    (256, 0.03, 1, (1.0, 90.0)),
+    (256, 0.03, 2, (1.0, 90.0)),
+    (256, 0.03, 3, (1.0, 90.0)),
+    (128, 0.15, 1, (5.0, 5.0)),
+])
+def test_select_route_equals_full_tree_at_benchmark_shapes(n, edge_prob, seed,
+                                                           demands):
+    outcomes = check_routes_against_full_trees(n, edge_prob, seed, 500, demands)
+    assert len(outcomes) == 500
+    routes = sum(isinstance(o, Route) for o in outcomes)
+    if demands[0] == demands[1]:  # dense at demand 5: no refusals
+        assert routes == 500
+    else:  # random demands up to 90 refuse some requests
+        assert 0 < routes < 500

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,8 +16,8 @@ from fitroute.topology import (
     topology_fingerprint,
 )
 
-from helpers import (drawn_topologies, fnv1a64_reference, is_connected,
-                     line_topology, triangle_topology)
+from helpers import (cut_topologies, drawn_topologies, fnv1a64_reference,
+                     is_connected, line_topology, triangle_topology)
 
 
 # --- SplitMix64 ---
@@ -114,11 +115,13 @@ def test_gen_params_validation():
         GenParams(loss_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         GenParams(bandwidth_range=(0.0, 10.0))
+    with pytest.raises(ValueError, match="bools"):  # a report would echo `true`
+        GenParams(edge_prob=True)
 
 
 @pytest.mark.parametrize("name", ["bandwidth_range", "delay_range",
                                   "jitter_range", "loss_range"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
 def test_gen_params_rejects_non_finite_ranges(name, bad):
     with pytest.raises(ValueError):
         GenParams(**{name: (0.5, bad)})
@@ -396,3 +399,42 @@ def test_component_ids():
     assert t.components == (0, 1, 0, 3, 1, 1)
     assert t.component_sizes == (2, 3, 2, 1, 3, 3)
     assert generate_topology(20, seed=3).components == (0,) * 20
+
+
+# --- bandwidth index ---
+
+
+def gated_mask(t: Topology, node: int, demand: float) -> int:
+    """node's neighbour bitset over its links with bandwidth >= demand."""
+    bits = 0
+    for link in t.links:
+        if node in link.pair and link.bandwidth >= demand:
+            bits |= 1 << (link.a + link.b - node)
+    return bits
+
+
+@given(st.one_of(drawn_topologies(), cut_topologies()))
+def test_bandwidth_index_gates_neighbour_masks(t):
+    assert "bandwidth_index" not in vars(t)  # built on first read only
+    widest = max((link.bandwidth for link in t.links), default=1.0)
+    # each exact bandwidth pins the >= boundary; above the widest gates all
+    demands = {0.0, widest * 2, *(link.bandwidth for link in t.links)}
+    for node, (keys, masks) in enumerate(t.bandwidth_index):
+        assert len(masks) - 1 == len(keys) == len(t.adjacency[node])
+        for demand in demands:
+            assert masks[bisect_right(keys, -demand)] == gated_mask(t, node,
+                                                                    demand)
+    assert t.bandwidth_index is t.bandwidth_index  # memoised
+    fresh = Topology(t.n, t.links)
+    assert t == fresh
+    assert hash(t) == hash(fresh)
+    assert repr(t) == repr(fresh)
+
+
+def test_bandwidth_index_on_a_triangle():
+    t = triangle_topology(10.0, 5.0, 2.5)
+    keys, masks = t.bandwidth_index[0]  # links 0-1 (10) and 0-2 (2.5)
+    assert keys == (-10.0, -2.5)
+    assert masks == (0, 0b010, 0b110)
+    gate = {d: masks[bisect_right(keys, -d)] for d in (0.0, 2.5, 2.6, 10.0, 11.0)}
+    assert gate == {0.0: 0b110, 2.5: 0b110, 2.6: 0b010, 10.0: 0b010, 11.0: 0}
