@@ -62,7 +62,7 @@ class DvTrace:
     infinity_metric: int
 
 
-def _check_infinity(infinity_metric: int) -> None:
+def check_infinity(infinity_metric: int) -> None:
     if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
         raise ValueError(
             f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
@@ -70,7 +70,7 @@ def _check_infinity(infinity_metric: int) -> None:
 
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
     """Initial vectors: self at 0, direct neighbors at 1, all else infinity."""
-    _check_infinity(infinity_metric)
+    check_infinity(infinity_metric)
     inf = infinity_metric
     dist = []
     for v in range(t.n):
@@ -164,7 +164,7 @@ def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     row d, hop metrics being symmetric; the table and the round count, the
     largest over the columns, equal the full exchange's.
     """
-    _check_infinity(infinity_metric)
+    check_infinity(infinity_metric)
     masks = _neighbour_masks(t)
     columns, rounds = zip(*(_column(masks, d, infinity_metric)
                             for d in range(t.n)))
@@ -220,7 +220,7 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
         if not 0 <= node < t.n:
             raise ValueError(f"{name} {node} outside [0, {t.n})")
     failed = remove_link(t, a, b)
-    _check_infinity(infinity_metric)
+    check_infinity(infinity_metric)
     col, _ = _column(_neighbour_masks(t), dest, infinity_metric)
     cap = infinity_metric - 1
     entries = []

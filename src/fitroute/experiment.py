@@ -24,7 +24,6 @@ from .fitness import (
     NoSufficientBandwidth,
     Route,
     RouteOutcome,
-    SpanningTree,
     Unreachable,
     Weights,
     build_spanning_tree,
@@ -75,6 +74,7 @@ class ExperimentConfig:
             raise ValueError("query_count must be non-negative")
         if isinstance(self.demand, bool) or not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
+        dv_engine.check_infinity(self.infinity_metric)
         if self.explicit_queries is not None:
             for src, dst in self.explicit_queries:  # node ids are ints in [0, n)
                 if not (is_int(src) and is_int(dst)
@@ -154,11 +154,12 @@ def run_comparison(cfg: ExperimentConfig,
     (replay mode); queries then come from the same seeded stream, after the
     generation draws, which replay skips, so a written topology replayed with
     its seed draws the generated run's queries. The distance-vector engine
-    converges once and is reused across queries; the fitness engine builds
-    one full spanning tree per distinct source over the links that carry the
-    demand; classify_outcome tells refusals from unreachable rows by the
-    topology's memoised connectivity labels. The summary's violation list is
-    filled by verify_claims and is empty unless an engine misbehaved.
+    converges once and is reused across queries; the fitness engine routes
+    each row as select_route does, with one search from its source over the
+    links that carry the demand for its destination's min-hop paths;
+    classify_outcome tells refusals from unreachable rows by the topology's
+    memoised connectivity labels. The summary's violation list is filled by
+    verify_claims and is empty unless an engine misbehaved.
     """
     rng = SplitMix64(cfg.seed)
     if topology is None:
@@ -177,14 +178,11 @@ def run_comparison(cfg: ExperimentConfig,
 
     state, _ = dv_engine.converge(t, cfg.infinity_metric)
 
-    trees: dict[int, SpanningTree] = {}
-
     rows = []
     for src, dst in queries:
         dv_path = dv_engine.extract_path(state, src, dst)
-        if src not in trees:
-            trees[src] = build_spanning_tree(t, src, cfg.weights, cfg.demand)
-        ff = classify_outcome(t, trees[src], dst)
+        ff = classify_outcome(
+            t, build_spanning_tree(t, src, cfg.weights, cfg.demand, dst))
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path), ff))
 

@@ -11,14 +11,14 @@ them, and later searches under the same weights scan that table. The search
 expands one hop layer at a time, each newly reached node taking its cheapest
 predecessor in the layer before.
 Every node is labelled once, so the search ends after at most n labels, and
-its predecessor pointers form a spanning tree of the reachable component,
-which makes routing loops structurally impossible. A search for one
-destination costs only the nodes on its min-hop gated paths, found by
-bitset layers (a bitmap frontier, Beamer, Asanovic & Patterson, SC 2012);
-a full search stops once it has labelled as many nodes as the root's
-component holds, sparing the scan of a last layer whose neighbours are all
-labelled. The topology's component labels and sizes, computed once, tell a
-refusal from an unreachable verdict and size that stop.
+its predecessor pointers form a tree, which makes routing loops structurally
+impossible. Every route, of one request or of a compare row, comes from one
+search: it is built for one destination and costs only the nodes on that
+destination's min-hop gated paths, found by bitset layers (a bitmap
+frontier, Beamer, Asanovic & Patterson, SC 2012). Those nodes get the
+labels and parents a search of the root's whole gated component would give
+them; the tests keep such a full search as their reference. The topology's
+component labels, computed once, tell a refusal from an unreachable verdict.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -147,18 +147,17 @@ class SpanningTree:
 
     label maps every reached node to its final (hops, cost); parent maps
     every reached node except the root to its predecessor, which defines the
-    tree. dst is the destination the search was built for, or None when it
-    labelled the root's whole gated component. A tree built for a dst labels
+    tree. dst is the destination the search was built for: the tree labels
     the root and, if the gate lets it reach dst, every node on dst's min-hop
-    gated paths, as the full tree labels them; it answers only for dst.
-    Tree paths are loop-free by construction. relaxations counts adjacency
-    entries costed: a full tree's of every layer it expands (its last layer
-    none, once the root's component is labelled), at most twice the link
-    count; a dst tree's of its nodes before dst's layer, no more.
+    gated paths, as a search of the root's whole gated component labels
+    them; it answers only for dst. Tree paths are loop-free by
+    construction. relaxations counts the adjacency entries the search
+    costed: those of its nodes before dst's layer, at most twice the link
+    count.
     """
 
     root: int
-    dst: int | None
+    dst: int
     parent: dict[int, int]
     label: dict[int, tuple[int, float]]
     relaxations: int
@@ -175,58 +174,6 @@ class SpanningTree:
         return path
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights,
-                        demand: float = 0.0,
-                        dst: int | None = None) -> SpanningTree:
-    """Minimum (hops, cost) labels from `root`, one hop layer at a time.
-
-    Only links with bandwidth >= demand are crossed (demand 0 crosses every
-    link, as on a topology pruned beforehand). Hops compare first, so a
-    node's hop count is its breadth-first layer: a node first reached from
-    layer k joins layer k+1 under the neighbour u in layer k with the smallest
-    (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
-    come from cost_adjacency(t, w). root and dst are int node ids of t, and
-    demand is finite and >= 0. With a dst the search labels only dst's
-    min-hop gated paths (_min_hop_tree); with dst None it stops once it has
-    labelled t.component_sizes[root] nodes: the gate only shrinks what is
-    reachable, so nothing is left to label. Each node is labelled once and
-    each link examined at most twice, so the search is bounded whatever the
-    topology.
-    """
-    if not (is_int(root) and (dst is None or is_int(dst))):
-        raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
-    if not 0 <= root < t.n:
-        raise ValueError(f"root {root} outside [0, {t.n})")
-    if dst is not None and not 0 <= dst < t.n:
-        raise ValueError(f"dst {dst} outside [0, {t.n})")
-    if not 0 <= demand < math.inf:
-        raise ValueError(f"demand must be finite and >= 0, got {demand}")
-    costs = cost_adjacency(t, w)
-    if dst is not None:
-        return _min_hop_tree(t, root, dst, costs, demand)
-    size = t.component_sizes[root]
-    label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
-    parent: dict[int, int] = {}
-    layer = [root]
-    relaxations = 0
-    while layer and len(label) < size:
-        reached: dict[int, tuple[float, int]] = {}
-        for u in layer:  # ascending, so strict < keeps the smaller u on a tie
-            hops, cost_u = label[u]
-            adj = costs[u]
-            relaxations += len(adj)
-            for v, edge, bandwidth in adj:
-                if v not in label and bandwidth >= demand:
-                    cost = cost_u + edge
-                    if v not in reached or cost < reached[v][0]:
-                        reached[v] = (cost, u)
-        for v, (cost, u) in reached.items():
-            label[v] = (hops + 1, cost)
-            parent[v] = u
-        layer = sorted(reached)
-    return SpanningTree(root, None, parent, label, relaxations)
-
-
 def _ids(bits: int) -> list[int]:
     """The node ids whose bits are set, ascending."""
     ids = []
@@ -237,15 +184,37 @@ def _ids(bits: int) -> list[int]:
     return ids
 
 
-def _min_hop_tree(t: Topology, root: int, dst: int, costs, demand: float
-                  ) -> SpanningTree:
-    """build_spanning_tree for one dst. Forward: bitset hop layers, each the
-    OR of the last one's gated masks (t.bandwidth_index) less the nodes seen,
-    until one holds dst. Backward: keep each layer's nodes with a gated link
-    into the next layer's kept ones, i.e. those on dst's min-hop paths; all
-    candidate predecessors of a kept node are kept, so the full search's
-    layer step, run from kept nodes into the next kept layer only, gives
-    them the full tree's labels and parents."""
+def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
+                        dst: int) -> SpanningTree:
+    """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
+    hop layer at a time.
+
+    Only links with bandwidth >= demand are crossed (demand 0 crosses every
+    link, as on a topology pruned beforehand). Hops compare first, so a
+    node's hop count is its breadth-first layer: a node first reached from
+    layer k joins layer k+1 under the neighbour u in layer k with the smallest
+    (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
+    come from cost_adjacency(t, w). root and dst are int node ids of t, and
+    demand is finite and >= 0.
+
+    Forward: bitset hop layers, each the OR of the last one's gated masks
+    (t.bandwidth_index) less the nodes seen, until one holds dst. Backward:
+    keep each layer's nodes with a gated link into the next layer's kept
+    ones, i.e. those on dst's min-hop paths. All candidate predecessors of a
+    kept node are kept, so the layer step, run from kept nodes into the next
+    kept layer only, gives them the labels and parents a search of the whole
+    gated component would. Each node is labelled once and each link examined
+    at most twice, so the search is bounded whatever the topology.
+    """
+    if not (is_int(root) and is_int(dst)):
+        raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
+    if not 0 <= root < t.n:
+        raise ValueError(f"root {root} outside [0, {t.n})")
+    if not 0 <= dst < t.n:
+        raise ValueError(f"dst {dst} outside [0, {t.n})")
+    if not 0 <= demand < math.inf:
+        raise ValueError(f"demand must be finite and >= 0, got {demand}")
+    costs = cost_adjacency(t, w)
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
     layers = []
@@ -273,8 +242,8 @@ def _min_hop_tree(t: Topology, root: int, dst: int, costs, demand: float
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
-    # the full search's step, filtered to the kept next layer: costing every
-    # unlabelled neighbour, as it does, made dense requests a third slower
+    # the layer step filtered to the kept next layer: costing every
+    # unlabelled neighbour made dense requests a third slower
     for hops, (layer, nxt) in enumerate(zip(kept, kept[1:]), 1):
         wanted = set(nxt)
         reached: dict[int, tuple[float, int]] = {}
@@ -295,8 +264,8 @@ def _min_hop_tree(t: Topology, root: int, dst: int, costs, demand: float
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search from req.src over the links that carry
-    req.demand for req.dst's min-hop paths alone (build_spanning_tree with a
-    dst), then classify req.dst on that tree.
+    req.demand for req.dst's min-hop paths alone (build_spanning_tree), then
+    classify the outcome on that tree.
 
     Returns a Route when the destination is reached over such links,
     NoSufficientBandwidth when t.components puts it in the source's
@@ -304,23 +273,19 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     only bad input raises ValueError.
     """
     tree = build_spanning_tree(t, req.src, req.weights, req.demand, req.dst)
-    return classify_outcome(t, tree, req.dst)
+    return classify_outcome(t, tree)
 
 
-def classify_outcome(t: Topology, tree: SpanningTree, dst: int) -> RouteOutcome:
-    """Read dst's outcome off a tree built on `t`: the source is tree.root
-    and the demand is the tree's gate, so neither can disagree with it.
+def classify_outcome(t: Topology, tree: SpanningTree) -> RouteOutcome:
+    """Read the outcome for tree.dst off a tree built on `t`: the source is
+    tree.root and the demand is the tree's gate, so none of the three can
+    disagree with it.
 
     A labelled dst yields its tree path as a Route; an unlabelled one is
     refused when t.components puts it in the root's component, else it is
-    unreachable. ValueError when dst lies outside [0, n), when the tree was
-    built for another destination, or when the path cost overflows.
+    unreachable. ValueError when the path cost overflows.
     """
-    if not 0 <= dst < t.n:
-        raise ValueError(f"dst {dst} outside [0, {t.n})")
-    if tree.dst not in (None, dst):
-        raise ValueError(
-            f"a tree built for destination {tree.dst} cannot answer for {dst}")
+    dst = tree.dst
     if dst in tree.label:
         hops, cost = tree.label[dst]
         if not math.isfinite(cost):

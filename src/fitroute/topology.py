@@ -10,7 +10,7 @@ decision is drawn from an explicit SplitMix64 stream in a fixed order.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -136,11 +136,12 @@ class Topology:
     Links are stored sorted by (a, b). `adjacency[x]` is node x's neighbour
     ids in ascending order, built once at construction and shared by every
     traversal: x receives its neighbours a < x from the links (a, x), then
-    its neighbours b > x from the links (x, b). `components` and
-    `component_sizes` (and `bandwidth_index`) are memoised on first read,
-    and `cost_table` holds the fitness search's link costs for the most
-    recent weights as a (weights, table) pair (see fitness.cost_adjacency);
-    all four live outside the compared fields.
+    its neighbours b > x from the links (x, b). `components` (which tells a
+    refusal from an unreachable verdict) and `bandwidth_index` (which gates
+    the route search's bitset layers) are memoised on first read, and
+    `cost_table` holds the route search's link costs for the most recent
+    weights as a (weights, table) pair (see fitness.cost_adjacency); all
+    three live outside the compared fields.
     """
 
     n: int
@@ -183,12 +184,6 @@ class Topology:
                 for u in bfs_hops(self, v):
                     ids[u] = v
         return tuple(ids)
-
-    @cached_property
-    def component_sizes(self) -> tuple[int, ...]:
-        """Each node's component size: the nodes it reaches, itself included."""
-        sizes = Counter(self.components)
-        return tuple(sizes[c] for c in self.components)
 
     @cached_property
     def bandwidth_index(self) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:

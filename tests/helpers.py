@@ -4,14 +4,16 @@ across the test modules."""
 import json
 import random
 from collections import defaultdict
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from hypothesis import strategies as st
 
-from fitroute import (GenParams, QosLink, Route, RouteRequest, Topology, Weights,
-                      generate_topology, select_route)
+from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
+                      Topology, Weights, generate_topology, run_comparison,
+                      select_route)
 from fitroute.experiment import ComparisonReport
-from fitroute.fitness import build_spanning_tree, classify_outcome, edge_cost
+from fitroute.fitness import (SpanningTree, classify_outcome, cost_adjacency,
+                              edge_cost)
 from fitroute.topology import bfs_hops, remove_link
 
 
@@ -96,12 +98,50 @@ def fnv1a64_reference(data: bytes) -> int:
     return h
 
 
+def full_gated_tree(t: Topology, root: int, w: Weights,
+                    demand: float) -> SpanningTree:
+    """The reference search: minimum (hops, cost) labels over the whole of
+    root's component in the links with bandwidth >= demand, one hop layer at
+    a time until a layer is empty. A node first reached from layer k joins
+    layer k+1 under the neighbour u in layer k with the smallest
+    (cost_u + edge_cost, u). relaxations counts every adjacency entry of
+    every labelled node. The tree labels every node it reaches, so it
+    answers for any destination through full_tree_outcome; its dst field
+    holds the root."""
+    costs = cost_adjacency(t, w)
+    label = {root: (0, 0.0)}
+    parent = {}
+    layer = [root]
+    hops = relaxations = 0
+    while layer:
+        reached = {}
+        for u in layer:  # ascending, so strict < keeps the smaller u on a tie
+            cost_u = label[u][1]
+            relaxations += len(costs[u])
+            for v, edge, bandwidth in costs[u]:
+                if v not in label and bandwidth >= demand:
+                    cost = cost_u + edge
+                    if v not in reached or cost < reached[v][0]:
+                        reached[v] = (cost, u)
+        hops += 1
+        for v, (cost, u) in reached.items():
+            label[v] = (hops, cost)
+            parent[v] = u
+        layer = sorted(reached)
+    return SpanningTree(root, root, parent, label, relaxations)
+
+
+def full_tree_outcome(t: Topology, tree: SpanningTree, dst: int):
+    """classify_outcome for dst on a full_gated_tree."""
+    return classify_outcome(t, replace(tree, dst=dst))
+
+
 def check_routes_against_full_trees(n: int, edge_prob: float, seed: int,
                                     requests: int,
                                     demands: tuple[float, float]) -> list:
     """select_route on `requests` random src != dst requests, demands uniform
     in `demands`, on the seeded n-node topology; every outcome must equal
-    classify_outcome on the full gated tree from its source, a Route's cost
+    the outcome on the full gated tree from its source, a Route's cost
     compared with ==. Returns the outcomes.
 
     Run from the repository root, for example:
@@ -119,12 +159,32 @@ def check_routes_against_full_trees(n: int, edge_prob: float, seed: int,
         batches[req.src, req.demand].append(req)
     outcomes = []
     for (src, demand), batch in batches.items():
-        tree = build_spanning_tree(t, src, batch[0].weights, demand)
+        tree = full_gated_tree(t, src, batch[0].weights, demand)
         for req in batch:
             out = select_route(t, req)
-            assert out == classify_outcome(t, tree, req.dst), req
+            assert out == full_tree_outcome(t, tree, req.dst), req
             outcomes.append(out)
     return outcomes
+
+
+def check_rows_against_full_trees(cfg: ExperimentConfig,
+                                  t: Topology | None = None) -> ComparisonReport:
+    """run_comparison(cfg, t) (generating t from cfg when None); every row's
+    ff must equal the outcome on the full gated tree from its source, a
+    Route's cost compared with ==. Returns the report.
+
+    Run from the repository root, for example:
+    PYTHONPATH=src:tests python -c 'from helpers import check_rows_against_full_trees as c; from fitroute import ExperimentConfig as E; c(E(n=512, query_count=1000))'
+    """
+    report = run_comparison(cfg, t)
+    if t is None:
+        t = generate_topology(cfg.n, cfg.gen, cfg.seed)
+    trees = {}
+    for row in report.rows:
+        if row.src not in trees:
+            trees[row.src] = full_gated_tree(t, row.src, cfg.weights, cfg.demand)
+        assert row.ff == full_tree_outcome(t, trees[row.src], row.dst), row
+    return report
 
 
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)

@@ -70,11 +70,13 @@ def test_criterion_1_oracle_equivalence():
         for src in range(n):
             oracle = bfs_hops(t, src)
             pruned_oracle = bfs_hops(pruned, src)
-            tree = build_spanning_tree(pruned, src, ExperimentConfig().weights)
             for dst in range(n):
+                tree = build_spanning_tree(t, src, ExperimentConfig().weights,
+                                           SUITE_DEMAND, dst)
                 assert state.dist[src][dst] == oracle[dst]
-                if dst in tree.label:
-                    assert tree.label[dst][0] == pruned_oracle[dst]
+                if dst in tree.label:  # and every node on its min-hop paths
+                    assert all(hops == pruned_oracle[v]
+                               for v, (hops, _) in tree.label.items())
                 else:
                     assert dst not in pruned_oracle
                 checked_pairs += 1
@@ -155,9 +157,9 @@ def test_criterion_5_loop_freedom(suite):
                     paths += 1
                     assert len(set(path)) == len(path)
     for cfg, t, report in runs[::10]:
-        pruned = feasible_subgraph(t, cfg.demand)
-        for src in sorted({row.src for row in report.rows}):
-            tree = build_spanning_tree(pruned, src, cfg.weights)
+        for row in report.rows:  # the tree each row's route was read off
+            tree = build_spanning_tree(t, row.src, cfg.weights, cfg.demand,
+                                       row.dst)
             trees += 1
             assert set(tree.parent) == set(tree.label) - {tree.root}
             for node in tree.label:
@@ -182,8 +184,8 @@ def test_criterion_6_count_to_infinity_contrast():
     failed = remove_link(line, 1, 2)
     outcome = select_route(failed, RouteRequest(0, 2, SUITE_DEMAND))
     assert isinstance(outcome, Unreachable)
-    tree = build_spanning_tree(feasible_subgraph(failed, SUITE_DEMAND), 0,
-                               ExperimentConfig().weights)
+    tree = build_spanning_tree(failed, 0, ExperimentConfig().weights,
+                               SUITE_DEMAND, 2)
     assert len(tree.label) <= failed.n
     assert tree.relaxations <= 2 * len(failed.links)
     print("criterion 6 PASS: dv counts 2,4,4,...,16 capping at round 14; "

@@ -138,6 +138,21 @@ def test_compare_rejects_cost_overflow(capsys, fmt):
     assert "overflows" in err and "weights" in err
 
 
+@pytest.mark.parametrize("infinity", ["1", "0", "-16"])
+def test_compare_rejects_bad_infinity_before_generating(capsys, monkeypatch,
+                                                       infinity):
+    def no_generation(*args):
+        raise AssertionError("generated a topology for a rejected config")
+
+    monkeypatch.setattr("fitroute.experiment.generate_topology_rng",
+                        no_generation)
+    code, out, err = run(capsys, "compare", "--nodes", "1024",
+                         "--infinity", infinity)
+    assert code == 2
+    assert out == ""
+    assert f"infinity_metric must be an integer >= 2, got {infinity}" in err
+
+
 def test_compare_rejects_out_of_range_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "0:9")
     assert code == 2

@@ -35,8 +35,9 @@ from fitroute.experiment import (
 from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
 from fitroute.topology import bfs_hops, feasible_subgraph
 
-from helpers import (cut_topologies, drawn_topologies, line_topology,
-                     report_json_reference, triangle_topology)
+from helpers import (check_rows_against_full_trees, cut_topologies,
+                     drawn_topologies, line_topology, report_json_reference,
+                     triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -106,6 +107,14 @@ def test_config_rejects_bools(field, value):
     # bool subclasses int; the JSON report would echo `true`
     with pytest.raises(ValueError):
         ExperimentConfig(**{"n": 4, field: value})
+
+
+@pytest.mark.parametrize("bad", [1, 0, -16, 2.5, "16", None, True])
+def test_config_rejects_bad_infinity_metric(bad):
+    # checked with the other fields, before any topology is generated
+    with pytest.raises(ValueError,
+                       match=r"infinity_metric must be an integer >= 2, got "):
+        ExperimentConfig(n=1024, infinity_metric=bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -233,6 +242,42 @@ def test_outcomes_across_three_components():
     assert (s.ff_wins, s.ties, s.ff_longer, s.refusals, s.unreachable) == (
         0, 3, 0, 1, 1)
     assert s.violations == ()
+
+
+def several_components() -> Topology:
+    """Three generated 12-node graphs with 1-10 Mbps links side by side,
+    plus the isolated node 36."""
+    links = []
+    for part, seed in enumerate((1, 2, 3)):
+        g = generate_topology(12, GenParams(edge_prob=0.2,
+                                            bandwidth_range=(1.0, 10.0)), seed)
+        links += [dataclasses.replace(l, a=l.a + 12 * part, b=l.b + 12 * part)
+                  for l in g.links]
+    return Topology(37, tuple(links))
+
+
+def test_rows_equal_full_tree_reference_dense():
+    report = check_rows_against_full_trees(
+        ExperimentConfig(n=64, seed=1, query_count=1000))
+    assert len(report.rows) == 1000
+    assert report.summary.refusals == report.summary.unreachable == 0
+
+
+def test_rows_equal_full_tree_reference_across_components():
+    t = several_components()
+    cfg = ExperimentConfig(n=t.n, seed=5, query_count=400, demand=5.0)
+    s = check_rows_against_full_trees(cfg, t).summary
+    assert s.refusals > 0 and s.unreachable > 0
+    assert s.ff_wins + s.ties + s.ff_longer > 0
+
+
+def test_rows_equal_full_tree_reference_on_self_queries():
+    t = several_components()
+    queries = tuple((v, v) for v in range(t.n)) + ((0, 11), (36, 0), (12, 23))
+    cfg = ExperimentConfig(n=t.n, explicit_queries=queries, demand=5.0)
+    report = check_rows_against_full_trees(cfg, t)
+    assert all(row.ff == Route((row.src,), 0, 0.0, 1.0)
+               for row in report.rows[:t.n])
 
 
 def test_oracle_runs_one_bfs_per_source_and_graph(monkeypatch):

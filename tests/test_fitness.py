@@ -26,8 +26,9 @@ from fitroute.fitness import (
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
 from helpers import (check_routes_against_full_trees, cut_topologies,
-                     drawn_topologies, line_topology, path_fitness,
-                     square_topology, triangle_topology)
+                     drawn_topologies, full_gated_tree, full_tree_outcome,
+                     line_topology, path_fitness, square_topology,
+                     triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -162,7 +163,7 @@ def test_fitness_bounds(attrs):
 
 def test_tree_on_line():
     t = line_topology(3, delay=2.0)
-    tree = build_spanning_tree(t, 0, UNIT)
+    tree = build_spanning_tree(t, 0, UNIT, 0.0, 2)
     assert tree.label == {0: (0, 0.0), 1: (1, 2.0), 2: (2, 4.0)}
     assert tree.parent[1] == 0 and tree.parent[2] == 1
     assert tree.path_to(2) == [0, 1, 2]
@@ -170,22 +171,23 @@ def test_tree_on_line():
 
 def test_tree_square_prefers_cheaper_equal_hop_path():
     # 0-1-2 costs 2.0 total, 0-3-2 costs 10.0; equal hops, cost decides
-    tree = build_spanning_tree(square_topology(), 0, UNIT)
+    tree = build_spanning_tree(square_topology(), 0, UNIT, 0.0, 2)
     assert tree.label[2] == (2, 2.0)
     assert tree.parent[2] == 1
 
 
 def test_tree_isolated_root():
     t = Topology(3, (QosLink(1, 2, 10.0, 1.0, 0.0, 0.0),))
-    tree = build_spanning_tree(t, 0, UNIT)
-    assert tree.label == {0: (0, 0.0)}
-    assert tree.parent == {}
-    assert tree.path_to(1) is None
+    for dst in (1, 2):
+        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        assert tree.label == {0: (0, 0.0)}
+        assert tree.parent == {}
+        assert tree.path_to(dst) is None
 
 
 def test_tree_rejects_bad_root():
     with pytest.raises(ValueError):
-        build_spanning_tree(line_topology(2), 7, UNIT)
+        build_spanning_tree(line_topology(2), 7, UNIT, 0.0, 1)
 
 
 @pytest.mark.parametrize("demand", [math.nan, -1.0, math.inf])
@@ -193,7 +195,7 @@ def test_tree_rejects_bad_demand(demand):
     # nan would gate out every link and yield a root-only tree; a negative
     # demand would cross every link
     with pytest.raises(ValueError, match="demand"):
-        build_spanning_tree(line_topology(3), 0, UNIT, demand)
+        build_spanning_tree(line_topology(3), 0, UNIT, demand, 2)
 
 
 def test_tree_hops_beat_cost():
@@ -203,7 +205,7 @@ def test_tree_hops_beat_cost():
         QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
         QosLink(1, 2, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT)
+    tree = build_spanning_tree(t, 0, UNIT, 0.0, 2)
     assert tree.label[2] == (1, 100.0)
     assert tree.path_to(2) == [0, 2]
 
@@ -217,7 +219,7 @@ def test_tree_equal_label_keeps_smaller_predecessor():
         QosLink(1, 3, 10.0, 1.0, 0.0, 0.0),
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT)
+    tree = build_spanning_tree(t, 0, UNIT, 0.0, 3)
     assert tree.parent[3] == 1
 
 
@@ -232,7 +234,7 @@ def test_tree_equal_label_tie_ignores_discovery_order():
         QosLink(3, 5, 10.0, 1.0, 0.0, 0.0),
         QosLink(4, 5, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT)
+    tree = build_spanning_tree(t, 0, UNIT, 0.0, 5)
     assert tree.label[5] == (3, 3.0)
     assert tree.path_to(5) == [0, 2, 3, 5]
 
@@ -240,21 +242,22 @@ def test_tree_equal_label_tie_ignores_discovery_order():
 @pytest.mark.parametrize("seed", range(10))
 def test_tree_labels_monotone_and_bounded(seed):
     t = generate_topology(12, seed=seed)
-    tree = build_spanning_tree(t, 0, UNIT)
-    assert len(tree.label) <= t.n
-    assert tree.relaxations <= 2 * len(t.links)
-    for node in tree.label:
-        path = tree.path_to(node)
-        labels = [tree.label[v] for v in path]
-        assert labels == sorted(labels)
-        assert len(set(path)) == len(path)
+    for dst in range(t.n):
+        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        assert dst in tree.label and len(tree.label) <= t.n
+        assert tree.relaxations <= 2 * len(t.links)
+        for node in tree.label:
+            path = tree.path_to(node)
+            labels = [tree.label[v] for v in path]
+            assert labels == sorted(labels)
+            assert len(set(path)) == len(path)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_tree_matches_brute_force(seed):
     t = generate_topology(8, GenParams(edge_prob=0.3), seed=seed)
-    tree = build_spanning_tree(t, 0, UNIT)
     for dst in range(1, t.n):
+        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
         expected = brute_force_best(t, 0, dst, UNIT)
         if expected is None:
             assert dst not in tree.label
@@ -309,15 +312,6 @@ def test_select_route_rejects_bad_nodes():
         select_route(line_topology(2), RouteRequest(0, 5, 1.0, UNIT))
 
 
-@pytest.mark.parametrize("dst", [-3, 3])
-def test_classify_outcome_rejects_bad_destination(dst):
-    # -3 would index node 0's component label, 3 past the end
-    t = line_topology(3)
-    tree = build_spanning_tree(t, 0, UNIT, 20.0)
-    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-        classify_outcome(t, tree, dst)
-
-
 def thin_middle_line() -> Topology:
     """Line 0-1-2-3 whose middle link carries only 2 Mbps."""
     return Topology(4, (
@@ -329,30 +323,28 @@ def thin_middle_line() -> Topology:
 
 def test_classify_outcome_reads_source_and_demand_off_the_tree():
     t = thin_middle_line()
-    assert classify_outcome(t, build_spanning_tree(t, 0, UNIT), 3) == Route(
-        (0, 1, 2, 3), 3, 3.0, 0.25)
+    def outcome(src, demand, dst):
+        return classify_outcome(t, build_spanning_tree(t, src, UNIT, demand, dst))
+
+    assert outcome(0, 0.0, 3) == Route((0, 1, 2, 3), 3, 3.0, 0.25)
     # the tree's gate is the demand: a demand-5 tree cannot cross 1-2
-    thick = build_spanning_tree(t, 0, UNIT, 5.0)
-    assert isinstance(classify_outcome(t, thick, 3), NoSufficientBandwidth)
-    assert classify_outcome(t, thick, 1).path == (0, 1)
+    assert isinstance(outcome(0, 5.0, 3), NoSufficientBandwidth)
+    assert outcome(0, 5.0, 1).path == (0, 1)
     # the tree's root is the source
-    assert classify_outcome(t, build_spanning_tree(t, 2, UNIT), 1).path == (2, 1)
+    assert outcome(2, 0.0, 1).path == (2, 1)
 
 
 def test_tree_for_one_destination_answers_only_for_it():
     t = thin_middle_line()
-    tree = build_spanning_tree(t, 0, UNIT, dst=1)
+    tree = build_spanning_tree(t, 0, UNIT, 0.0, 1)
     assert tree.dst == 1 and 3 not in tree.label
-    assert classify_outcome(t, tree, 1).path == (0, 1)
-    with pytest.raises(ValueError, match="built for destination 1"):
-        classify_outcome(t, tree, 3)
-    assert build_spanning_tree(t, 0, UNIT).dst is None
+    assert classify_outcome(t, tree).path == (0, 1)
 
 
 @pytest.mark.parametrize("dst", [-1, 4, 99])
 def test_build_spanning_tree_rejects_bad_destination(dst):
     with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
-        build_spanning_tree(thin_middle_line(), 0, UNIT, dst=dst)
+        build_spanning_tree(thin_middle_line(), 0, UNIT, 0.0, dst)
 
 
 @pytest.mark.parametrize("src, dst", [(1, 2.0), (1.5, 2), (0, "1"), (None, 1),
@@ -362,7 +354,7 @@ def test_request_rejects_non_integer_nodes(src, dst):
         RouteRequest(src, dst, 5.0, UNIT)
     # the search itself: a bit shift by a float id would raise TypeError
     with pytest.raises(ValueError, match="must be ints"):
-        build_spanning_tree(line_topology(3), src, UNIT, dst=dst)
+        build_spanning_tree(line_topology(3), src, UNIT, 0.0, dst)
 
 
 def test_select_route_rejects_cost_overflow():
@@ -416,8 +408,8 @@ def test_demand_monotonicity(seed):
 
 def test_route_cost_matches_tree_label_exactly():
     t = generate_topology(12, seed=9)
-    tree = build_spanning_tree(t, 0, UNIT)
     for dst in range(1, t.n):
+        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
         out = select_route(t, RouteRequest(0, dst, 0.0, UNIT))
         assert isinstance(out, Route)
         assert out.cost == tree.label[dst][1]  # identical accumulation order
@@ -428,32 +420,15 @@ def test_route_cost_matches_tree_label_exactly():
 
 
 def test_tree_stops_at_destination_layer():
-    tree = build_spanning_tree(line_topology(5), 0, UNIT, dst=1)
+    tree = build_spanning_tree(line_topology(5), 0, UNIT, 0.0, 1)
     assert set(tree.label) == {0, 1}
     assert tree.path_to(1) == [0, 1]
 
 
 def test_tree_to_its_own_root_does_no_work():
-    tree = build_spanning_tree(line_topology(5), 2, UNIT, dst=2)
+    tree = build_spanning_tree(line_topology(5), 2, UNIT, 0.0, 2)
     assert tree.label == {2: (0, 0.0)}
     assert tree.relaxations == 0
-
-
-def test_full_tree_stops_once_its_component_is_labelled():
-    # dense and connected at demand 5: the tree labels every node, and the
-    # stop spares the last layer's scan, where every neighbour is labelled
-    t = generate_topology(128, seed=1)
-    tree = build_spanning_tree(t, 0, UNIT, 5.0)
-    assert len(tree.label) == t.n
-    # the same search with a component size it can never reach runs to an
-    # empty layer
-    unstopped = Topology(t.n, t.links)
-    vars(unstopped)["component_sizes"] = (t.n + 1,) * t.n
-    full_scan = build_spanning_tree(unstopped, 0, UNIT, 5.0)
-    assert full_scan.relaxations == sum(len(t.adjacency[v]) for v in tree.label)
-    assert tree.relaxations < full_scan.relaxations <= 2 * len(t.links)
-    assert tree.label == full_scan.label
-    assert tree.parent == full_scan.parent
 
 
 def test_select_route_builds_no_pruned_topology(monkeypatch):
@@ -490,23 +465,25 @@ def test_gated_search_equals_prune_then_search(data):
     w = data.draw(st.sampled_from(WEIGHT_CHOICES))
     req = RouteRequest(src, dst, demand, w)
 
-    pruned_tree = build_spanning_tree(feasible_subgraph(t, demand), src, w)
+    # the reference full tree (tests/helpers.py), gated and on the pruned
+    # topology
+    pruned_tree = full_gated_tree(feasible_subgraph(t, demand), src, w, 0.0)
     out = select_route(t, req)
-    assert out == classify_outcome(t, pruned_tree, dst)
+    assert out == full_tree_outcome(t, pruned_tree, dst)
 
-    gated = build_spanning_tree(t, src, w, demand)
+    gated = full_gated_tree(t, src, w, demand)
     assert gated.label == pruned_tree.label
     assert gated.parent == pruned_tree.parent
     assert gated.relaxations <= 2 * len(t.links)
 
-    # a full tree answers for every destination as the early-stopping
-    # search for that destination does
+    # the full tree answers for every destination as the search for that
+    # destination does
     for d in range(t.n):
-        assert classify_outcome(t, gated, d) == select_route(
+        assert full_tree_outcome(t, gated, d) == select_route(
             t, RouteRequest(src, d, demand, w))
 
     # the refusal/unreachable split against an unpruned BFS, independent of
-    # the component labels select_route and classify_outcome share
+    # the component labels select_route and classify_outcome read
     full = bfs_hops(t, src)
     assert isinstance(out, Unreachable) == (dst not in full)
     assert isinstance(out, NoSufficientBandwidth) == (
@@ -516,6 +493,7 @@ def test_gated_search_equals_prune_then_search(data):
     # exactly the nodes on dst's min-hop gated paths (by this module's own
     # BFS), each with the full tree's label and parent
     bounded = build_spanning_tree(t, src, w, demand, dst)
+    assert bounded.dst == dst and classify_outcome(t, bounded) == out
     assert (dst in bounded.label) == (dst in gated.label)
     assert bounded.label == {v: gated.label[v] for v in bounded.label}
     assert bounded.parent == {v: gated.parent[v] for v in bounded.label
@@ -551,14 +529,14 @@ def test_gated_search_equals_prune_then_search(data):
 
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_components_match_bfs_and_stay_out_of_identity(t):
-    # labelled, sized and costed on first use only
+    # labelled, indexed and costed on first use only
     assert "components" not in vars(t) and t.cost_table is None
-    assert "component_sizes" not in vars(t)
+    assert "bandwidth_index" not in vars(t)
     for a in range(t.n):
         reached = bfs_hops(t, a)
         for b in range(t.n):
             assert (t.components[a] == t.components[b]) == (b in reached)
-    build_spanning_tree(t, 0, UNIT)
+    build_spanning_tree(t, 0, UNIT, 0.0, t.n - 1)
     assert t.cost_table[0] == UNIT
     fresh = Topology(t.n, t.links)
     assert t == fresh

@@ -397,7 +397,6 @@ def test_component_ids():
         QosLink(0, 2, 10.0, 1.0, 0.0, 0.0),
     ))
     assert t.components == (0, 1, 0, 3, 1, 1)
-    assert t.component_sizes == (2, 3, 2, 1, 3, 3)
     assert generate_topology(20, seed=3).components == (0,) * 20
 
 
