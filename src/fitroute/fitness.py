@@ -2,14 +2,14 @@
 
 Bandwidth is a hard constraint, not a cost term: the search never crosses a
 link that cannot carry the requested demand, which is what gives the engine
-its bandwidth guarantee. The search applies that gate itself, skipping such
-links as it scans each adjacency list, so no pruned topology is built. The
-remaining QoS attributes (delay, jitter, loss) are folded into an additive
-edge cost, and paths minimise the lexicographic label (hops, cost). Each
-link is costed once per topology and weights, on the first search that uses
-them, and later searches under the same weights scan that table. The search
-expands one hop layer at a time, each newly reached node taking its cheapest
-predecessor in the layer before.
+its bandwidth guarantee. The search applies that gate itself, reading each
+node's neighbours over the links that carry the demand off a bitset, so no
+pruned topology is built. The remaining QoS attributes (delay, jitter, loss)
+are folded into an additive edge cost, and paths minimise the lexicographic
+label (hops, cost). The search expands one hop layer at a time, each newly
+reached node taking its cheapest predecessor in the layer before; a link is
+costed when a node weighs it as a predecessor link, so a search costs only
+the links between the layers of its route.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a tree, which makes routing loops structurally
 impossible. Every route, of one request or of a compare row, comes from one
@@ -111,34 +111,11 @@ def edge_cost(link: QosLink, w: Weights) -> float:
 
     Bandwidth is deliberately absent: it gates which links a search may
     cross, never traded off against the other attributes. QosLink keeps loss
-    below 1. The search does not call this per relaxation: cost_adjacency
-    calls it once per link for each topology and weights.
+    below 1. The search calls it once per predecessor link it weighs.
     """
     return (w.delay * link.delay
             + w.jitter * link.jitter
             + w.loss * -math.log1p(-link.loss))
-
-
-def cost_adjacency(t: Topology, w: Weights
-                   ) -> tuple[tuple[tuple[int, float, float], ...], ...]:
-    """Per node, (neighbour, edge_cost, bandwidth) in t.adjacency order.
-
-    One pass over t.links, ascending by (a, b), costs each link once and
-    appends its entry to both endpoints, which yields t.adjacency's order.
-    The table for the most recent weights is kept in t.cost_table, so calls
-    for weights equal to those only look it up; other weights replace it.
-    """
-    slot = t.cost_table  # one read: a search under other weights may replace it
-    if slot is not None and slot[0] == w:
-        return slot[1]
-    rows: list[list[tuple[int, float, float]]] = [[] for _ in range(t.n)]
-    for link in t.links:
-        cost = edge_cost(link, w)
-        rows[link.a].append((link.b, cost, link.bandwidth))
-        rows[link.b].append((link.a, cost, link.bandwidth))
-    table = tuple(map(tuple, rows))
-    object.__setattr__(t, "cost_table", (w, table))
-    return table
 
 
 @dataclass(frozen=True)
@@ -151,9 +128,9 @@ class SpanningTree:
     the root and, if the gate lets it reach dst, every node on dst's min-hop
     gated paths, as a search of the root's whole gated component labels
     them; it answers only for dst. Tree paths are loop-free by
-    construction. relaxations counts the adjacency entries the search
-    costed: those of its nodes before dst's layer, at most twice the link
-    count.
+    construction. relaxations counts the predecessor links the search
+    costed: the gated links between consecutive labelled layers, each at
+    most once.
     """
 
     root: int
@@ -193,18 +170,18 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     link, as on a topology pruned beforehand). Hops compare first, so a
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
-    (cost_u + edge_cost, u), ties thus going to the smaller id. Link costs
-    come from cost_adjacency(t, w). root and dst are int node ids of t, and
-    demand is finite and >= 0.
+    (cost_u + edge_cost, u), ties thus going to the smaller id. root and dst
+    are int node ids of t, and demand is finite and >= 0.
 
     Forward: bitset hop layers, each the OR of the last one's gated masks
     (t.bandwidth_index) less the nodes seen, until one holds dst. Backward:
-    keep each layer's nodes with a gated link into the next layer's kept
-    ones, i.e. those on dst's min-hop paths. All candidate predecessors of a
-    kept node are kept, so the layer step, run from kept nodes into the next
-    kept layer only, gives them the labels and parents a search of the whole
-    gated component would. Each node is labelled once and each link examined
-    at most twice, so the search is bounded whatever the topology.
+    a kept node's predecessors are its gated neighbours in the layer before,
+    and the layer's kept nodes are the union of its successors'
+    predecessors, i.e. those on dst's min-hop paths. Cost: layer by layer,
+    each kept node weighs all its predecessors, as a search of the whole
+    gated component would, so it gets the same label and parent. Each node
+    is labelled once and each link costed at most once, so the search is
+    bounded whatever the topology.
     """
     if not (is_int(root) and is_int(dst)):
         raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
@@ -214,7 +191,6 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
         raise ValueError(f"dst {dst} outside [0, {t.n})")
     if not 0 <= demand < math.inf:
         raise ValueError(f"demand must be finite and >= 0, got {demand}")
-    costs = cost_adjacency(t, w)
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
     layers = []
@@ -231,34 +207,35 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
         seen |= frontier
     if not frontier:
         return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
+    preds: dict[int, int] = {}  # kept node -> bitset of its predecessors
     kept = [[dst]]
     for layer in reversed(layers):  # layers[0] is the root alone
         reach = 0
         for v in kept[-1]:
             keys, masks = index[v]
-            reach |= masks[bisect_right(keys, key)]
-        kept.append(_ids(reach & layer))
-    kept.reverse()
+            preds[v] = bits = masks[bisect_right(keys, key)] & layer
+            reach |= bits
+        kept.append(_ids(reach))
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
-    # the layer step filtered to the kept next layer: costing every
-    # unlabelled neighbour made dense requests a third slower
-    for hops, (layer, nxt) in enumerate(zip(kept, kept[1:]), 1):
-        wanted = set(nxt)
-        reached: dict[int, tuple[float, int]] = {}
-        for u in layer:  # ascending, so strict < keeps the smaller u on a tie
-            cost_u = label[u][1]
-            adj = costs[u]
-            relaxations += len(adj)
-            for v, edge, bandwidth in adj:
-                if v in wanted and bandwidth >= demand:
-                    cost = cost_u + edge
-                    if v not in reached or cost < reached[v][0]:
-                        reached[v] = (cost, u)
-        for v, (cost, u) in reached.items():
-            label[v] = (hops, cost)
-            parent[v] = u
+    link_between = t.link_between
+    for hops, layer in enumerate(reversed(kept[:-1]), 1):  # kept[-1] is [root]
+        for v in layer:
+            bits = preds[v]
+            best = None
+            # lowest bit first: u ascending, so strict < keeps the smaller u
+            # on a tie
+            while bits:
+                low = bits & -bits
+                u = low.bit_length() - 1
+                bits ^= low
+                cost = label[u][1] + edge_cost(link_between(u, v), w)
+                if best is None or cost < best:
+                    best, pred = cost, u
+                relaxations += 1
+            label[v] = (hops, best)
+            parent[v] = pred
     return SpanningTree(root, dst, parent, label, relaxations)
 
 

@@ -138,10 +138,8 @@ class Topology:
     traversal: x receives its neighbours a < x from the links (a, x), then
     its neighbours b > x from the links (x, b). `components` (which tells a
     refusal from an unreachable verdict) and `bandwidth_index` (which gates
-    the route search's bitset layers) are memoised on first read, and
-    `cost_table` holds the route search's link costs for the most recent
-    weights as a (weights, table) pair (see fitness.cost_adjacency); all
-    three live outside the compared fields.
+    the route search's bitset layers) are memoised on first read, outside
+    the compared fields.
     """
 
     n: int
@@ -149,8 +147,6 @@ class Topology:
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
                                                    compare=False)
     _by_pair: dict = field(init=False, repr=False, compare=False)
-    cost_table: tuple | None = field(init=False, repr=False, compare=False,
-                                     default=None)
 
     def __post_init__(self):
         if not is_int(self.n):
@@ -173,7 +169,7 @@ class Topology:
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
 
     def link_between(self, a: int, b: int) -> QosLink | None:
-        return self._by_pair.get((min(a, b), max(a, b)))
+        return self._by_pair.get((a, b) if a < b else (b, a))
 
     @cached_property
     def components(self) -> tuple[int, ...]:

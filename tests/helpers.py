@@ -12,8 +12,7 @@ from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
                       Topology, Weights, generate_topology, run_comparison,
                       select_route)
 from fitroute.experiment import ComparisonReport
-from fitroute.fitness import (SpanningTree, classify_outcome, cost_adjacency,
-                              edge_cost)
+from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
 from fitroute.topology import bfs_hops, remove_link
 
 
@@ -104,11 +103,10 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
     root's component in the links with bandwidth >= demand, one hop layer at
     a time until a layer is empty. A node first reached from layer k joins
     layer k+1 under the neighbour u in layer k with the smallest
-    (cost_u + edge_cost, u). relaxations counts every adjacency entry of
-    every labelled node. The tree labels every node it reaches, so it
-    answers for any destination through full_tree_outcome; its dst field
-    holds the root."""
-    costs = cost_adjacency(t, w)
+    (cost_u + edge_cost, u), each link costed by edge_cost as it is crossed.
+    relaxations counts every adjacency entry of every labelled node. The
+    tree labels every node it reaches, so it answers for any destination
+    through full_tree_outcome; its dst field holds the root."""
     label = {root: (0, 0.0)}
     parent = {}
     layer = [root]
@@ -117,10 +115,13 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
         reached = {}
         for u in layer:  # ascending, so strict < keeps the smaller u on a tie
             cost_u = label[u][1]
-            relaxations += len(costs[u])
-            for v, edge, bandwidth in costs[u]:
-                if v not in label and bandwidth >= demand:
-                    cost = cost_u + edge
+            relaxations += len(t.adjacency[u])
+            for v in t.adjacency[u]:
+                if v in label:
+                    continue
+                link = t.link_between(u, v)
+                if link.bandwidth >= demand:
+                    cost = cost_u + edge_cost(link, w)
                     if v not in reached or cost < reached[v][0]:
                         reached[v] = (cost, u)
         hops += 1
@@ -215,3 +216,16 @@ def cut_topologies(draw):
             link = draw(st.sampled_from(t.links))
             t = remove_link(t, link.a, link.b)
     return t
+
+
+@st.composite
+def grid_topologies(draw):
+    """A rows x cols grid, up to 4 x 4, whose links all carry the same
+    attributes: every min-hop path between two nodes off a common row or
+    column ties with another."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    link = (draw(st.sampled_from(BANDWIDTHS)), draw(st.sampled_from((0.0, 1.0))),
+            0.0, draw(st.sampled_from((0.0, 0.25))))
+    pairs = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    pairs += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Topology(rows * cols, tuple(QosLink(a, b, *link) for a, b in pairs))
