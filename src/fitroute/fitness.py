@@ -14,11 +14,13 @@ Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a tree, which makes routing loops structurally
 impossible. Every route, of one request or of a compare row, comes from one
 search: it is built for one destination and costs only the nodes on that
-destination's min-hop gated paths, found by bitset layers (a bitmap
-frontier, Beamer, Asanovic & Patterson, SC 2012). Those nodes get the
-labels and parents a search of the root's whole gated component would give
-them; the tests keep such a full search as their reference. The topology's
-component labels, computed once, tell a refusal from an unreachable verdict.
+destination's min-hop gated paths, found by bitset hop layers (bitmap
+frontiers, Beamer, Asanovic & Patterson, SC 2012) grown from both the root
+and the destination until they meet (bidirectional search, Pohl,
+Machine Intelligence 6, 1971). Those nodes get the labels and parents a
+search of the root's whole gated component would give them; the tests keep
+such a full search as their reference. The topology's component labels,
+computed once, tell a refusal from an unreachable verdict.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from numbers import Real
 from typing import ClassVar, Union
 
 from .topology import QosLink, Topology, is_int
@@ -130,7 +133,8 @@ class SpanningTree:
     them; it answers only for dst. Tree paths are loop-free by
     construction. relaxations counts the predecessor links the search
     costed: the gated links between consecutive labelled layers, each at
-    most once.
+    most once. It depends only on the labelled nodes, not on how the
+    bitset layers that find them grow.
     """
 
     root: int
@@ -151,14 +155,16 @@ class SpanningTree:
         return path
 
 
-def _ids(bits: int) -> list[int]:
-    """The node ids whose bits are set, ascending."""
-    ids = []
+def _reach(index, key: float, bits: int) -> int:
+    """The gated neighbours of the nodes in `bits`: the OR of their masks
+    at `key` in `index` (Topology.bandwidth_index)."""
+    reach = 0
     while bits:
-        low = bits & -bits
-        ids.append(low.bit_length() - 1)
-        bits ^= low
-    return ids
+        u = bits.bit_length() - 1
+        bits ^= 1 << u
+        keys, masks = index[u]
+        reach |= masks[bisect_right(keys, key)]
+    return reach
 
 
 def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
@@ -171,16 +177,22 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. root and dst
-    are int node ids of t, and demand is finite and >= 0.
+    are int node ids of t, and demand is a finite number >= 0.
 
-    Forward: bitset hop layers, each the OR of the last one's gated masks
-    (t.bandwidth_index) less the nodes seen, until one holds dst. Backward:
-    a kept node's predecessors are its gated neighbours in the layer before,
-    and the layer's kept nodes are the union of its successors'
-    predecessors, i.e. those on dst's min-hop paths. Cost: layer by layer,
-    each kept node weighs all its predecessors, as a search of the whole
-    gated component would, so it gets the same label and parent. Each node
-    is labelled once and each link costed at most once, so the search is
+    Meet: bitset hop layers grow from root and from dst (bidirectional
+    search, Pohl 1971, over bitmap frontiers, Beamer et al. 2012), each
+    step on the side whose last layer has fewer nodes (root on a tie), each
+    layer the OR of the last one's gated masks (t.bandwidth_index) less the
+    nodes that side has seen. The first new layer that touches the other
+    side's seen set meets it in `meet`: the nodes of dst's min-hop paths at
+    that hop count, which lie in both sides' last layers. A side that runs
+    dry first refuses. Walk: from `meet`, each kept layer is the gated
+    neighbours of the one before it, within root's layers towards root and
+    within dst's towards dst; these are the nodes on dst's min-hop paths.
+    Cost: layer by layer from root, each kept node weighs all its gated
+    neighbours in the kept layer before, as a search of the whole gated
+    component would, so it gets the same label and parent. Each node is
+    labelled once and each link costed at most once, so the search is
     bounded whatever the topology.
     """
     if not (is_int(root) and is_int(dst)):
@@ -189,40 +201,41 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
         raise ValueError(f"root {root} outside [0, {t.n})")
     if not 0 <= dst < t.n:
         raise ValueError(f"dst {dst} outside [0, {t.n})")
-    if not 0 <= demand < math.inf:
-        raise ValueError(f"demand must be finite and >= 0, got {demand}")
+    if (isinstance(demand, bool) or not isinstance(demand, Real)
+            or not 0 <= demand < math.inf):
+        raise ValueError(f"demand must be a finite number >= 0, got {demand!r}")
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
-    layers = []
-    seen = frontier = 1 << root
-    while frontier and not frontier >> dst & 1:
-        layers.append(frontier)
-        bits, reach = frontier, 0
-        while bits:
-            u = bits.bit_length() - 1
-            bits ^= 1 << u
-            keys, masks = index[u]
-            reach |= masks[bisect_right(keys, key)]
-        frontier = reach & ~seen
-        seen |= frontier
-    if not frontier:
-        return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
-    preds: dict[int, int] = {}  # kept node -> bitset of its predecessors
-    kept = [[dst]]
-    for layer in reversed(layers):  # layers[0] is the root alone
-        reach = 0
-        for v in kept[-1]:
-            keys, masks = index[v]
-            preds[v] = bits = masks[bisect_right(keys, key)] & layer
-            reach |= bits
-        kept.append(_ids(reach))
+    layers = ([1 << root], [1 << dst])  # hop layers from root and from dst
+    seen = [1 << root, 1 << dst]
+    meet = seen[0] & seen[1]
+    while not meet:
+        side = layers[0][-1].bit_count() > layers[1][-1].bit_count()
+        frontier = _reach(index, key, layers[side][-1]) & ~seen[side]
+        if not frontier:
+            return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
+        layers[side].append(frontier)
+        seen[side] |= frontier
+        meet = frontier & seen[not side]
+    # kept[h]: the nodes h hops from root on dst's min-hop paths
+    kept = [meet]
+    for layer in reversed(layers[0][:-1]):
+        kept.append(_reach(index, key, kept[-1]) & layer)
+    kept.reverse()
+    for layer in reversed(layers[1][:-1]):
+        kept.append(_reach(index, key, kept[-1]) & layer)
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
     link_between = t.link_between
-    for hops, layer in enumerate(reversed(kept[:-1]), 1):  # kept[-1] is [root]
-        for v in layer:
-            bits = preds[v]
+    for hops in range(1, len(kept)):
+        before, layer = kept[hops - 1], kept[hops]
+        while layer:
+            low = layer & -layer
+            v = low.bit_length() - 1
+            layer ^= low
+            keys, masks = index[v]
+            bits = masks[bisect_right(keys, key)] & before
             best = None
             # lowest bit first: u ascending, so strict < keeps the smaller u
             # on a tie

@@ -17,6 +17,7 @@ from fitroute import (
     select_route,
 )
 from fitroute.fitness import (
+    SpanningTree,
     build_spanning_tree,
     classify_outcome,
     edge_cost,
@@ -192,6 +193,13 @@ def test_tree_rejects_bad_root():
 def test_tree_rejects_bad_demand(demand):
     # nan would gate out every link and yield a root-only tree; a negative
     # demand would cross every link
+    with pytest.raises(ValueError, match="demand"):
+        build_spanning_tree(line_topology(3), 0, UNIT, demand, 2)
+
+
+@pytest.mark.parametrize("demand", [True, False, "5", None])
+def test_tree_rejects_non_number_demand(demand):
+    # True would gate at demand 1; a str would raise TypeError in the gate
     with pytest.raises(ValueError, match="demand"):
         build_spanning_tree(line_topology(3), 0, UNIT, demand, 2)
 
@@ -427,6 +435,98 @@ def test_tree_to_its_own_root_does_no_work():
     tree = build_spanning_tree(line_topology(5), 2, UNIT, 0.0, 2)
     assert tree.label == {2: (0, 0.0)}
     assert tree.relaxations == 0
+
+
+# --- the two-sided search: hop layers grow from root and from dst, each step
+# from the side whose last layer has fewer nodes (root on a tie), until they
+# meet; the comments trace the steps ---
+
+
+def search_equals_full_tree(t: Topology, src: int, dst: int,
+                            demand: float = 0.0) -> SpanningTree:
+    """The search for dst, asserted to give the outcome of the full gated
+    tree from src and, on every node it labels, its labels and parents."""
+    tree = build_spanning_tree(t, src, UNIT, demand, dst)
+    full = full_gated_tree(t, src, UNIT, demand)
+    assert classify_outcome(t, tree) == full_tree_outcome(t, full, dst)
+    assert tree.label == {v: full.label[v] for v in tree.label}
+    assert tree.parent == {v: full.parent[v] for v in tree.label if v != src}
+    return tree
+
+
+def unit_links(*pairs, bandwidth: float = 10.0) -> tuple[QosLink, ...]:
+    """Links over the given pairs, each of delay 1 and no jitter or loss."""
+    return tuple(QosLink(a, b, bandwidth, 1.0, 0.0, 0.0) for a, b in pairs)
+
+
+def test_two_sided_search_meets_on_a_root_step():
+    # root grows {1, 2}; dst grows {3, 4, 6}; root grows {3, 4}, which
+    # touches dst's seen set: 3 hops, met on a root step; 6, in dst's last
+    # layer, is on no min-hop path
+    t = Topology(7, unit_links((0, 1), (0, 2), (1, 3), (2, 4), (3, 5),
+                               (4, 5), (5, 6)))
+    tree = search_equals_full_tree(t, 0, 5)
+    assert set(tree.label) == set(range(6))
+    assert tree.path_to(5) == [0, 1, 3, 5]
+
+
+def test_two_sided_search_meets_on_a_dst_step():
+    # root grows {1, 2}; dst grows {4}, then {3}, then {1, 2, 6}, which
+    # touches root's seen set: 4 hops, met on a dst step; 6, in dst's last
+    # layer, is on no min-hop path
+    t = Topology(7, unit_links((0, 1), (0, 2), (1, 3), (2, 3), (3, 4),
+                               (4, 5), (3, 6)))
+    tree = search_equals_full_tree(t, 0, 5)
+    assert set(tree.label) == set(range(6))
+    assert tree.label[5] == (4, 4.0)
+    assert tree.path_to(5) == [0, 1, 3, 4, 5]
+
+
+def test_two_sided_search_refuses_when_dst_side_runs_dry():
+    # root grows {1, 2}; dst, linked to 1 only below the demand, grows
+    # nothing
+    t = Topology(4, unit_links((0, 1), (0, 2))
+                 + unit_links((1, 3), bandwidth=2.0))
+    tree = search_equals_full_tree(t, 0, 3, demand=5.0)
+    assert tree.label == {0: (0, 0.0)} and tree.relaxations == 0
+    assert isinstance(classify_outcome(t, tree), NoSufficientBandwidth)
+
+
+def test_two_sided_search_refuses_when_root_side_runs_dry():
+    # root grows {1, 2}; dst grows {3, 4}; a tie, so root grows from the
+    # dead ends 1 and 2 and finds nothing new; 0-3 is below the demand
+    t = Topology(6, unit_links((0, 1), (0, 2), (3, 5), (4, 5), (3, 4))
+                 + unit_links((0, 3), bandwidth=2.0))
+    tree = search_equals_full_tree(t, 0, 5, demand=5.0)
+    assert tree.label == {0: (0, 0.0)} and tree.relaxations == 0
+    assert isinstance(classify_outcome(t, tree), NoSufficientBandwidth)
+
+
+def test_two_sided_search_on_a_lopsided_graph():
+    # root is the hub of an 8-leaf star, dst the end of a chain off leaf 1:
+    # root grows its 8 leaves once, then dst grows its chain one node a step
+    # until it reaches leaf 1
+    t = Topology(14, unit_links(*((0, leaf) for leaf in range(1, 9)),
+                                (1, 9), (9, 10), (10, 11), (11, 12), (12, 13)))
+    tree = search_equals_full_tree(t, 0, 13)
+    assert tree.path_to(13) == [0, 1, 9, 10, 11, 12, 13]
+    assert set(tree.label) == {0, 1, 9, 10, 11, 12, 13}
+    # and back: the chain's end is now the root, and its side grows every
+    # step until it reaches the hub
+    assert search_equals_full_tree(t, 13, 0).path_to(0) == [
+        13, 12, 11, 10, 9, 1, 0]
+
+
+def test_two_sided_search_tie_after_the_meeting_layer():
+    # root grows {1, 2, 3}; dst grows {5, 6}, then {4}, then {1}, which
+    # touches root's seen set at 1 hop; 4, 5, 6 and dst were reached from
+    # the dst side, and dst ties between 6 and 5: the smaller id wins
+    t = Topology(8, unit_links((0, 1), (0, 2), (0, 3), (1, 4), (4, 6),
+                               (4, 5), (6, 7), (5, 7)))
+    tree = search_equals_full_tree(t, 0, 7)
+    assert tree.label[7] == (4, 4.0)
+    assert tree.path_to(7) == [0, 1, 4, 5, 7]
+    assert set(tree.label) == {0, 1, 4, 5, 6, 7}
 
 
 def test_select_route_builds_no_pruned_topology(monkeypatch):
