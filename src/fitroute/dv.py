@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import Topology, remove_link
+from .topology import Topology, is_int, remove_link
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,11 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
     Each step goes to the smallest-id neighbor one metric closer to dst.
     The metric strictly decreases, so the walk cannot cycle; a node with no
     such neighbor means s is not a fixed point and raises RuntimeError.
+    src and dst must be int node ids (not bools), else ValueError.
     """
     n = s.topology.n
-    if not (0 <= src < n and 0 <= dst < n):
-        raise ValueError(f"query ({src}, {dst}) outside [0, {n})")
+    if not (is_int(src) and is_int(dst) and 0 <= src < n and 0 <= dst < n):
+        raise ValueError(f"query ({src!r}, {dst!r}) needs int node ids in [0, {n})")
     if s.dist[src][dst] >= s.infinity_metric:
         return None
     path = [src]
@@ -204,16 +205,21 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
     """Converge on t, remove link {a, b} and record the probe node's metric
     toward dest each synchronous round on the failed topology.
 
-    Every input is checked before any round runs, else ValueError: probe and
-    dest must lie in [0, n), {a, b} must be a link of t, max_rounds at least
-    1 and infinity_metric an integer at least 2. Only dest's column is
-    computed: its converged column on t, then one full recompute of it per
-    round on the failed topology, equal round for round to the full
-    exchange's. Rounds stop when the probe metric caps at the infinity
-    metric, when the column stops changing (the failure did not affect any
-    route toward dest, or counting has finished), or after max_rounds. The
-    trace keeps the failed topology.
+    Every input is checked before any round runs, else ValueError: probe,
+    dest and max_rounds must be ints (not bools), probe and dest in [0, n),
+    {a, b} a link of t, max_rounds at least 1 and infinity_metric an
+    integer at least 2. Only dest's column is computed: its converged
+    column on t, then one full recompute of it per round on the failed
+    topology, equal round for round to the full exchange's. Rounds stop
+    when the probe metric caps at the infinity metric, when the column
+    stops changing (the failure did not affect any route toward dest, or
+    counting has finished), or after max_rounds. The trace keeps the failed
+    topology.
     """
+    for name, value in (("probe", probe), ("dest", dest),
+                        ("max_rounds", max_rounds)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     for name, node in (("probe", probe), ("dest", dest)):

@@ -36,6 +36,7 @@ from .topology import (
     Topology,
     generate_topology_rng,
     is_int,
+    is_number,
     topology_fingerprint,
 )
 # unused here; kept importable because the benchmark's tracer wraps these names
@@ -72,7 +73,7 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         if self.query_count < 0:
             raise ValueError("query_count must be non-negative")
-        if isinstance(self.demand, bool) or not 0 <= self.demand < math.inf:
+        if not is_number(self.demand) or not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
         dv_engine.check_infinity(self.infinity_metric)
         if self.explicit_queries is not None:

@@ -33,10 +33,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from numbers import Real
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology, is_int
+from .topology import QosLink, Topology, is_int, is_number
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
@@ -52,8 +51,8 @@ class Weights:
 
     def __post_init__(self):
         weights = (self.delay, self.jitter, self.loss)
-        if any(isinstance(x, bool) for x in weights):
-            raise ValueError("weights must be numbers, not bools")
+        if not all(map(is_number, weights)):
+            raise ValueError(f"weights must be numbers, not bools: {weights!r}")
         if not all(0 <= x < math.inf for x in weights):
             raise ValueError("weights must be finite and non-negative")
         if self.delay == self.jitter == self.loss == 0:
@@ -73,7 +72,7 @@ class RouteRequest:
     def __post_init__(self):
         if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
-        if isinstance(self.demand, bool) or not 0 <= self.demand < math.inf:
+        if not is_number(self.demand) or not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
 
 
@@ -190,10 +189,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     neighbours of the one before it, within root's layers towards root and
     within dst's towards dst; these are the nodes on dst's min-hop paths.
     Cost: layer by layer from root, each kept node weighs all its gated
-    neighbours in the kept layer before, as a search of the whole gated
-    component would, so it gets the same label and parent. Each node is
-    labelled once and each link costed at most once, so the search is
-    bounded whatever the topology.
+    neighbours in the kept layer before, reading each link off its
+    t.adjacency map, as a search of the whole gated component would, so it
+    gets the same label and parent. Each node is labelled once and each
+    link costed at most once, so the search is bounded whatever the
+    topology.
     """
     if not (is_int(root) and is_int(dst)):
         raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
@@ -201,8 +201,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
         raise ValueError(f"root {root} outside [0, {t.n})")
     if not 0 <= dst < t.n:
         raise ValueError(f"dst {dst} outside [0, {t.n})")
-    if (isinstance(demand, bool) or not isinstance(demand, Real)
-            or not 0 <= demand < math.inf):
+    if not is_number(demand) or not 0 <= demand < math.inf:
         raise ValueError(f"demand must be a finite number >= 0, got {demand!r}")
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
@@ -227,13 +226,14 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
-    link_between = t.link_between
+    adjacency = t.adjacency
     for hops in range(1, len(kept)):
         before, layer = kept[hops - 1], kept[hops]
         while layer:
             low = layer & -layer
             v = low.bit_length() - 1
             layer ^= low
+            links = adjacency[v]
             keys, masks = index[v]
             bits = masks[bisect_right(keys, key)] & before
             best = None
@@ -243,7 +243,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
                 low = bits & -bits
                 u = low.bit_length() - 1
                 bits ^= low
-                cost = label[u][1] + edge_cost(link_between(u, v), w)
+                cost = label[u][1] + edge_cost(links[u], w)
                 if best is None or cost < best:
                     best, pred = cost, u
                 relaxations += 1

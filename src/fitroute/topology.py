@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from numbers import Real
 from operator import or_
 
 _MASK64 = (1 << 64) - 1
@@ -25,6 +26,12 @@ def is_int(value) -> bool:
     """True for an int that is not a bool: bool subclasses int, but True is
     no node id or count, and JSON would echo it as `true`."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """True for a real number that is not a bool: a str or None would fail
+    later inside a comparison with TypeError, and True is no quantity."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class SplitMix64:
@@ -113,8 +120,9 @@ class GenParams:
     def __post_init__(self):
         values = (self.edge_prob, *self.bandwidth_range, *self.delay_range,
                   *self.jitter_range, *self.loss_range)
-        if any(isinstance(x, bool) for x in values):
-            raise ValueError("generator parameters must be numbers, not bools")
+        if not all(map(is_number, values)):
+            raise ValueError(
+                f"generator parameters must be numbers, not bools: {values!r}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
@@ -131,22 +139,21 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable undirected graph: node count plus QoS links keyed by pair.
+    """Immutable undirected graph: node count plus QoS links.
 
-    Links are stored sorted by (a, b). `adjacency[x]` is node x's neighbour
-    ids in ascending order, built once at construction and shared by every
-    traversal: x receives its neighbours a < x from the links (a, x), then
-    its neighbours b > x from the links (x, b). `components` (which tells a
-    refusal from an unreachable verdict) and `bandwidth_index` (which gates
-    the route search's bitset layers) are memoised on first read, outside
-    the compared fields.
+    Links are stored sorted by (a, b). `adjacency[x]` maps node x's
+    neighbour ids, ascending, to the links joining them, built once and
+    shared by every traversal and link lookup: x gets its neighbours a < x
+    from the links (a, x), then b > x from the links (x, b). `components`
+    (which tells a refusal from an unreachable verdict) and `bandwidth_index`
+    (which gates the route search's bitset layers) are memoised on first
+    read, outside the compared fields.
     """
 
     n: int
     links: tuple[QosLink, ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
-                                                   compare=False)
-    _by_pair: dict = field(init=False, repr=False, compare=False)
+    adjacency: tuple[dict[int, QosLink], ...] = field(init=False, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         if not is_int(self.n):
@@ -155,21 +162,19 @@ class Topology:
             raise ValueError("topology needs at least one node")
         links = tuple(sorted(self.links, key=lambda l: l.pair))
         object.__setattr__(self, "links", links)
-        by_pair: dict[tuple[int, int], QosLink] = {}
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+        adj: list[dict[int, QosLink]] = [{} for _ in range(self.n)]
         for link in links:
             if link.b >= self.n:
                 raise ValueError(f"link {link.pair} endpoint outside [0, {self.n})")
-            if link.pair in by_pair:
+            if link.b in adj[link.a]:
                 raise ValueError(f"duplicate link {link.pair}")
-            by_pair[link.pair] = link
-            adj[link.a].append(link.b)
-            adj[link.b].append(link.a)
-        object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
+            adj[link.a][link.b] = link
+            adj[link.b][link.a] = link
+        object.__setattr__(self, "adjacency", tuple(adj))
 
     def link_between(self, a: int, b: int) -> QosLink | None:
-        return self._by_pair.get((a, b) if a < b else (b, a))
+        """The link {a, b} for int ids, or None (a negative a must not wrap)."""
+        return self.adjacency[a].get(b) if 0 <= a < self.n else None
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -183,17 +188,15 @@ class Topology:
 
     @cached_property
     def bandwidth_index(self) -> tuple[tuple[tuple[float, ...], tuple[int, ...]], ...]:
-        """Per node, (keys, masks): keys are its links' bandwidths negated,
-        ascending, and masks[i] the neighbour bitset (bit b for neighbour b)
-        of its first i links, so masks[bisect_right(keys, -demand)] holds
-        its neighbours over links with bandwidth >= demand."""
-        rows: list[list[tuple[float, int]]] = [[] for _ in range(self.n)]
-        for link in self.links:
-            rows[link.a].append((-link.bandwidth, 1 << link.b))
-            rows[link.b].append((-link.bandwidth, 1 << link.a))
+        """Per node, (keys, masks) from its adjacency map: keys are its links'
+        bandwidths negated, ascending, and masks[i] the neighbour bitset (bit
+        b for neighbour b) of its first i links, so masks[bisect_right(keys,
+        -demand)] holds its neighbours over links with bandwidth >= demand."""
+        rows = (sorted((-link.bandwidth, 1 << b) for b, link in links.items())
+                for links in self.adjacency)
         return tuple((tuple(key for key, _ in row),
                       tuple(accumulate((bit for _, bit in row), or_, initial=0)))
-                     for row in map(sorted, rows))
+                     for row in rows)
 
 
 DEFAULT_GEN_PARAMS = GenParams()
@@ -249,8 +252,9 @@ def feasible_subgraph(t: Topology, demand: float) -> Topology:
 
 
 def remove_link(t: Topology, a: int, b: int) -> Topology:
-    """Copy of `t` without the link {a, b}. Missing link is an error."""
-    gone = t.link_between(a, b)
+    """Copy of `t` without the link {a, b}. A missing link, or a or b not an
+    int node id, is an error."""
+    gone = t.link_between(a, b) if is_int(a) and is_int(b) else None
     if gone is None:
         raise ValueError(f"{a}:{b} is not a link of the topology")
     return Topology(t.n, tuple(l for l in t.links if l is not gone))

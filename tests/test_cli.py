@@ -276,6 +276,14 @@ def test_demo_rejects_missing_link(capsys):
     assert "not a link" in err
 
 
+def test_demo_rejects_negative_link_end(capsys):
+    # on the line 0-1-2, node -1 must not index the last node's links and
+    # fail link 1-2; argparse reads a bare "-1:1" as an option, hence "="
+    code, out, err = run(capsys, "demo-count-to-infinity", "--fail=-1:1")
+    assert (code, out) == (2, "")
+    assert "-1:1 is not a link of the topology" in err
+
+
 def test_demo_rejects_bad_probe(capsys):
     code, _, err = run(capsys, "demo-count-to-infinity", "--probe", "9")
     assert code == 2

@@ -267,6 +267,25 @@ def test_trace_rejects_nodes_outside_the_topology(probe, dest):
         fail_link_and_trace(line_topology(3), 1, 2, probe, dest, 64)
 
 
+@pytest.mark.parametrize("args", [
+    (True, 2, 0, 2, 4), (1, 2.0, 0, 2, 4),  # the failed link's ends
+    (1, 2, True, 2, 4), (1, 2, 0, False, 4), (1, 2, 0.0, 2, 4),
+    (1, 2, 0, "2", 4), (1, 2, 0, 2, 2.5), (1, 2, 0, 2, True),
+])
+def test_trace_rejects_non_int_nodes_and_rounds(args):
+    # True would trace node 1; 2.5 rounds would fail in range() with TypeError
+    with pytest.raises(ValueError, match="must be an int|not a link"):
+        fail_link_and_trace(line_topology(3), *args)
+
+
+@pytest.mark.parametrize("src, dst", [(True, 2), (0, False), (0.0, 2),
+                                      (0, "2"), (None, 2)])
+def test_extract_path_rejects_non_int_nodes(src, dst):
+    # (True, 2) would walk to [True, 2]
+    with pytest.raises(ValueError, match="int node ids"):
+        extract_path(converged_line(), src, dst)
+
+
 @given(st.data())
 def test_trace_settles_on_the_failed_topology_distance(data):
     # counting ends at the capped BFS distance on the failed topology, or at

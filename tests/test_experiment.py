@@ -117,7 +117,7 @@ def test_config_rejects_bad_infinity_metric(bad):
         ExperimentConfig(n=1024, infinity_metric=bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "5", None])
 def test_config_rejects_non_finite_demand(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(demand=bad)

@@ -85,7 +85,7 @@ def test_weights_validation():
     Weights(0.0, 0.0, 2.0)  # a single positive weight is fine
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "5", None])
 def test_weights_and_demand_reject_non_finite(bad):
     with pytest.raises(ValueError):
         Weights(1.0, bad, 1.0)

@@ -17,7 +17,8 @@ from fitroute.topology import (
 )
 
 from helpers import (cut_topologies, drawn_topologies, fnv1a64_reference,
-                     is_connected, line_topology, triangle_topology)
+                     grid_topologies, is_connected, line_topology,
+                     triangle_topology)
 
 
 # --- SplitMix64 ---
@@ -121,7 +122,7 @@ def test_gen_params_validation():
 
 @pytest.mark.parametrize("name", ["bandwidth_range", "delay_range",
                                   "jitter_range", "loss_range"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, "5", None])
 def test_gen_params_rejects_non_finite_ranges(name, bad):
     with pytest.raises(ValueError):
         GenParams(**{name: (0.5, bad)})
@@ -151,6 +152,19 @@ def test_adjacency_sorted_by_neighbor():
     ))
     assert list(t.adjacency[1]) == [0, 2, 3]
     assert t.links == tuple(sorted(t.links, key=lambda l: l.pair))
+
+
+@given(st.one_of(drawn_topologies(), cut_topologies(), grid_topologies()))
+def test_adjacency_maps_each_neighbour_to_its_link(t):
+    for a in range(t.n):
+        touching = {l.a + l.b - a: l for l in t.links if a in l.pair}
+        assert t.adjacency[a] == touching
+        assert list(t.adjacency[a]) == sorted(touching)
+    # ids just outside [0, n) too: -1 must not index the last node
+    for a in range(-1, t.n + 1):
+        for b in range(-1, t.n + 1):
+            scan = [l for l in t.links if l.pair in ((a, b), (b, a))]
+            assert t.link_between(a, b) is (scan[0] if scan else None)
 
 
 # --- generation ---
