@@ -30,6 +30,7 @@ from .topology import (
     GenParams,
     QosLink,
     Topology,
+    check_seed,
     format_topology,
     generate_topology,
     parse_topology,
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run both engines over a seeded topology")
     compare.add_argument("--nodes", type=int, default=None,
                          help="node count, 1..1024 (default 16)")
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=int, default=0,
+                         help="0..2^64-1 (default 0)")
     compare.add_argument("--queries", type=int, default=20,
                          help="random query count (default 20)")
     compare.add_argument("--query", metavar="SRC:DST", action="append",
@@ -101,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--weights", metavar="WD,WJ,WL", default="1,1,1",
                          help="delay,jitter,loss cost weights (default 1,1,1)")
     compare.add_argument("--infinity", type=int, default=16,
-                         help="distance-vector unreachability cap (default 16)")
+                         help="distance-vector unreachability cap, 2..1024 "
+                              "(default 16)")
     compare.add_argument("--format", choices=("table", "csv", "json"),
                          default="table")
     compare.add_argument("--out", metavar="FILE", default=None,
@@ -121,14 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="node whose metric is traced (default 0)")
     demo.add_argument("--dest", type=int, default=2,
                       help="destination being counted toward (default 2)")
-    demo.add_argument("--infinity", type=int, default=16)
+    demo.add_argument("--infinity", type=int, default=16,
+                      help="unreachability cap, 2..1024 (default 16)")
     demo.add_argument("--max-rounds", type=int, default=64)
     demo.add_argument("--out", metavar="FILE", default=None)
 
     gen = sub.add_parser("gen-topology", help="write a topology file")
     gen.add_argument("--nodes", type=int, required=True,
                      help="node count, 1..1024")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="0..2^64-1 (default 0)")
     gen.add_argument("--out", metavar="FILE", default=None)
     _add_gen_flags(gen)
 
@@ -224,6 +229,7 @@ def _cmd_demo(args) -> int:
 
 def _cmd_gen(args) -> int:
     _check_nodes(args.nodes)
+    check_seed(args.seed)
     t = generate_topology(args.nodes, _gen_params(args), args.seed)
     _emit(format_topology(t), args.out)
     return 0

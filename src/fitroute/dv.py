@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import Topology, is_int, remove_link
+from .topology import MAX_NODES, Topology, is_int, remove_link
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,16 @@ class DvTrace:
 
 
 def check_infinity(infinity_metric: int) -> None:
+    """An infinity metric is an int in 2..MAX_NODES, else ValueError. No hop
+    metric on a topology of at most MAX_NODES nodes reaches MAX_NODES, and
+    counting to infinity takes about infinity_metric rounds, so the bound
+    keeps every run finite."""
     if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
         raise ValueError(
             f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
+    if infinity_metric > MAX_NODES:
+        raise ValueError(f"infinity_metric must be at most {MAX_NODES}, "
+                         f"got {infinity_metric}")
 
 
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:

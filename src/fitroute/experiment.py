@@ -34,6 +34,7 @@ from .topology import (
     GenParams,
     SplitMix64,
     Topology,
+    check_seed,
     generate_topology_rng,
     is_int,
     is_number,
@@ -65,10 +66,10 @@ class ExperimentConfig:
     infinity_metric: int = 16
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("seed", self.seed),
-                            ("query_count", self.query_count)):
+        for name, value in (("n", self.n), ("query_count", self.query_count)):
             if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_seed(self.seed)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.query_count < 0:
@@ -211,7 +212,11 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
           demand: float) -> tuple[str | None, list[tuple[int, int, float | None]]]:
     """One pass over a path: why it is not a simple src->dst walk (None when
     it is), and its steps (u, v, bandwidth) that are not links (bandwidth
-    None) or carry less than the demand."""
+    None) or carry less than the demand. A path holding an id that is not
+    an int node id of t (5.0 equals 5, and would index t) has no steps."""
+    if not all(is_int(v) and 0 <= v < t.n for v in path):
+        return (f"{_path_text(path)} holds an id that is not an int in "
+                f"[0, {t.n})", [])
     reason = None
     if not path or path[0] != src or path[-1] != dst:
         reason = f"endpoints of {list(path)} do not match query {src}->{dst}"

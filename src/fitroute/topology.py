@@ -9,8 +9,10 @@ decision is drawn from an explicit SplitMix64 stream in a fixed order.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -26,6 +28,13 @@ def is_int(value) -> bool:
     """True for an int that is not a bool: bool subclasses int, but True is
     no node id or count, and JSON would echo it as `true`."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """A seed is an int in [0, 2^64), else ValueError: SplitMix64 reads it
+    mod 2^64, so s and s + 2^64 would be one run echoing two seeds."""
+    if not (is_int(seed) and 0 <= seed <= _MASK64):
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def is_number(value) -> bool:
@@ -118,6 +127,11 @@ class GenParams:
     loss_range: tuple[float, float] = (0.0, 0.05)
 
     def __post_init__(self):
+        names = ("bandwidth_range", "delay_range", "jitter_range", "loss_range")
+        for name in names:
+            pair = getattr(self, name)
+            if not (isinstance(pair, Sequence) and len(pair) == 2):
+                raise ValueError(f"{name} must be a (min, max) pair, got {pair!r}")
         values = (self.edge_prob, *self.bandwidth_range, *self.delay_range,
                   *self.jitter_range, *self.loss_range)
         if not all(map(is_number, values)):
@@ -125,7 +139,7 @@ class GenParams:
                 f"generator parameters must be numbers, not bools: {values!r}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
-        for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
+        for name in names:
             lo, hi = getattr(self, name)
             if not -math.inf < lo <= hi < math.inf:
                 raise ValueError(f"{name} needs finite min <= max: ({lo}, {hi})")
@@ -281,13 +295,16 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
 
 def format_topology(t: Topology) -> str:
     """Canonical text form: `n=<count>` then one `a b bw delay jitter loss`
-    line per link, ascending (a, b), attributes as 6-significant-digit
-    decimals. This is the replay/debug file format and the fingerprint input.
+    line per link, ascending (a, b), each attribute written as the `repr` of
+    its float, the shortest decimal that reads back as the same float. So
+    parse_topology(format_topology(t)) == t, and equal topologies (an int
+    attribute equals its float) have one text. This is the replay/debug
+    file format and the fingerprint input.
     """
     lines = [f"n={t.n}"]
     for l in t.links:
-        lines.append(f"{l.a} {l.b} {l.bandwidth:.6g} {l.delay:.6g} "
-                     f"{l.jitter:.6g} {l.loss:.6g}")
+        lines.append(f"{l.a} {l.b} {float(l.bandwidth)!r} {float(l.delay)!r} "
+                     f"{float(l.jitter)!r} {float(l.loss)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -314,20 +331,7 @@ def parse_topology(text: str) -> Topology:
 
 
 def topology_fingerprint(t: Topology) -> int:
-    """64-bit FNV-1a hash of the canonical file bytes.
-
-    Four bytes per step, reduced mod 2^64 once per step: XOR with a byte and
-    multiplication mod 2^64 depend only on h mod 2^64, so the result equals
-    the byte-at-a-time hash.
-    """
+    """BLAKE2b-64 (RFC 7693) of the canonical text's UTF-8 bytes, read as a
+    big-endian int: `b2sum -l 64` of the file gen-topology writes."""
     data = format_topology(t).encode("utf-8")
-    prime, mask = 0x100000001B3, _MASK64
-    h = 0xCBF29CE484222325
-    tail = len(data) - len(data) % 4
-    it = iter(data[:tail])
-    for b0, b1, b2, b3 in zip(it, it, it, it):
-        h = ((((((((h ^ b0) * prime) ^ b1) * prime) ^ b2) * prime) ^ b3)
-             * prime) & mask
-    for byte in data[tail:]:
-        h = ((h ^ byte) * prime) & mask
-    return h
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")

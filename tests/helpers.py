@@ -87,16 +87,6 @@ def report_json_reference(report: ComparisonReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def fnv1a64_reference(data: bytes) -> int:
-    """64-bit FNV-1a (Fowler-Noll-Vo, draft-eastlake-fnv), one byte per step
-    as the algorithm is published."""
-    h = 0xCBF29CE484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001B3) & ((1 << 64) - 1)
-    return h
-
-
 def full_gated_tree(t: Topology, root: int, w: Weights,
                     demand: float) -> SpanningTree:
     """The reference search: minimum (hops, cost) labels over the whole of

@@ -38,14 +38,15 @@ def test_compare_output_is_pure_function_of_args(capsys):
 
 
 # SHA-256 of the JSON reports as the engine wrote them before link costs
-# were memoised per topology and weights; every ff_cost float is covered.
-# The sparse run refuses 106 of its rows.
+# were memoised per topology and weights, with the "fingerprint" line
+# rewritten to BLAKE2b-64; every ff_cost float is covered. The sparse run
+# refuses 106 of its rows.
 @pytest.mark.parametrize("argv, digest", [
     (("--nodes", "128"),
-     "1e86aa659b07d470351cbe84ed3fc7644c10c00aea4d4d7b63464ad863636b06"),
+     "714b64ce7694bd961edfde304d32b7572a13003657b03b7b25ce1c4b706f8617"),
     (("--nodes", "256", "--edge-prob", "0.016", "--demand", "50"),
-     "e0c5f7f4d8d188a606e3be8ae0b61b3a60a197fa8b1c42736193f47fbb509bdb"),
-])
+     "02add0fd76632a0e2ae4ab430240931c780640291678da8b7d6a4b50fcfcebda"),
+], ids=["dense-n128", "sparse-n256"])
 def test_compare_report_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, "compare", *argv, "--seed", "1",
                        "--queries", "1000", "--format", "json")
@@ -153,6 +154,28 @@ def test_compare_rejects_bad_infinity_before_generating(capsys, monkeypatch,
     assert f"infinity_metric must be an integer >= 2, got {infinity}" in err
 
 
+def test_compare_rejects_infinity_above_max_nodes(capsys, monkeypatch):
+    def no_generation(*args):
+        raise AssertionError("generated a topology for a rejected config")
+
+    monkeypatch.setattr("fitroute.experiment.generate_topology_rng",
+                        no_generation)
+    code, out, err = run(capsys, "compare", "--infinity", "1025")
+    assert (code, out) == (2, "")
+    assert "infinity_metric must be at most 1024, got 1025" in err
+
+
+@pytest.mark.parametrize("command", [["compare", "--queries", "3"],
+                                     ["gen-topology", "--nodes", "5"]])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616",
+                                  "18446744073709551617"])
+def test_seed_outside_u64_exits_2(capsys, command, seed):
+    # 2^64 + 1 would give seed 1's run, echoing another seed
+    code, out, err = run(capsys, *command, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert f"seed must be an integer in [0, 2^64), got {seed}" in err
+
+
 def test_compare_rejects_out_of_range_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "0:9")
     assert code == 2
@@ -237,6 +260,28 @@ def test_replayed_file_draws_the_generated_queries(tmp_path, capsys):
     assert replayed == generated
 
 
+@pytest.mark.parametrize("nodes, seed, gen, demand", [
+    ("40", 3, (), "5"),
+    # bandwidths within 1e-5 of the demand: a rounded file would refuse or
+    # route rows the generated run does not
+    *(("30", seed, ("--bw", "4.99999:5.00001"), "5") for seed in range(40)),
+])
+def test_replayed_json_report_equals_the_generated_one(tmp_path, capsys, nodes,
+                                                       seed, gen, demand):
+    path = tmp_path / "topo.txt"
+    code, _, _ = run(capsys, "gen-topology", "--nodes", nodes, "--seed",
+                     str(seed), *gen, "--out", str(path))
+    assert code == 0
+    argv = ("--seed", str(seed), "--queries", "50", "--demand", demand,
+            "--format", "json", *gen)
+    code, replayed, _ = run(capsys, "compare", "--topology", str(path), *argv)
+    assert code == 0
+    _, generated, _ = run(capsys, "compare", "--nodes", nodes, *argv)
+    assert replayed == generated
+    digest = hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
+    assert json.loads(replayed)["fingerprint"] == digest
+
+
 def test_compare_replay_node_mismatch(tmp_path, capsys):
     path = tmp_path / "topo.txt"
     run(capsys, "gen-topology", "--nodes", "9", "--seed", "21",
@@ -296,6 +341,20 @@ def test_demo_rejects_max_rounds_below_one(capsys, rounds):
     assert code == 2
     assert out == ""
     assert "max_rounds" in err
+
+
+def test_demo_rejects_infinity_above_max_nodes(capsys, monkeypatch):
+    # counting to 10^20 would take about 10^20 rounds whatever --max-rounds
+    # says; fail before any column is built
+    def no_rounds(*args):
+        raise AssertionError("ran a trace for a rejected infinity")
+
+    monkeypatch.setattr("fitroute.dv._column", no_rounds)
+    code, out, err = run(capsys, "demo-count-to-infinity",
+                         "--infinity", "100000000000000000000",
+                         "--max-rounds", "100000000")
+    assert (code, out) == (2, "")
+    assert "infinity_metric must be at most 1024" in err
 
 
 def test_demo_custom_topology(tmp_path, capsys):

@@ -13,7 +13,7 @@ from fitroute.dv import (
     format_trace,
     init_tables,
 )
-from fitroute.topology import bfs_hops, remove_link
+from fitroute.topology import MAX_NODES, bfs_hops, remove_link
 
 from helpers import line_topology
 
@@ -220,6 +220,20 @@ def test_extracted_paths_simple_and_consistent(seed):
             assert len(set(path)) == len(path)
             assert len(path) - 1 == s.dist[src][dst]
             assert all(t.link_between(u, v) for u, v in zip(path, path[1:]))
+
+
+def test_engine_bounds_infinity_by_max_nodes():
+    # counting to infinity takes about infinity_metric rounds, and no hop
+    # metric on a topology the file format accepts reaches MAX_NODES
+    t = line_topology(3)
+    for run in (lambda: converge(t, MAX_NODES + 1),
+                lambda: init_tables(t, MAX_NODES + 1),
+                lambda: fail_link_and_trace(t, 1, 2, 0, 2, 10**8, 10**20)):
+        with pytest.raises(ValueError, match=f"at most {MAX_NODES}"):
+            run()
+    trace = fail_link_and_trace(t, 1, 2, 0, 2, 10**8, MAX_NODES)
+    assert trace.entries[-1][1] == MAX_NODES
+    assert len(trace.entries) < 2 * MAX_NODES
 
 
 # --- count-to-infinity ---

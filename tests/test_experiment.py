@@ -117,6 +117,14 @@ def test_config_rejects_bad_infinity_metric(bad):
         ExperimentConfig(n=1024, infinity_metric=bad)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0])
+def test_config_rejects_seeds_outside_u64(seed):
+    # SplitMix64 reads a seed mod 2^64: 2^64 + 1 would run seed 1's rows
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "5", None])
 def test_config_rejects_non_finite_demand(bad):
     with pytest.raises(ValueError):
@@ -407,6 +415,23 @@ def test_detects_empty_dv_path():
     report, t = refusal_report()
     bad = tamper(report, 0, dv_path=())
     assert flagged(bad, t) == {(0, CLAIM_SIMPLE_PATH)}
+
+
+@pytest.mark.parametrize("path", [(0.0, 1, 2), (0, 1, 2.0), (0, 1.0, 2),
+                                  (0, True, 2), (0, 9, 2), (0, -1, 2)])
+@pytest.mark.parametrize("engine", ["dv", "ff"])
+def test_detects_forged_node_ids(path, engine):
+    # 2.0 == 2 would pass the endpoint check and the link lookup, so every id
+    # must be an int in [0, n) before a step is looked up
+    report, t = refusal_report()
+    if engine == "dv":
+        bad = tamper(report, 0, dv_path=path)
+    else:
+        bad = tamper(report, 0, ff=dataclasses.replace(report.rows[0].ff,
+                                                       path=path))
+    violations = verify_claims(bad, t)
+    assert {(v.row, v.claim) for v in violations} == {(0, CLAIM_SIMPLE_PATH)}
+    assert "not an int in [0, 4)" in violations[0].detail
 
 
 def test_violations_carry_row_and_detail():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from bisect import bisect_right
 
@@ -16,9 +17,8 @@ from fitroute.topology import (
     topology_fingerprint,
 )
 
-from helpers import (cut_topologies, drawn_topologies, fnv1a64_reference,
-                     grid_topologies, is_connected, line_topology,
-                     triangle_topology)
+from helpers import (cut_topologies, drawn_topologies, grid_topologies,
+                     is_connected, line_topology, triangle_topology)
 
 
 # --- SplitMix64 ---
@@ -118,6 +118,10 @@ def test_gen_params_validation():
         GenParams(bandwidth_range=(0.0, 10.0))
     with pytest.raises(ValueError, match="bools"):  # a report would echo `true`
         GenParams(edge_prob=True)
+    for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
+        for bad in (None, (0.5,), (0.5, 1.0, 2.0)):
+            with pytest.raises(ValueError, match=r"must be a \(min, max\) pair"):
+                GenParams(**{name: bad})
 
 
 @pytest.mark.parametrize("name", ["bandwidth_range", "delay_range",
@@ -233,7 +237,7 @@ def test_generation_consumes_the_draws_replay_skips(n, edge_prob, seed):
 def test_generation_fingerprint_pinned():
     # regression pin: any drift in the draw order or formatting changes this
     t = generate_topology(8, seed=42)
-    assert f"{topology_fingerprint(t):016x}" == "cc8531dd54b6e194"
+    assert f"{topology_fingerprint(t):016x}" == "fc7a89280620a29a"
 
 
 # --- feasible_subgraph ---
@@ -370,26 +374,26 @@ def test_parse_bounds_node_count_before_allocating():
     assert parse_topology("n=1024\n").n == 1024
 
 
-@pytest.mark.parametrize("data, digest", [
-    (b"", 0xCBF29CE484222325), (b"a", 0xAF63DC4C8601EC8C),
-    (b"foobar", 0x85944171F73967E8)])
-def test_fnv1a64_reference_published_vectors(data, digest):
-    assert fnv1a64_reference(data) == digest
+@given(st.one_of(drawn_topologies(), cut_topologies()))
+def test_format_is_exact_and_fingerprint_is_its_blake2b(t):
+    text = format_topology(t)
+    assert parse_topology(text) == t
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    assert topology_fingerprint(t) == int.from_bytes(digest, "big")
 
 
-@pytest.mark.parametrize("n, length", [(1, 4), (10, 5), (100, 6), (1000, 7)])
-def test_fingerprint_equals_bytewise_fnv1a_at_every_tail_length(n, length):
-    # the texts "n=1\n" .. "n=1000\n" leave every remainder mod 4 after the
-    # four-byte steps
-    data = format_topology(Topology(n, ())).encode()
-    assert len(data) == length
-    assert topology_fingerprint(Topology(n, ())) == fnv1a64_reference(data)
+def test_format_writes_int_attributes_as_floats():
+    # an int attribute equals its float, so both topologies get one text
+    as_ints = Topology(2, (QosLink(0, 1, 10, 1, 0, 0),))
+    as_floats = Topology(2, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),))
+    assert as_ints == as_floats
+    assert format_topology(as_ints) == format_topology(as_floats) == (
+        "n=2\n0 1 10.0 1.0 0.0 0.0\n")
 
 
-@given(drawn_topologies())
-def test_fingerprint_equals_bytewise_fnv1a(t):
-    data = format_topology(t).encode()
-    assert topology_fingerprint(t) == fnv1a64_reference(data)
+def test_fingerprint_is_b2sum_of_the_text():
+    # printf 'n=1\n' | b2sum -l 64
+    assert f"{topology_fingerprint(Topology(1, ())):016x}" == "49850fe19b57246b"
 
 
 def test_fingerprints_distinct_across_seeds():
