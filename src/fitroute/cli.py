@@ -30,7 +30,6 @@ from .topology import (
     GenParams,
     QosLink,
     Topology,
-    check_seed,
     format_topology,
     generate_topology,
     parse_topology,
@@ -229,16 +228,32 @@ def _cmd_demo(args) -> int:
 
 def _cmd_gen(args) -> int:
     _check_nodes(args.nodes)
-    check_seed(args.seed)
     t = generate_topology(args.nodes, _gen_params(args), args.seed)
     _emit(format_topology(t), args.out)
     return 0
 
 
+def _attach_pair_values(argv: list[str]) -> list[str]:
+    """`--fail -1:1` as `--fail=-1:1`, and so for --query and their
+    abbreviations: argparse reads a token that starts with '-' and is not a
+    number as an option, so a pair whose first id is negative would not
+    reach the node checks."""
+    out = []
+    for token in argv:
+        if (out and len(out[-1]) > 2
+                and any(flag.startswith(out[-1]) for flag in ("--fail", "--query"))
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_pair_values(argv))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

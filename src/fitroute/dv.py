@@ -13,11 +13,11 @@ In a synchronous round every node's metric toward d depends only on its
 neighbours' metrics toward d in the round before, so each destination's
 column evolves on its own. `converge(t)` builds the fixed point one column at
 a time with triggered updates, as RIP sends them (RFC 2453 section 3.10.1):
-from the initial vectors metrics only fall, so a round pushes just the
-entries that changed in the round before to their neighbours. Neighbour sets
-are bitsets built once per call, so a round is the OR of the changed
-entries' masks less the entries already set, a bitmap frontier (Beamer,
-Asanovic & Patterson, SC 2012). Every column, and the number of rounds that
+from the initial vectors metrics only fall, so only the entries set in the
+round before push to their neighbours. Neighbour sets and hop layers are
+bitsets: a round's layer is the OR of the last layer's masks less the
+entries already set, a bitmap frontier (Beamer, Asanovic & Patterson, SC
+2012), each node visited once. Every column, and the number of rounds that
 changed anything, equals the full exchange's round for round; `init_tables`
 and `exchange_round` are that full exchange.
 `fail_link_and_trace(t, ...)` checks its inputs, takes dest's converged
@@ -132,31 +132,23 @@ def _column(masks: list[int], dest: int,
     init_tables, and the number of rounds in which it changed; masks are a
     topology's neighbour bitsets (see _neighbour_masks).
 
-    The first pass sets dest's neighbours to 1, as init_tables does; round r
-    then pushes the entries round r - 1 changed to their neighbours, setting
-    those still at infinity to metric r + 1, until no entry changes or the
-    metric would reach infinity_metric. The entries a round sets are the
-    union of the changed entries' masks less every entry already set.
+    Hop layers are bitsets: layer 1 is dest's neighbours, as init_tables
+    sets them, and round r sets layer r + 1, the OR of layer r's masks less
+    the nodes set, each node visited once, until a layer is empty or the
+    metric would reach infinity_metric.
     """
     col = [infinity_metric] * len(masks)
-    col[dest] = 0
-    seen = 1 << dest
-    changed = [dest]
-    metric = 1
-    while metric < infinity_metric:
-        bits = 0
-        for u in changed:
-            bits |= masks[u]
-        bits &= ~seen
-        if not bits:
-            break
-        seen |= bits
-        changed = []
-        while bits:
-            v = bits.bit_length() - 1
-            bits ^= 1 << v
+    seen = layer = 1 << dest
+    metric = 0
+    while layer and metric < infinity_metric:
+        reach = 0
+        while layer:
+            v = layer.bit_length() - 1
+            layer ^= 1 << v
             col[v] = metric
-            changed.append(v)
+            reach |= masks[v]
+        layer = reach & ~seen
+        seen |= layer
         metric += 1
     return col, max(0, metric - 2)
 
@@ -166,7 +158,7 @@ def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     init_tables(t, infinity_metric), and the number of rounds that changed
     anything.
 
-    Each destination's column is built on its own with triggered updates
+    Each destination's column is built on its own from bitset hop layers
     (see _column) over neighbour bitsets built once per call, and stored as
     row d, hop metrics being symmetric; the table and the round count, the
     largest over the columns, equal the full exchange's.

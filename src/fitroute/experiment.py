@@ -3,12 +3,12 @@
 One experiment generates a seeded topology, converges the distance-vector
 engine once, answers every query with both engines on that identical
 instance, and re-checks each row against independent BFS oracles. The
-oracles' BFS is the module's own, a bitmap frontier over neighbour bitsets
-of the full and the bandwidth-pruned graph, sharing no code with the
-engines. Everything downstream of the config is deterministic, so reports
-are golden-file testable byte for byte. The JSON report is the stdlib's
-json.dumps(indent=2) layout byte for byte, written from a row template;
-the tests and CI check it against the stdlib encoder.
+oracles' BFS is the module's own, bitset hop layers over neighbour bitsets
+of the full and the bandwidth-pruned graph up to the last queried dst,
+sharing no code with the engines. Everything downstream of the config is
+deterministic, so reports are golden-file testable byte for byte. The JSON
+report is the stdlib's json.dumps(indent=2) layout byte for byte, written
+from a row template; the tests and CI check it against the stdlib encoder.
 """
 
 from __future__ import annotations
@@ -208,6 +208,12 @@ def run_comparison(cfg: ExperimentConfig,
         report.summary, violations=verify_claims(report, t)))
 
 
+def _is_node(v, t: Topology) -> bool:
+    """True for an int node id of t: 5.0 equals 5, True equals 1, and -1
+    would index from the end."""
+    return is_int(v) and 0 <= v < t.n
+
+
 def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
           demand: float) -> tuple[str | None, list[tuple[int, int, float | None]]]:
     """One pass over a path: why it is not a simple src->dst walk (None when
@@ -248,42 +254,46 @@ def _oracle_masks(t: Topology, demand: float) -> tuple[list[int], list[int]]:
     return full, feasible
 
 
-def _oracle_hops(masks: list[int], src: int) -> dict[int, int]:
-    """Minimum hop count from src to every node it reaches, over neighbour
-    bitsets from _oracle_masks: each layer is the OR of the previous layer's
-    masks less every node already reached.
+def _oracle_layers(masks: list[int], src: int, dsts: int) -> list[int]:
+    """Bitset hop layers from src over _oracle_masks bitsets: layer h is the
+    OR of layer h - 1's masks less every node already reached. Stops once
+    every node of the bitset dsts is reached, or at an empty layer. The
+    claim oracle's own BFS, kept apart from the engines it checks."""
+    seen = layer = 1 << src
+    layers = [layer]
+    while dsts & ~seen:
+        reach = 0
+        while layer:
+            u = layer.bit_length() - 1
+            layer ^= 1 << u
+            reach |= masks[u]
+        layer = reach & ~seen
+        if not layer:
+            break
+        seen |= layer
+        layers.append(layer)
+    return layers
 
-    The claim oracle's own BFS, kept apart from the engines it checks.
-    """
-    hops = {src: 0}
-    seen = 1 << src
-    layer = [src]
-    depth = 0
-    while layer:
-        bits = 0
-        for u in layer:
-            bits |= masks[u]
-        bits &= ~seen
-        seen |= bits
-        depth += 1
-        layer = []
-        while bits:
-            v = bits.bit_length() - 1
-            bits ^= 1 << v
-            hops[v] = depth
-            layer.append(v)
-    return hops
+
+def _layer_of(layers: list[int], v: int) -> int | None:
+    """The index of the layer that holds v, None when none does."""
+    for h, layer in enumerate(layers):
+        if layer >> v & 1:
+            return h
+    return None
 
 
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
     """Re-check every row against independent oracles.
 
-    Each row gets one expected outcome from the oracle's own hop BFS
-    (_oracle_hops) over neighbour bitsets of t and of its links that carry
-    the demand (_oracle_masks), with no pruned topology built: `route` when
-    the pruned graph reaches dst, `no_bandwidth` when only the full one
-    does, else `unreachable`; each BFS runs at most once per source and
-    graph. (refusal) the fitness status must equal it. Each path is walked
+    A row whose src or dst is not an int node id of t is flagged
+    (simple_path) and checked no further. Every other row gets one expected
+    outcome from the oracle's own BFS (_oracle_layers) over neighbour
+    bitsets of t and of its links that carry the demand (_oracle_masks):
+    `route` when the pruned graph reaches dst, `no_bandwidth` when only the
+    full one does, else `unreachable`. Each BFS runs at most once per source
+    and graph and stops at the layer of the last dst queried from that
+    source. (refusal) the fitness status must equal it. Each path is walked
     once: (bandwidth) every fitness-route link carries the demand;
     (simple_path) both paths are simple and consistent with the query;
     (min_hop) fitness hop counts equal BFS on the pruned graph;
@@ -293,18 +303,27 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
     """
     demand = report.config.demand
     full_masks, feas_masks = _oracle_masks(t, demand)
-    full = functools.cache(lambda src: _oracle_hops(full_masks, src))
-    feas = functools.cache(lambda src: _oracle_hops(feas_masks, src))
+    dsts = [0] * t.n
+    for row in report.rows:
+        if _is_node(row.src, t) and _is_node(row.dst, t):
+            dsts[row.src] |= 1 << row.dst
+    full = functools.cache(lambda src: _oracle_layers(full_masks, src, dsts[src]))
+    feas = functools.cache(lambda src: _oracle_layers(feas_masks, src, dsts[src]))
     violations = []
 
     def flag(i: int, claim: str, detail: str):
         violations.append(Violation(i, claim, detail))
 
     for i, row in enumerate(report.rows):
+        if not (_is_node(row.src, t) and _is_node(row.dst, t)):
+            flag(i, CLAIM_SIMPLE_PATH, f"query {row.src!r}->{row.dst!r} "
+                 f"holds an id that is not an int in [0, {t.n})")
+            continue
         ff = row.ff
-        oracle = feas(row.src).get(row.dst)
+        oracle = _layer_of(feas(row.src), row.dst)
         expected = (Route.status if oracle is not None
-                    else NoSufficientBandwidth.status if row.dst in full(row.src)
+                    else NoSufficientBandwidth.status
+                    if _layer_of(full(row.src), row.dst) is not None
                     else Unreachable.status)
         if isinstance(ff, Route):
             reason, short = _walk(ff.path, t, row.src, row.dst, demand)

@@ -254,7 +254,9 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
 
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
                       seed: int = 0) -> Topology:
-    """Generate a connected random topology from a bare seed."""
+    """Generate a connected random topology from a bare seed, an int in
+    [0, 2^64) (check_seed)."""
+    check_seed(seed)
     return generate_topology_rng(n, params, SplitMix64(seed))
 
 

@@ -182,6 +182,15 @@ def test_compare_rejects_out_of_range_query(capsys):
     assert "outside" in err
 
 
+@pytest.mark.parametrize("argv", [["--query=-1:2"], ["--query", "-1:2"],
+                                  ["--query", "0:1", "--query", "-1:2"]])
+def test_compare_rejects_negative_query_node(capsys, argv):
+    # argparse alone reads a bare "-1:2" as an option and never parses it
+    code, out, err = run(capsys, "compare", "--nodes", "4", *argv)
+    assert (code, out) == (2, "")
+    assert "query (-1, 2) references nodes outside [0, 4)" in err
+
+
 def test_compare_rejects_malformed_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "05")
     assert code == 2
@@ -323,8 +332,16 @@ def test_demo_rejects_missing_link(capsys):
 
 def test_demo_rejects_negative_link_end(capsys):
     # on the line 0-1-2, node -1 must not index the last node's links and
-    # fail link 1-2; argparse reads a bare "-1:1" as an option, hence "="
+    # fail link 1-2
     code, out, err = run(capsys, "demo-count-to-infinity", "--fail=-1:1")
+    assert (code, out) == (2, "")
+    assert "-1:1 is not a link of the topology" in err
+
+
+@pytest.mark.parametrize("flag", ["--fail", "--fai"])
+def test_demo_rejects_negative_link_end_as_two_tokens(capsys, flag):
+    # argparse alone reads a bare "-1:1" as an option and never parses it
+    code, out, err = run(capsys, "demo-count-to-infinity", flag, "-1:1")
     assert (code, out) == (2, "")
     assert "-1:1 is not a link of the topology" in err
 

@@ -6,6 +6,8 @@ from hypothesis import assume, given, strategies as st
 from fitroute import GenParams, QosLink, Topology, generate_topology
 from fitroute.dv import (
     DvState,
+    _column,
+    _neighbour_masks,
     converge,
     exchange_round,
     extract_path,
@@ -150,6 +152,28 @@ def test_converge_round_count_on_a_line():
 
 @given(any_topology(), st.integers(2, 16))
 def test_converge_equals_full_table_rounds(t, k):
+    assert converge(t, k) == reference_converge(t, k)
+
+
+@pytest.mark.parametrize("t, k", [
+    (line_topology(5), 2),  # infinity 2: only dest's neighbours are set
+    (Topology(4, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
+                  QosLink(1, 2, 10.0, 1.0, 0.0, 0.0))), 16),  # 3 isolated
+    (line_topology(12), 5),  # the far end lies beyond the cap
+])
+def test_column_edges_equal_full_table_rounds(t, k):
+    # each column and the rounds in which it changed, against init_tables
+    # and exchange_round
+    s = init_tables(t, k)
+    rounds = [0] * t.n
+    for _ in range(t.n):
+        nxt, _ = exchange_round(s)
+        for d in range(t.n):
+            rounds[d] += any(a[d] != b[d] for a, b in zip(s.dist, nxt.dist))
+        s = nxt
+    masks = _neighbour_masks(t)
+    for d in range(t.n):
+        assert _column(masks, d, k) == ([row[d] for row in s.dist], rounds[d])
     assert converge(t, k) == reference_converge(t, k)
 
 

@@ -288,32 +288,56 @@ def test_rows_equal_full_tree_reference_on_self_queries():
                for row in report.rows[:t.n])
 
 
+def hops_off_layers(layers):
+    """{node: index of the oracle layer that holds it}."""
+    return {v: h for h, layer in enumerate(layers)
+            for v in range(layer.bit_length()) if layer >> v & 1}
+
+
 def test_oracle_runs_one_bfs_per_source_and_graph(monkeypatch):
     # the pruned graph's BFS runs once per source; the full graph's once per
-    # source with a refused or unreachable row
+    # source with a refused or unreachable row; none grows past the layer of
+    # its source's farthest queried dst, unless some dst is out of its reach
     calls = []
-    real = experiment._oracle_hops
+    real = experiment._oracle_layers
 
-    def counting(masks, src):
-        calls.append((id(masks), src))
-        return real(masks, src)
+    def counting(masks, src, dsts):
+        layers = real(masks, src, dsts)
+        calls.append((masks, src, dsts, layers))
+        return layers
 
-    monkeypatch.setattr(experiment, "_oracle_hops", counting)
+    monkeypatch.setattr(experiment, "_oracle_layers", counting)
     cfg = ExperimentConfig(n=64, seed=1, query_count=1000,
                            gen=GenParams(bandwidth_range=(1.0, 8.0)))
     report = run_comparison(cfg)
     assert report.summary.refusals > 0 and report.summary.violations == ()
     sources = {row.src for row in report.rows}
     refused = {row.src for row in report.rows if row.ff.status != "route"}
-    assert len(calls) == len(set(calls)) == len(sources) + len(refused)
-    per_graph = sorted(Counter(graph for graph, _ in calls).values())
+    runs = [(id(masks), src) for masks, src, _, _ in calls]
+    assert len(runs) == len(set(runs)) == len(sources) + len(refused)
+    per_graph = sorted(Counter(graph for graph, _ in runs).values())
     assert per_graph == [len(refused), len(sources)]
+    t = generate_topology(cfg.n, cfg.gen, cfg.seed)
+    full, _ = experiment._oracle_masks(t, cfg.demand)
+    pruned = feasible_subgraph(t, cfg.demand)
+    stopped_early = 0
+    for masks, src, dsts, layers in calls:
+        queried = {row.dst for row in report.rows if row.src == src}
+        assert dsts == sum(1 << dst for dst in queried)
+        hops = bfs_hops(t if masks == full else pruned, src)
+        if queried <= hops.keys():
+            assert len(layers) - 1 == max(hops[dst] for dst in queried)
+            stopped_early += len(layers) - 1 < max(hops.values())
+        else:
+            assert hops_off_layers(layers) == hops
+    assert stopped_early > 0
 
 
 @given(st.one_of(drawn_topologies(), cut_topologies()), st.data())
 def test_oracle_bfs_equals_bfs_hops(t, data):
-    # the oracle's bitset BFS against the adjacency-list BFS on the full and
-    # the pruned topology, from every source
+    # the oracle's bitset layers against the adjacency-list BFS on the full
+    # and the pruned topology, from every source and for dst sets that are
+    # empty, hold src, are drawn (often across components) or hold every node
     demands = st.floats(0.0, 12.0)
     if t.links:  # a demand equal to a link's bandwidth pins the >= boundary
         demands |= st.sampled_from([link.bandwidth for link in t.links])
@@ -321,8 +345,20 @@ def test_oracle_bfs_equals_bfs_hops(t, data):
     full, feasible = experiment._oracle_masks(t, demand)
     pruned = feasible_subgraph(t, demand)
     for src in range(t.n):
-        assert experiment._oracle_hops(full, src) == bfs_hops(t, src)
-        assert experiment._oracle_hops(feasible, src) == bfs_hops(pruned, src)
+        drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
+        for dsts in (set(), {src}, drawn, set(range(t.n))):
+            for masks, graph in ((full, t), (feasible, pruned)):
+                expected = bfs_hops(graph, src)
+                layers = experiment._oracle_layers(
+                    masks, src, sum(1 << v for v in dsts))
+                got = hops_off_layers(layers)
+                if dsts <= expected.keys():  # stops at the farthest dst
+                    assert got == {v: h for v, h in expected.items()
+                                   if h < len(layers)}
+                    assert len(layers) - 1 == max(
+                        (expected[v] for v in dsts), default=0)
+                else:  # runs to the end of src's component
+                    assert got == expected
 
 
 # --- verify_claims fault injection ---
@@ -432,6 +468,19 @@ def test_detects_forged_node_ids(path, engine):
     violations = verify_claims(bad, t)
     assert {(v.row, v.claim) for v in violations} == {(0, CLAIM_SIMPLE_PATH)}
     assert "not an int in [0, 4)" in violations[0].detail
+
+
+@pytest.mark.parametrize("node", [4, -1, 1.0, True])
+@pytest.mark.parametrize("end", ["src", "dst"])
+def test_detects_forged_query_ids(node, end):
+    # 4 and 1.0 would index past the oracle's masks, -1 would shift by a
+    # negative count and True would pass as node 1: the row is flagged and
+    # checked no further, and the other row still verifies
+    report, t = refusal_report()
+    bad = tamper(report, 0, **{end: node})
+    violations = verify_claims(bad, t)
+    assert [(v.row, v.claim) for v in violations] == [(0, CLAIM_SIMPLE_PATH)]
+    assert "holds an id that is not an int in [0, 4)" in violations[0].detail
 
 
 def test_violations_carry_row_and_detail():

@@ -222,6 +222,18 @@ def test_generation_deterministic():
     assert format_topology(a) == format_topology(b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 1.0, True])
+def test_generate_rejects_seeds_outside_u64(seed):
+    # SplitMix64 reads a seed mod 2^64: 2^64 + 1 would build seed 1's
+    # topology, and -1 that of 2^64 - 1
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        generate_topology(8, seed=seed)
+
+
+def test_generate_accepts_both_ends_of_u64():
+    assert generate_topology(8, seed=0) != generate_topology(8, seed=2**64 - 1)
+
+
 @pytest.mark.parametrize("n, edge_prob, seed", [
     (1, 0.15, 0), (2, 0.15, 5), (17, 0.15, 3), (40, 0.05, 11), (64, 0.9, 7)])
 def test_generation_consumes_the_draws_replay_skips(n, edge_prob, seed):
