@@ -251,9 +251,13 @@ def _attach_pair_values(argv: list[str]) -> list[str]:
 
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else argv
+    argv = _attach_pair_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_pair_values(argv))
+        for token in argv:  # argparse would read `--flag=--` as an empty list
+            flag, _, value = token.partition("=")
+            if token[:1] == "-" and value == "--":
+                parser.error(f"argument {flag}: expected one argument")
+        args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

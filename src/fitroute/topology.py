@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress, islice
 from numbers import Real
-from operator import or_
+from operator import attrgetter, or_
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
+_TWO64 = 18446744073709551616.0  # 2^64: draw / _TWO64 is a draw's float
 
 MAX_NODES = 1024  # largest node count the CLI and the file format accept
 
@@ -64,27 +67,24 @@ class SplitMix64:
 
     def skip(self, count: int) -> None:
         """Advance the stream past `count` draws, as `count` next_u64 calls."""
-        self.state = (self.state + count * 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + count * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def next_float(self) -> float:
-        """Uniform float in [0, 1): next_u64() / 2^64 exactly."""
-        return self.next_u64() / 18446744073709551616.0
 
     def next_below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) via modulo (bound << 2^64)."""
         return self.next_u64() % bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QosLink:
-    """One undirected link. Endpoints are normalized so that a < b."""
+    """One undirected link. Endpoints are normalized so that a < b; the four
+    attributes are numbers, bools excluded."""
 
     a: int
     b: int
@@ -94,22 +94,32 @@ class QosLink:
     loss: float       # probability, in [0, 1)
 
     def __post_init__(self):
-        if not (is_int(self.a) and is_int(self.b)):
-            raise ValueError(f"node ids must be ints, got {self.a!r}, {self.b!r}")
-        if self.a == self.b:
-            raise ValueError(f"self-loop at node {self.a}")
-        if self.a > self.b:
-            a, b = self.b, self.a
+        # exact types first: a generated topology builds ~n^2/2 * edge_prob
+        # links, and the checks' calls, is_number's ABC isinstance above
+        # all, would dominate its generation
+        a, b = self.a, self.b
+        if not (type(a) is int and type(b) is int or is_int(a) and is_int(b)):
+            raise ValueError(f"node ids must be ints, got {a!r}, {b!r}")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        if a > b:
+            a, b = b, a
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-        if self.a < 0:
-            raise ValueError(f"negative node id {self.a}")
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
-        if not (0 <= self.delay < math.inf and 0 <= self.jitter < math.inf):
+        if a < 0:
+            raise ValueError(f"negative node id {a}")
+        bw, delay, jitter, loss = self.bandwidth, self.delay, self.jitter, self.loss
+        if not (type(bw) is float and type(delay) is float
+                and type(jitter) is float and type(loss) is float
+                or all(map(is_number, (bw, delay, jitter, loss)))):
+            raise ValueError("link attributes must be numbers, not bools: "
+                             f"{(bw, delay, jitter, loss)!r}")
+        if not 0 < bw < math.inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
+        if not (0 <= delay < math.inf and 0 <= jitter < math.inf):
             raise ValueError("delay and jitter must be finite and non-negative")
-        if not 0 <= self.loss < 1:
-            raise ValueError(f"loss must lie in [0, 1), got {self.loss}")
+        if not 0 <= loss < 1:
+            raise ValueError(f"loss must lie in [0, 1), got {loss}")
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -174,7 +184,7 @@ class Topology:
             raise ValueError(f"node count must be an int, got {self.n!r}")
         if self.n < 1:
             raise ValueError("topology needs at least one node")
-        links = tuple(sorted(self.links, key=lambda l: l.pair))
+        links = tuple(sorted(self.links, key=attrgetter("a", "b")))
         object.__setattr__(self, "links", links)
         adj: list[dict[int, QosLink]] = [{} for _ in range(self.n)]
         for link in links:
@@ -215,6 +225,71 @@ class Topology:
 
 DEFAULT_GEN_PARAMS = GenParams()
 
+# Draws per batch of the generator's packed SplitMix64 (_draws): a batch is
+# one int of 128 * _BATCH bits, 16 KiB, however many draws a topology takes.
+# 2048 or 4096 lanes drew no faster, and their lane constants and batches
+# raised the benchmark's route-stream peak RSS by 0.06-0.2 MB.
+_BATCH = 1024
+
+
+def _packed(values) -> int:
+    """One int holding the 64-bit values as lanes, value i at bit 128 * i."""
+    lanes = bytearray(16 * _BATCH)
+    for i, value in enumerate(values):
+        lanes[16 * i:16 * i + 8] = value.to_bytes(8, "little")
+    return int.from_bytes(lanes, "little")
+
+
+_STEPS = _packed((i + 1) * _GAMMA & _MASK64 for i in range(_BATCH))
+_ONES = _packed(1 for _ in range(_BATCH))
+_LOW64 = _ONES * _MASK64
+
+
+def _batch(state: int, m: int) -> memoryview:
+    """The m <= _BATCH draws that m next_u64 calls make from `state`.
+
+    Lane i starts as state + (i+1)*gamma, the state of draw i+1, and runs
+    the mixer's steps with all lanes in one int. A lane's 64 bits sit in a
+    128-bit slot, so a product of two 64-bit factors never carries into the
+    next lane, and a right shift moves the next lane's low bits only into
+    the slot's upper half, which the mask clears before every multiply.
+    The draws are the slots' low 64-bit words, read in place off z's bytes
+    as native words: every other word, lane 0 first.
+    """
+    lanes = (1 << 128 * m) - 1
+    low = _LOW64 & lanes
+    z = ((_STEPS & lanes) + state * (_ONES & lanes)) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    z ^= z >> 31
+    words = memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")
+    return words[::2] if sys.byteorder == "little" else words[::-2]
+
+
+def _draws(rng: SplitMix64, count: int):
+    """An iterator over rng's next `count` draws, equal to `count` next_u64
+    calls, computed one _BATCH at a time as it is read. rng advances past
+    all of them at once, as skip(count)."""
+    state = rng.state
+    rng.skip(count)
+    return chain.from_iterable(
+        _batch((state + start * _GAMMA) & _MASK64, min(_BATCH, count - start))
+        for start in range(0, count, _BATCH))
+
+
+def _link_threshold(edge_prob: float) -> int:
+    """The smallest draw z with z / 2^64 >= edge_prob (2^64 if none), so a
+    draw links its pair, z / 2^64 < edge_prob, exactly when z < the result.
+    Int-to-float rounding is monotone, so 64 bisection steps find it."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mid / _TWO64 < edge_prob:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
 
 def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topology:
     """Generate a connected random topology, consuming draws from `rng`.
@@ -233,6 +308,15 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
 
     In all that is n(n-1)/2 + 4*len(links) draws, the count run_comparison
     skips when it replays a topology.
+
+    Steps 1 and 2 call next_u64 once per draw. Steps 3 and 4 know their
+    draw counts up front, (n-1)(n-2)/2 and then 4 per link, and take them
+    from _draws: SplitMix64 draw k depends only on seed + k*gamma mod 2^64,
+    so a batch of lanes computes the very draws those calls would return,
+    in order, and leaves rng where they would. Step 3 runs row by row, a
+    ascending, with the integer test draw < _link_threshold(edge_prob),
+    equal to the float test, so links come out sorted; step 4 keeps the
+    float arithmetic above, operation for operation.
     """
     if n < 1:
         raise ValueError("topology needs at least one node")
@@ -242,14 +326,30 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
         j = rng.next_below(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
-    chain = {(min(u, v), max(u, v)) for u, v in zip(perm, perm[1:])}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
-             if (a, b) in chain or rng.next_float() < params.edge_prob]
-    ranges = (params.bandwidth_range, params.delay_range,
-              params.jitter_range, params.loss_range)
+    chained = [[] for _ in range(n)]  # chain neighbours b > a, per row a
+    for u, v in zip(perm, perm[1:]):
+        chained[min(u, v)].append(max(u, v))
+    draws = _draws(rng, (n - 1) * (n - 2) // 2)
+    linked = _link_threshold(params.edge_prob).__gt__  # linked(z): z < thr
+    rows = []  # rows[a]: the b > a linked to a, ascending
+    for a, ends in enumerate(chained):
+        row, b = [], a + 1
+        for c in sorted(ends):  # the drawn pairs before chain link (a, c)
+            row += compress(range(b, c), map(linked, islice(draws, c - b)))
+            row.append(c)
+            b = c + 1
+        row += compress(range(b, n), map(linked, islice(draws, n - b)))
+        rows.append(row)
+
+    draws = _draws(rng, 4 * sum(map(len, rows)))
+    quads = zip(draws, draws, draws, draws)
+    (b0, bspan), (d0, dspan), (j0, jspan), (l0, lspan) = (
+        (lo, hi - lo) for lo, hi in (params.bandwidth_range, params.delay_range,
+                                     params.jitter_range, params.loss_range))
     return Topology(n, tuple(
-        QosLink(a, b, *(lo + rng.next_float() * (hi - lo) for lo, hi in ranges))
-        for a, b in pairs))
+        QosLink(a, b, b0 + zb / _TWO64 * bspan, d0 + zd / _TWO64 * dspan,
+                j0 + zj / _TWO64 * jspan, l0 + zl / _TWO64 * lspan)
+        for a, row in enumerate(rows) for b, (zb, zd, zj, zl) in zip(row, quads)))
 
 
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,

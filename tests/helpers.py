@@ -13,7 +13,32 @@ from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
                       select_route)
 from fitroute.experiment import ComparisonReport
 from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
-from fitroute.topology import bfs_hops, remove_link
+from fitroute.topology import SplitMix64, bfs_hops, remove_link
+
+
+def reference_topology_rng(n: int, params: GenParams,
+                           rng: SplitMix64) -> Topology:
+    """generate_topology_rng's pinned procedure with one scalar next_u64
+    call per draw, in order, a draw's float being next_u64() / 2**64: the
+    reference the batched generator must equal, every attribute's float and
+    the rng state after it included."""
+    if n < 1:
+        raise ValueError("topology needs at least one node")
+
+    perm = list(range(n))
+    for i in range(1, n):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+
+    chain = {(min(u, v), max(u, v)) for u, v in zip(perm, perm[1:])}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if (a, b) in chain or rng.next_u64() / 2**64 < params.edge_prob]
+    ranges = (params.bandwidth_range, params.delay_range,
+              params.jitter_range, params.loss_range)
+    return Topology(n, tuple(
+        QosLink(a, b, *(lo + rng.next_u64() / 2**64 * (hi - lo)
+                        for lo, hi in ranges))
+        for a, b in pairs))
 
 
 def line_topology(n: int, bandwidth: float = 10.0, delay: float = 1.0,

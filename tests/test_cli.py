@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from fitroute.topology import parse_topology
+from fitroute.topology import format_topology, generate_topology, parse_topology
 from fitroute.cli import run_cli
 from fitroute.experiment import PLOT_HEADER
 
@@ -200,6 +205,17 @@ def test_unknown_flag_exits_2(capsys):
     assert run_cli(["compare", "--frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo-count-to-infinity", "--fail=--"], ["compare", "--nodes=--"],
+    ["compare", "--query=--"], ["gen-topology", "--nodes", "4", "--bw=--"]])
+def test_flag_equals_double_dash_exits_2(capsys, argv):
+    # argparse alone turns `--fail=--` into an empty list, which crashed
+    # the pair, range and node checks
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-1][:-3]}: expected one argument" in err
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run_cli([]) == 2
 
@@ -385,3 +401,141 @@ def test_demo_custom_topology(tmp_path, capsys):
                        "--probe", "0", "--dest", str(t.n - 1))
     assert code == 0
     assert out.startswith("round,metric\n")
+
+
+# --- the whole grammar ---
+# Every subcommand's flags, each value valid two times in three: the
+# malformed ones are negative, huge, NaN and infinite numbers, words, and
+# broken pairs and ranges. The topology file is a small generated one, the
+# same with random lines added, or random lines or bytes alone. Node and
+# query counts stay small, so an example runs in milliseconds; --nodes
+# within 1..1024 is valid but slow, and a huge --queries runs until memory
+# runs out, so --queries draws no huge count. {dir} in a value is a fresh
+# directory holding the drawn topology file.
+
+WORDS = ("", "-", "--", ":", "x", "nan", "-nan", "inf", "-inf", "1e999",
+         "0x10", "1_0", " 3", "1.5", "-0")
+HUGE = (str(2**64), str(2**64 - 1), "9" * 40)
+BAD_INTS = st.one_of(st.integers(-3, 0).map(str), st.sampled_from(WORDS + HUGE))
+BAD_NUMBERS = st.one_of(st.integers(-3, 0).map(str),
+                        st.floats().map(repr),  # NaN and infinities too
+                        st.sampled_from(WORDS + HUGE + ("1e308", "5e-324")))
+
+
+def valid_or_not(valid, invalid):
+    return st.one_of(valid, valid, invalid)
+
+
+def ints(lo, hi):
+    return valid_or_not(st.integers(lo, hi).map(str), BAD_INTS)
+
+
+def numbers(lo, hi):
+    return valid_or_not(st.floats(lo, hi).map(repr), BAD_NUMBERS)
+
+
+def ranges(lo, hi):
+    bounds = st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(sorted)
+    return valid_or_not(bounds.map("{0[0]!r}:{0[1]!r}".format), st.one_of(
+        st.builds("{}:{}".format, BAD_NUMBERS, BAD_NUMBERS),
+        st.sampled_from(WORDS + HUGE + ("1:2:3", "5:1"))))
+
+
+NODE_PAIRS = valid_or_not(
+    st.builds("{}:{}".format, st.integers(0, 5), st.integers(0, 5)),
+    st.one_of(st.builds("{}:{}".format, BAD_INTS, BAD_INTS),
+              st.sampled_from(WORDS + HUGE)))
+FILES = valid_or_not(st.just("{dir}/topo.txt"),
+                     st.sampled_from(("{dir}/missing.txt", "{dir}")))
+GEN_FLAGS = {"--edge-prob": numbers(0.0, 1.0), "--bw": ranges(1e-3, 100.0),
+             "--delay": ranges(0.0, 20.0), "--jitter": ranges(0.0, 5.0),
+             "--loss": ranges(0.0, 0.5)}
+GRAMMAR = {
+    "compare": {
+        "--nodes": ints(1, 24), "--seed": ints(0, 2**64 - 1),
+        "--queries": valid_or_not(st.integers(0, 40).map(str),
+                                  st.sampled_from(WORDS)),
+        "--query": NODE_PAIRS,
+        "--demand": numbers(0.0, 120.0),
+        "--weights": valid_or_not(
+            st.lists(st.floats(0.0, 10.0).map(repr), min_size=3,
+                     max_size=3).map(",".join),
+            st.lists(BAD_NUMBERS, min_size=1, max_size=4).map(",".join)),
+        "--infinity": ints(2, 40) | st.sampled_from(("1024", "1025")),
+        "--format": st.sampled_from(("table", "csv", "json", "xml")),
+        "--topology": FILES,
+        "--out": valid_or_not(st.just("{dir}/out.txt"), FILES),
+        **GEN_FLAGS},
+    "demo-count-to-infinity": {
+        "--topology": FILES, "--fail": NODE_PAIRS, "--probe": ints(0, 5),
+        "--dest": ints(0, 5), "--infinity": ints(2, 40),
+        "--max-rounds": ints(1, 100) | st.just("9" * 40),
+        "--out": valid_or_not(st.just("{dir}/out.txt"), FILES)},
+    "gen-topology": {
+        "--nodes": ints(1, 24), "--seed": ints(0, 2**64 - 1),
+        "--out": valid_or_not(st.just("{dir}/out.txt"), FILES), **GEN_FLAGS},
+}
+RANDOM_LINES = st.lists(st.one_of(
+    st.builds("n={}".format, st.one_of(st.integers(-1, 12).map(str),
+                                       st.sampled_from(WORDS + HUGE))),
+    st.builds("{} {} {} {} {} {}".format, BAD_INTS, BAD_INTS, BAD_NUMBERS,
+              BAD_NUMBERS, BAD_NUMBERS, BAD_NUMBERS),
+    st.text(max_size=20)), max_size=4).map("\n".join)
+GENERATED = st.builds(lambda n, seed: format_topology(generate_topology(n, seed=seed)),
+                      st.integers(1, 12), st.integers(0, 2**64 - 1))
+TOPOLOGY_FILES = st.one_of(
+    GENERATED, st.builds("{}{}\n".format, GENERATED, RANDOM_LINES),
+    RANDOM_LINES, st.binary(max_size=40))
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    flags = GRAMMAR[command]
+    argv = [command]
+    if command == "gen-topology" and draw(st.booleans()):  # its one required flag
+        argv += ["--nodes", draw(flags["--nodes"])]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=7)):
+        value = draw(flags[flag])
+        argv += draw(st.sampled_from(([flag, value], [f"{flag}={value}"])))
+    return argv
+
+
+def _report_has_no_violations(report):
+    if report.startswith("{"):
+        return json.loads(report)["summary"]["violations"] == []
+    if report.startswith(PLOT_HEADER):
+        return True  # csv rows carry no violation field; the exit code does
+    return report.splitlines()[-1].endswith(" violations=0")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs(), TOPOLOGY_FILES)
+def test_cli_grammar_exits_0_or_2_with_a_message(argv, topology_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "topo.txt")
+        if isinstance(topology_file, bytes):
+            path.write_bytes(topology_file)
+        else:
+            path.write_text(topology_file, encoding="utf-8")
+        argv = [token.replace("{dir}", tmp) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        event(f"{argv[0]} exits {code}")
+        if code == 2:
+            assert err.getvalue().strip() and out.getvalue() == ""
+            return
+        target = None
+        for prev, token in zip(["", *argv], argv):  # the last --out wins
+            if prev == "--out" or token.startswith("--out="):
+                target = Path(token.removeprefix("--out="))
+        report = out.getvalue() if target is None else target.read_text()
+    if argv[0] == "compare":
+        assert _report_has_no_violations(report), argv
+    elif argv[0] == "gen-topology":
+        parse_topology(report)
+    else:
+        assert report.splitlines()[-1].startswith(
+            "# fitness estimation after the failure:")

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from fitroute import GenParams, QosLink, Topology, generate_topology
 from fitroute.topology import (
+    _BATCH,
     SplitMix64,
+    _draws,
+    _link_threshold,
     bfs_hops,
     feasible_subgraph,
     format_topology,
@@ -18,7 +21,10 @@ from fitroute.topology import (
 )
 
 from helpers import (cut_topologies, drawn_topologies, grid_topologies,
-                     is_connected, line_topology, triangle_topology)
+                     is_connected, line_topology, reference_topology_rng,
+                     triangle_topology)
+
+SEEDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
 
 
 # --- SplitMix64 ---
@@ -55,10 +61,22 @@ def test_splitmix64_skip_equals_draws(seed, count):
 
 
 def test_next_float_in_unit_interval():
+    # the reference generator's float of a draw, next_u64() / 2**64, lies
+    # in [0, 1) but for the top 1024 draws, which round up to 1.0
     rng = SplitMix64(123)
     for _ in range(1000):
-        f = rng.next_float()
+        f = rng.next_u64() / 2**64
         assert 0.0 <= f < 1.0
+    assert (2**64 - 1025) / 2**64 < 1.0 == (2**64 - 1024) / 2**64
+
+
+@given(SEEDS, st.one_of(st.sampled_from((0, 1, _BATCH - 1, _BATCH, _BATCH + 1)),
+                        st.integers(0, 2 * _BATCH + 3)))
+def test_batched_draws_equal_next_u64(seed, count):
+    rng, ref, skipped = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+    assert list(_draws(rng, count)) == [ref.next_u64() for _ in range(count)]
+    skipped.skip(count)
+    assert rng.state == ref.state == skipped.state
 
 
 # --- QosLink / GenParams / Topology invariants ---
@@ -98,6 +116,14 @@ def test_link_rejects_non_finite_attributes(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         QosLink(**base)
+
+
+@pytest.mark.parametrize("name", ["bandwidth", "delay", "jitter", "loss"])
+@pytest.mark.parametrize("bad", [True, False, "0.5", None])
+def test_link_rejects_non_number_attributes(name, bad):
+    base = dict(a=0, b=1, bandwidth=10.0, delay=1.0, jitter=0.0, loss=0.0)
+    with pytest.raises(ValueError, match="link attributes must be numbers"):
+        QosLink(**{**base, name: bad})
 
 
 @pytest.mark.parametrize("a, b", [(0, 1.0), (0.0, 1), (2.0, 1.0), ("0", 1),
@@ -244,6 +270,71 @@ def test_generation_consumes_the_draws_replay_skips(n, edge_prob, seed):
     skipped = SplitMix64(seed)
     skipped.skip(n * (n - 1) // 2 + 4 * len(t.links))
     assert rng.state == skipped.state
+
+
+def _assert_same_generation(n, params, seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    t = generate_topology_rng(n, params, rng)
+    expected = reference_topology_rng(n, params, ref)
+    # the text keeps each attribute's float exactly (repr)
+    assert format_topology(t) == format_topology(expected)
+    assert t == expected
+    assert rng.state == ref.state
+
+
+@pytest.mark.parametrize("edge_prob", [0.0, 1.0])
+def test_generation_equals_scalar_reference_at_edge_probs_0_and_1(edge_prob):
+    for n in range(1, 65):
+        _assert_same_generation(n, GenParams(edge_prob=edge_prob), seed=n)
+
+
+@given(st.integers(1, 64), st.floats(0.0, 1.0), SEEDS,
+       st.sampled_from([((1.0, 100.0), (1.0, 20.0)), ((1, 10), (0, 3)),
+                        ((2.5, 2.5), (0.0, 1e-9))]))
+def test_generation_equals_scalar_reference(n, edge_prob, seed, ranges):
+    bandwidth_range, delay_range = ranges
+    _assert_same_generation(n, GenParams(edge_prob=edge_prob,
+                                         bandwidth_range=bandwidth_range,
+                                         delay_range=delay_range), seed)
+
+
+def test_link_threshold_edges():
+    # draws from 2^64 - 1024 up divide to exactly 1.0, so not even
+    # edge_prob 1.0 links their pairs
+    assert _link_threshold(1.0) == 2**64 - 1024
+    assert _link_threshold(0.0) == 0
+    assert _link_threshold(5e-324) == 1
+
+
+@given(st.floats(0.0, 1.0))
+def test_link_threshold_brackets_edge_prob(p):
+    thr = _link_threshold(p)
+    assert (thr - 1) / 2**64 < p <= thr / 2**64
+
+
+def _seed_drawing(z: int, k: int) -> int:
+    """The seed whose k-th draw (k >= 1) is z: SplitMix64's mixer inverted
+    step by step, then k increments taken off."""
+    def unshift(y, s):  # x from y = x ^ (x >> s)
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) % 2**64
+
+
+@pytest.mark.parametrize("draw, links", [(2**64 - 1025, 3), (2**64 - 1024, 2),
+                                         (2**64 - 1, 2)])
+def test_edge_prob_1_links_no_pair_whose_draw_rounds_to_1(draw, links):
+    # three nodes: two permutation draws, then one pair off the chain
+    seed = _seed_drawing(draw, 3)
+    rng = SplitMix64(seed)
+    assert [rng.next_u64() for _ in range(3)][-1] == draw
+    params = GenParams(edge_prob=1.0)
+    assert len(generate_topology(3, params, seed).links) == links
+    _assert_same_generation(3, params, seed)
 
 
 def test_generation_fingerprint_pinned():
