@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0,
                          help="0..2^64-1 (default 0)")
     compare.add_argument("--queries", type=int, default=20,
-                         help="random query count (default 20)")
+                         help="random query count, 0..10^6 (default 20)")
     compare.add_argument("--query", metavar="SRC:DST", action="append",
                          help="explicit query, repeatable; overrides --queries")
     compare.add_argument("--demand", type=float, default=5.0,

@@ -7,45 +7,70 @@ configurable infinity metric (conventionally 16), at which point a
 destination is reported unreachable.
 
 Only hop metrics are kept: at a fixed point they already name every next
-hop, so paths are read off the converged table.
+hop, so paths are read off the converged vectors.
 
-In a synchronous round every node's metric toward d depends only on its
-neighbours' metrics toward d in the round before, so each destination's
-column evolves on its own. `converge(t)` builds the fixed point one column at
-a time with triggered updates, as RIP sends them (RFC 2453 section 3.10.1):
-from the initial vectors metrics only fall, so only the entries set in the
-round before push to their neighbours. Neighbour sets and hop layers are
-bitsets: a round's layer is the OR of the last layer's masks less the
-entries already set, a bitmap frontier (Beamer, Asanovic & Patterson, SC
-2012), each node visited once. Every column, and the number of rounds that
-changed anything, equals the full exchange's round for round; `init_tables`
-and `exchange_round` are that full exchange.
+`converge(t)` runs the exchange itself, as RIP does (RFC 2453): init_tables
+gives every node its initial vector, and each exchange_round has every node
+merge its neighbours' whole vectors, until a round changes nothing or the
+next metric would reach the infinity metric. A vector is held as bitsets
+over the destinations: `near[v]` is v and its neighbours, and `reach[v]`
+the destinations v has a metric for, below infinity. Round k merges by
+ORing the neighbours' reach into v's own, so the ring it adds,
+`new & ~old`, is the destinations at metric k + 1.
+
+The metrics are bit planes, (infinity_metric - 1).bit_length() of them
+and no n x n table: for d in reach[v], bit d of planes[j][v] is bit j of
+v's metric toward d. For d outside it, the planes hold the metric the last
+round reached, so round k gives the ring its metric by stepping everything
+outside the old reach from k to k + 1: the bit that turns on, k + 1's
+lowest set bit, is set there and the bits below it are cleared. That is
+about two planes a round, where ORing the ring into the plane of every set
+bit of k + 1 would touch half of them.
+
+Paths take the smallest-id neighbour one metric closer. The neighbours of a
+node at metric c + 1 toward d sit at metric c, c + 1 or c + 2, which differ
+mod 4, so d's row of the two low planes, within reach[d], picks the next
+hops out of near[v] with no full metric read; hop metrics are symmetric,
+so d's row also gives every node's metric toward d.
+
 `fail_link_and_trace(t, ...)` checks its inputs, takes dest's converged
-column on t and counts on the topology without the failed link, recomputing
-that one column every round, since there metrics rise and a push cannot
-raise an entry. All transitions are pure.
+column from converge(t) and counts on the topology without the failed link,
+recomputing that one column every round. All transitions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import and_, or_, xor
 
 from .topology import MAX_NODES, Topology, is_int, remove_link
 
 
 @dataclass(frozen=True)
 class DvState:
-    """Per-node distance vectors.
+    """Per-node distance vectors as bitsets over the destinations.
 
-    dist[v][d] is the hop metric from v to d, stored capped: a value equal to
-    infinity_metric means unreachable. Hop metrics are symmetric, so
-    converge stores destination d's column as row d, with no transpose; the
-    reference properties in the tests compare it with the full exchange.
+    Bit d of near[v] is set when d is v or a neighbour of v, and bit d of
+    reach[v] when v's metric toward d is below infinity_metric. That metric
+    is read off the planes: bit d of planes[j][v] is its bit j (see metric);
+    outside reach[v] the planes' bits mean nothing. near follows from
+    topology; the exchange never changes it.
     """
 
     topology: Topology
-    dist: tuple[tuple[int, ...], ...]
+    near: tuple[int, ...]
+    reach: tuple[int, ...]
+    planes: tuple[tuple[int, ...], ...]
     infinity_metric: int
+
+    def metric(self, v: int, d: int) -> int:
+        """The hop metric from v to d, capped: infinity_metric when v has
+        none below it."""
+        if not self.reach[v] >> d & 1:
+            return self.infinity_metric
+        return sum((plane[v] >> d & 1) << j for j, plane in enumerate(self.planes))
 
 
 @dataclass(frozen=True)
@@ -76,126 +101,98 @@ def check_infinity(infinity_metric: int) -> None:
 
 
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
-    """Initial vectors: self at 0, direct neighbors at 1, all else infinity."""
+    """Initial vectors: self at 0, direct neighbours at 1, all else infinity."""
     check_infinity(infinity_metric)
-    inf = infinity_metric
-    dist = []
-    for v in range(t.n):
-        row = [inf] * t.n
-        row[v] = 0
-        for u in t.adjacency[v]:
-            row[u] = 1
-        dist.append(tuple(row))
-    return DvState(t, tuple(dist), inf)
+    near = tuple((1 << v) | sum(1 << u for u in t.adjacency[v])
+                 for v in range(t.n))
+    everyone = (1 << t.n) - 1
+    planes = ((tuple(everyone ^ 1 << v for v in range(t.n)),)
+              + ((0,) * t.n,) * ((infinity_metric - 1).bit_length() - 1))
+    return DvState(t, near, near, planes, infinity_metric)
 
 
-def exchange_round(s: DvState) -> tuple[DvState, bool]:
-    """One synchronous exchange: every node recomputes its vector from its
-    neighbors' previous-round vectors.
+def exchange_round(s: DvState, rnd: int) -> tuple[DvState, bool]:
+    """Round rnd of the synchronous exchange on s, the state after rounds
+    1..rnd-1 from init_tables: every node ORs its neighbours' reach into its
+    own, gaining the destinations at metric rnd + 1. Returns the new state
+    and whether any vector changed; a round whose metric would reach
+    infinity changes nothing.
 
-    dist[v][d] = min(infinity, 1 + min over neighbors m of dist[m][d]), and
-    0 for v = d. Returns the new state and whether any entry changed. This
-    full-table round is the reference that converge equals round for round.
+    Outside the old reach the planes step from metric rnd to rnd + 1: the
+    bit that turns on, rnd + 1's lowest set bit, is set there, and the bits
+    below it, which turn off, are cleared.
     """
-    t = s.topology
-    old = s.dist
-    cap = s.infinity_metric - 1
-    new_dist = []
-    for v in range(t.n):
-        rows = [old[m] for m in t.adjacency[v]]
-        row = []
-        for d in range(t.n):
-            best = cap
-            for r in rows:
-                if r[d] < best:
-                    best = r[d]
-            row.append(best + 1)
-        row[v] = 0
-        new_dist.append(tuple(row))
-    new_dist = tuple(new_dist)
-    return DvState(t, new_dist, s.infinity_metric), new_dist != old
-
-
-def _neighbour_masks(t: Topology) -> list[int]:
-    """Per node, its neighbours as a bitset: bit b of masks[a] is set when
-    {a, b} is a link of t."""
-    masks = [0] * t.n
-    for link in t.links:
-        masks[link.a] |= 1 << link.b
-        masks[link.b] |= 1 << link.a
-    return masks
-
-
-def _column(masks: list[int], dest: int,
-            infinity_metric: int) -> tuple[list[int], int]:
-    """dest's column of the fixed point that exchange rounds reach from
-    init_tables, and the number of rounds in which it changed; masks are a
-    topology's neighbour bitsets (see _neighbour_masks).
-
-    Hop layers are bitsets: layer 1 is dest's neighbours, as init_tables
-    sets them, and round r sets layer r + 1, the OR of layer r's masks less
-    the nodes set, each node visited once, until a layer is empty or the
-    metric would reach infinity_metric.
-    """
-    col = [infinity_metric] * len(masks)
-    seen = layer = 1 << dest
-    metric = 0
-    while layer and metric < infinity_metric:
-        reach = 0
-        while layer:
-            v = layer.bit_length() - 1
-            layer ^= 1 << v
-            col[v] = metric
-            reach |= masks[v]
-        layer = reach & ~seen
-        seen |= layer
-        metric += 1
-    return col, max(0, metric - 2)
+    metric = rnd + 1
+    if metric >= s.infinity_metric:
+        return s, False
+    old = s.reach
+    reach = tuple(map(reduce, repeat(or_),
+                      map(map, repeat(old.__getitem__), s.topology.adjacency), old))
+    if reach == old:
+        return s, False
+    on = (metric & -metric).bit_length() - 1
+    planes = list(s.planes)
+    planes[on] = tuple(map(or_, planes[on],
+                           map(xor, repeat((1 << s.topology.n) - 1), old)))
+    for j in range(on):
+        planes[j] = tuple(map(and_, planes[j], old))
+    return DvState(s.topology, s.near, reach, tuple(planes),
+                   s.infinity_metric), True
 
 
 def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     """The fixed point that exchange rounds reach from
     init_tables(t, infinity_metric), and the number of rounds that changed
-    anything.
-
-    Each destination's column is built on its own from bitset hop layers
-    (see _column) over neighbour bitsets built once per call, and stored as
-    row d, hop metrics being symmetric; the table and the round count, the
-    largest over the columns, equal the full exchange's.
-    """
-    check_infinity(infinity_metric)
-    masks = _neighbour_masks(t)
-    columns, rounds = zip(*(_column(masks, d, infinity_metric)
-                            for d in range(t.n)))
-    return DvState(t, tuple(map(tuple, columns)), infinity_metric), max(rounds)
+    anything. Rounds stop at the first that changes nothing, or once the
+    next metric would reach infinity_metric."""
+    s = init_tables(t, infinity_metric)
+    for rnd in range(1, infinity_metric - 1):
+        s, changed = exchange_round(s, rnd)
+        if not changed:
+            return s, rnd - 1
+    return s, infinity_metric - 2
 
 
 def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
-    """Walk a converged table from src to dst; None when dst is unreachable.
+    """Walk converged vectors from src to dst; None when dst is unreachable.
 
-    Each step goes to the smallest-id neighbor one metric closer to dst.
-    The metric strictly decreases, so the walk cannot cycle; a node with no
-    such neighbor means s is not a fixed point and raises RuntimeError.
+    Each step goes to the smallest-id neighbour one metric closer to dst,
+    picked by the metric's residue mod 4 from dst's row of the two low planes
+    (see the module docstring). Every step follows a link of s.topology, and
+    a node with no such neighbour, or a walk that has not reached dst within
+    infinity_metric - 1 steps, means s is not a fixed point and raises
+    RuntimeError.
     src and dst must be int node ids (not bools), else ValueError.
     """
     n = s.topology.n
-    if not (is_int(src) and is_int(dst) and 0 <= src < n and 0 <= dst < n):
+    if not ((type(src) is int and type(dst) is int or is_int(src) and is_int(dst))
+            and 0 <= src < n and 0 <= dst < n):
         raise ValueError(f"query ({src!r}, {dst!r}) needs int node ids in [0, {n})")
-    if s.dist[src][dst] >= s.infinity_metric:
+    reach = s.reach[dst]
+    bit = 1 << src
+    if not reach & bit:
         return None
+    planes = s.planes
+    odd = reach & planes[0][dst]
+    even = reach ^ odd
+    high = planes[1][dst] if len(planes) > 1 else 0
+    odd_high, even_high = odd & high, even & high
+    # closer[r]: the nodes whose metric toward dst is r mod 4, disjoint sets,
+    # so v itself is never a next hop from v
+    closer = (even ^ even_high, odd ^ odd_high, even_high, odd_high)
+    r = (1 if odd & bit else 0) | (2 if high & bit else 0)
+    near = s.near
     path = [src]
     v = src
     while v != dst:
-        closer = s.dist[v][dst] - 1
-        for m in s.topology.adjacency[v]:  # ascending: first is smallest
-            if s.dist[m][dst] == closer:
-                break
-        else:
+        r = r - 1 & 3
+        hops = near[v] & closer[r] if len(path) < s.infinity_metric else 0
+        if not hops:
             raise RuntimeError(
                 f"no next hop at node {v} for destination {dst} "
-                f"(table not converged)")
-        path.append(m)
-        v = m
+                f"(vectors not converged)")
+        v = (hops & -hops).bit_length() - 1
+        path.append(v)
     return path
 
 
@@ -207,13 +204,12 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
     Every input is checked before any round runs, else ValueError: probe,
     dest and max_rounds must be ints (not bools), probe and dest in [0, n),
     {a, b} a link of t, max_rounds at least 1 and infinity_metric an
-    integer at least 2. Only dest's column is computed: its converged
-    column on t, then one full recompute of it per round on the failed
-    topology, equal round for round to the full exchange's. Rounds stop
-    when the probe metric caps at the infinity metric, when the column
-    stops changing (the failure did not affect any route toward dest, or
-    counting has finished), or after max_rounds. The trace keeps the failed
-    topology.
+    integer at least 2. Only dest's column is exchanged on the failed
+    topology: its converged column on t, then one full recompute of it per
+    round, equal round for round to the full exchange's. Rounds stop when
+    the probe metric caps at the infinity metric, when the column stops
+    changing (the failure did not affect any route toward dest, or counting
+    has finished), or after max_rounds. The trace keeps the failed topology.
     """
     for name, value in (("probe", probe), ("dest", dest),
                         ("max_rounds", max_rounds)):
@@ -225,8 +221,8 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
         if not 0 <= node < t.n:
             raise ValueError(f"{name} {node} outside [0, {t.n})")
     failed = remove_link(t, a, b)
-    check_infinity(infinity_metric)
-    col, _ = _column(_neighbour_masks(t), dest, infinity_metric)
+    s, _ = converge(t, infinity_metric)
+    col = [s.metric(v, dest) for v in range(t.n)]
     cap = infinity_metric - 1
     entries = []
     for rnd in range(1, max_rounds + 1):

@@ -43,6 +43,10 @@ from .topology import (
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
+# the most random queries one run draws: every query is a report row, so an
+# unbounded count would fill memory before any row is routed
+MAX_QUERIES = 10**6
+
 REFUSAL_TEXT = "No sufficient bandwidth available"
 PLOT_HEADER = "query,src,dst,dv_hops,ff_hops,ff_status"
 
@@ -72,8 +76,9 @@ class ExperimentConfig:
         check_seed(self.seed)
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.query_count < 0:
-            raise ValueError("query_count must be non-negative")
+        if not 0 <= self.query_count <= MAX_QUERIES:
+            raise ValueError(f"query_count must lie in 0..{MAX_QUERIES}, "
+                             f"got {self.query_count}")
         if not is_number(self.demand) or not 0 <= self.demand < math.inf:
             raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
         dv_engine.check_infinity(self.infinity_metric)

@@ -1,8 +1,10 @@
 """Small topology builders, topology strategies and the oracles shared
-across the test modules."""
+across the test modules, the full-table distance-vector exchange that the
+bitset engine must equal among them."""
 
 import json
 import random
+import time
 from collections import defaultdict
 from dataclasses import asdict, replace
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
                       Topology, Weights, generate_topology, run_comparison,
                       select_route)
+from fitroute.dv import converge, extract_path
 from fitroute.experiment import ComparisonReport
 from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
 from fitroute.topology import SplitMix64, bfs_hops, remove_link
@@ -39,6 +42,87 @@ def reference_topology_rng(n: int, params: GenParams,
         QosLink(a, b, *(lo + rng.next_u64() / 2**64 * (hi - lo)
                         for lo, hi in ranges))
         for a, b in pairs))
+
+
+def reference_init_tables(t: Topology,
+                          infinity_metric: int) -> tuple[tuple[int, ...], ...]:
+    """The full-table initial vectors: table[v][d] is 0 for v = d, 1 for a
+    neighbour and infinity_metric for every other destination."""
+    inf = infinity_metric
+    table = []
+    for v in range(t.n):
+        row = [inf] * t.n
+        row[v] = 0
+        for u in t.adjacency[v]:
+            row[u] = 1
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def reference_exchange_round(t: Topology, table, infinity_metric: int):
+    """One synchronous full-table exchange, every entry recomputed from the
+    neighbours' previous-round vectors: table[v][d] = min(infinity,
+    1 + min over neighbours m of table[m][d]), and 0 for v = d. Returns the
+    new table and whether any entry changed: the reference that dv's bitset
+    rounds must equal round for round."""
+    cap = infinity_metric - 1
+    new_table = []
+    for v in range(t.n):
+        rows = [table[m] for m in t.adjacency[v]]
+        row = []
+        for d in range(t.n):
+            best = cap
+            for r in rows:
+                if r[d] < best:
+                    best = r[d]
+            row.append(best + 1)
+        row[v] = 0
+        new_table.append(tuple(row))
+    new_table = tuple(new_table)
+    return new_table, new_table != table
+
+
+def reference_converge(t: Topology, infinity_metric: int):
+    """reference_init_tables, then full-table rounds until one changes
+    nothing: the fixed point and the number of rounds that changed it."""
+    table = reference_init_tables(t, infinity_metric)
+    rounds = 0
+    while True:
+        nxt, changed = reference_exchange_round(t, table, infinity_metric)
+        if not changed:
+            return table, rounds
+        table, rounds = nxt, rounds + 1
+
+
+def reference_walk(t: Topology, table, infinity_metric: int, src: int,
+                   dst: int) -> list[int] | None:
+    """The path a converged full table names from src to dst: each step to
+    the smallest-id neighbour one metric closer; None when unreachable."""
+    if table[src][dst] >= infinity_metric:
+        return None
+    path = [src]
+    while path[-1] != dst:
+        v = path[-1]
+        path.append(min(m for m in t.adjacency[v]
+                        if table[m][dst] == table[v][dst] - 1))
+    return path
+
+
+def reference_trace(t: Topology, a: int, b: int, probe: int, dest: int,
+                    max_rounds: int, infinity_metric: int):
+    """dv.fail_link_and_trace's entries from full-table rounds: every column
+    converged on t, then every column exchanged on the failed topology."""
+    table, _ = reference_converge(t, infinity_metric)
+    failed = remove_link(t, a, b)
+    col = [row[dest] for row in table]
+    entries = []
+    for rnd in range(1, max_rounds + 1):
+        table, _ = reference_exchange_round(failed, table, infinity_metric)
+        prev, col = col, [row[dest] for row in table]
+        entries.append((rnd, col[probe]))
+        if col[probe] >= infinity_metric or col == prev:
+            break
+    return tuple(entries)
 
 
 def line_topology(n: int, bandwidth: float = 10.0, delay: float = 1.0,
@@ -201,6 +285,33 @@ def check_rows_against_full_trees(cfg: ExperimentConfig,
             trees[row.src] = full_gated_tree(t, row.src, cfg.weights, cfg.demand)
         assert row.ff == full_tree_outcome(t, trees[row.src], row.dst), row
     return report
+
+
+def check_dv_against_bfs(t: Topology, infinity_metric: int,
+                         sources: int = 64) -> tuple[float, int]:
+    """dv.converge(t, infinity_metric), then, from `sources` evenly spaced
+    sources to every node: the metric must be the BFS hop count capped at
+    infinity_metric, and extract_path a walk over links of exactly that
+    many hops (None when capped). Returns converge's seconds and rounds.
+
+    Run from the repository root, for example:
+    PYTHONPATH=src:tests python -c 'from helpers import check_dv_against_bfs as c; from fitroute import generate_topology as g; print(c(g(1024), 16))'
+    """
+    started = time.perf_counter()
+    s, rounds = converge(t, infinity_metric)
+    seconds = time.perf_counter() - started
+    for src in range(0, t.n, max(1, t.n // sources)):
+        hops = bfs_hops(t, src)
+        for dst in range(t.n):
+            metric = min(hops.get(dst, infinity_metric), infinity_metric)
+            assert s.metric(src, dst) == metric, (src, dst)
+            path = extract_path(s, src, dst)
+            if metric == infinity_metric:
+                assert path is None, (src, dst)
+                continue
+            assert (path[0], path[-1], len(path) - 1) == (src, dst, metric)
+            assert all(map(t.link_between, path, path[1:])), (src, dst)
+    return seconds, rounds
 
 
 BANDWIDTHS = (1.0, 2.5, 5.0, 10.0)

@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equivalence():
             for dst in range(n):
                 tree = build_spanning_tree(t, src, ExperimentConfig().weights,
                                            SUITE_DEMAND, dst)
-                assert state.dist[src][dst] == oracle[dst]
+                assert state.metric(src, dst) == oracle[dst]
                 if dst in tree.label:  # and every node on its min-hop paths
                     assert all(hops == pruned_oracle[v]
                                for v, (hops, _) in tree.label.items())

@@ -170,6 +170,19 @@ def test_compare_rejects_infinity_above_max_nodes(capsys, monkeypatch):
     assert "infinity_metric must be at most 1024, got 1025" in err
 
 
+@pytest.mark.parametrize("queries", ["1000001", "99999999999999999999"])
+def test_compare_rejects_query_count_above_bound(capsys, monkeypatch, queries):
+    # every query is a report row; drawing 10^20 of them would fill memory
+    def no_generation(*args):
+        raise AssertionError("generated a topology for a rejected config")
+
+    monkeypatch.setattr("fitroute.experiment.generate_topology_rng",
+                        no_generation)
+    code, out, err = run(capsys, "compare", "--nodes", "4", "--queries", queries)
+    assert (code, out) == (2, "")
+    assert f"query_count must lie in 0..1000000, got {queries}" in err
+
+
 @pytest.mark.parametrize("command", [["compare", "--queries", "3"],
                                      ["gen-topology", "--nodes", "5"]])
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616",
@@ -378,11 +391,11 @@ def test_demo_rejects_max_rounds_below_one(capsys, rounds):
 
 def test_demo_rejects_infinity_above_max_nodes(capsys, monkeypatch):
     # counting to 10^20 would take about 10^20 rounds whatever --max-rounds
-    # says; fail before any column is built
+    # says; fail before any exchange round runs
     def no_rounds(*args):
         raise AssertionError("ran a trace for a rejected infinity")
 
-    monkeypatch.setattr("fitroute.dv._column", no_rounds)
+    monkeypatch.setattr("fitroute.dv.exchange_round", no_rounds)
     code, out, err = run(capsys, "demo-count-to-infinity",
                          "--infinity", "100000000000000000000",
                          "--max-rounds", "100000000")
@@ -409,9 +422,9 @@ def test_demo_custom_topology(tmp_path, capsys):
 # broken pairs and ranges. The topology file is a small generated one, the
 # same with random lines added, or random lines or bytes alone. Node and
 # query counts stay small, so an example runs in milliseconds; --nodes
-# within 1..1024 is valid but slow, and a huge --queries runs until memory
-# runs out, so --queries draws no huge count. {dir} in a value is a fresh
-# directory holding the drawn topology file.
+# within 1..1024 is valid but slow. --queries above 10^6 exits 2 before a
+# topology is generated, so it draws huge counts too. {dir} in a value is a
+# fresh directory holding the drawn topology file.
 
 WORDS = ("", "-", "--", ":", "x", "nan", "-nan", "inf", "-inf", "1e999",
          "0x10", "1_0", " 3", "1.5", "-0")
@@ -453,8 +466,7 @@ GEN_FLAGS = {"--edge-prob": numbers(0.0, 1.0), "--bw": ranges(1e-3, 100.0),
 GRAMMAR = {
     "compare": {
         "--nodes": ints(1, 24), "--seed": ints(0, 2**64 - 1),
-        "--queries": valid_or_not(st.integers(0, 40).map(str),
-                                  st.sampled_from(WORDS)),
+        "--queries": ints(0, 40) | st.just(str(10**6 + 1)),
         "--query": NODE_PAIRS,
         "--demand": numbers(0.0, 120.0),
         "--weights": valid_or_not(

@@ -1,13 +1,11 @@
+import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fitroute import GenParams, QosLink, Topology, generate_topology
 from fitroute.dv import (
-    DvState,
-    _column,
-    _neighbour_masks,
     converge,
     exchange_round,
     extract_path,
@@ -17,7 +15,9 @@ from fitroute.dv import (
 )
 from fitroute.topology import MAX_NODES, bfs_hops, remove_link
 
-from helpers import line_topology
+from helpers import (cut_topologies, drawn_topologies, line_topology,
+                     reference_exchange_round, reference_init_tables,
+                     reference_trace, reference_walk)
 
 # Hand-simulated synchronous recurrence for the 3-node line 0-1-2 with link
 # {1,2} failed, infinity 16 (checked against an independent scratch
@@ -31,32 +31,45 @@ def converged_line(n=3, infinity=16):
     return s
 
 
-def reference_converge(t, infinity):
-    """The full-table engine: init_tables, then exchange rounds until one
-    changes nothing; the fixed point and the number of changing rounds."""
-    s = init_tables(t, infinity)
-    for rounds in range(t.n):
-        nxt, changed = exchange_round(s)
+def metrics(s):
+    """Every metric of s as a full table, table[v][d] = s.metric(v, d)."""
+    n = s.topology.n
+    return tuple(tuple(s.metric(v, d) for d in range(n)) for v in range(n))
+
+
+def state_from_table(t, table, infinity):
+    """A DvState whose metrics are the table's, fixed point or not: near as
+    init_tables sets it, reach and planes read off the table."""
+    planes = (infinity - 1).bit_length()
+    rows = [[(d, m) for d, m in enumerate(row) if m < infinity] for row in table]
+    return dataclasses.replace(
+        init_tables(t, infinity),
+        reach=tuple(sum(1 << d for d, _ in row) for row in rows),
+        planes=tuple(tuple(sum(1 << d for d, m in row if m >> j & 1) for row in rows)
+                     for j in range(planes)))
+
+
+def check_against_full_table(t, k):
+    """Round for round, the bitset state's metrics equal the full table's
+    and both report the same changes; converge returns the last state and
+    the number of changing rounds, and every extracted path is the table's
+    walk."""
+    table = reference_init_tables(t, k)
+    s = init_tables(t, k)
+    rounds = 0
+    while True:
+        assert metrics(s) == table
+        table_next, table_changed = reference_exchange_round(t, table, k)
+        s_next, changed = exchange_round(s, rounds + 1)
+        assert changed == table_changed
         if not changed:
-            return s, rounds
-        s = nxt
-    raise AssertionError(f"no fixed point within {t.n} rounds")
-
-
-def reference_trace(t, a, b, probe, dest, max_rounds, infinity):
-    """fail_link_and_trace's entries from full-table rounds: every column
-    converged on t, then every column exchanged on the failed topology."""
-    s, _ = reference_converge(t, infinity)
-    s = DvState(remove_link(t, a, b), s.dist, infinity)
-    col = [row[dest] for row in s.dist]
-    entries = []
-    for rnd in range(1, max_rounds + 1):
-        s, _ = exchange_round(s)
-        prev, col = col, [row[dest] for row in s.dist]
-        entries.append((rnd, col[probe]))
-        if col[probe] >= infinity or col == prev:
             break
-    return tuple(entries)
+        table, s, rounds = table_next, s_next, rounds + 1
+    assert converge(t, k) == (s, rounds)
+    for src in range(t.n):
+        for dst in range(t.n):
+            assert extract_path(s, src, dst) == reference_walk(t, table, k,
+                                                               src, dst)
 
 
 @st.composite
@@ -75,14 +88,17 @@ def any_topology(draw):
 
 def test_init_tables_line():
     s = init_tables(line_topology(3), 16)
-    assert s.dist[0][2] == 16  # not a neighbor yet
-    assert s.dist[0][1] == 1
-    assert all(s.dist[v][v] == 0 for v in range(3))
+    assert s.metric(0, 2) == 16  # not a neighbor yet
+    assert s.metric(0, 1) == 1
+    assert all(s.metric(v, v) == 0 for v in range(3))
+    assert s.near == s.reach == (0b011, 0b111, 0b110)
+    # outside reach the planes hold the metric the last round reached, 1
+    assert s.planes == ((0b110, 0b101, 0b011),) + ((0, 0, 0),) * 3
 
 
 def test_init_tables_single_node():
     s = init_tables(Topology(1, ()), 16)
-    assert s.dist == ((0,),)
+    assert metrics(s) == ((0,),)
 
 
 def test_init_tables_rejects_tiny_infinity():
@@ -103,15 +119,25 @@ def test_engine_rejects_non_integer_infinity(infinity):
 
 def test_exchange_round_single_relaxation():
     s = init_tables(line_topology(3), 16)
-    s2, changed = exchange_round(s)
+    s2, changed = exchange_round(s, 1)
     assert changed
-    assert s2.dist[0][2] == 2
+    assert s2.metric(0, 2) == 2
+    # metric 2 turns plane 1's bit on and plane 0's off outside the old reach
+    assert s2.planes[:2] == ((0b010, 0b101, 0b010), (0b100, 0, 0b001))
 
 
 def test_exchange_round_fixed_point_reports_unchanged():
     s = converged_line()
-    _, changed = exchange_round(s)
+    s2, changed = exchange_round(s, 2)
     assert not changed
+    assert s2 == s
+
+
+def test_exchange_round_at_the_cap_changes_nothing():
+    # infinity 3: metric 2 is the last below it, so round 2 would reach 3
+    s, changed = exchange_round(init_tables(line_topology(5), 3), 1)
+    assert changed and s.metric(0, 2) == 2
+    assert exchange_round(s, 2) == (s, False)
 
 
 def test_next_hop_tie_breaks_to_smallest_neighbor():
@@ -123,7 +149,7 @@ def test_next_hop_tie_breaks_to_smallest_neighbor():
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
     s, _ = converge(t, 16)
-    assert s.dist[0][3] == 2
+    assert s.metric(0, 3) == 2
     assert extract_path(s, 0, 3) == [0, 1, 3]
 
 
@@ -131,7 +157,7 @@ def test_next_hop_tie_breaks_to_smallest_neighbor():
 def test_converge_chain_bound_and_distance(n):
     s, rounds = converge(line_topology(n), max(16, n + 1))
     assert rounds <= max(0, n - 1)
-    assert s.dist[0][n - 1] == n - 1
+    assert s.metric(0, n - 1) == n - 1
 
 
 def test_converge_complete_graph_immediate():
@@ -139,7 +165,7 @@ def test_converge_complete_graph_immediate():
                   for a in range(4) for b in range(a + 1, 4))
     s, rounds = converge(Topology(4, links), 16)
     assert rounds == 0  # neighbor initialization is already the fixed point
-    assert all(s.dist[u][v] == 1 for u in range(4) for v in range(4) if u != v)
+    assert all(s.metric(u, v) == 1 for u in range(4) for v in range(4) if u != v)
 
 
 def test_converge_round_count_on_a_line():
@@ -150,9 +176,13 @@ def test_converge_round_count_on_a_line():
             assert converge(line_topology(n), k)[1] == max(0, min(n, k) - 2)
 
 
-@given(any_topology(), st.integers(2, 16))
+@settings(max_examples=300)
+@given(any_topology() | drawn_topologies() | cut_topologies(),
+       st.integers(2, 20))
 def test_converge_equals_full_table_rounds(t, k):
-    assert converge(t, k) == reference_converge(t, k)
+    # metrics, round count and every pair's path, on graphs with several
+    # components, with cut links and with caps below and above the diameter
+    check_against_full_table(t, k)
 
 
 @pytest.mark.parametrize("t, k", [
@@ -162,19 +192,11 @@ def test_converge_equals_full_table_rounds(t, k):
     (line_topology(12), 5),  # the far end lies beyond the cap
 ])
 def test_column_edges_equal_full_table_rounds(t, k):
-    # each column and the rounds in which it changed, against init_tables
-    # and exchange_round
-    s = init_tables(t, k)
-    rounds = [0] * t.n
-    for _ in range(t.n):
-        nxt, _ = exchange_round(s)
-        for d in range(t.n):
-            rounds[d] += any(a[d] != b[d] for a, b in zip(s.dist, nxt.dist))
-        s = nxt
-    masks = _neighbour_masks(t)
-    for d in range(t.n):
-        assert _column(masks, d, k) == ([row[d] for row in s.dist], rounds[d])
-    assert converge(t, k) == reference_converge(t, k)
+    # every destination's column at the edges of the exchange: one plane
+    # (infinity 2), an isolated node, and metrics cut off at the cap
+    check_against_full_table(t, k)
+    s, _ = converge(t, k)
+    assert len(s.planes) == (k - 1).bit_length()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -185,7 +207,7 @@ def test_converged_metrics_equal_bfs_oracle(seed):
     for src in range(t.n):
         oracle = bfs_hops(t, src)
         for dst in range(t.n):
-            assert s.dist[src][dst] == oracle[dst]  # generated => connected
+            assert s.metric(src, dst) == oracle[dst]  # generated => connected
 
 
 def test_extract_path_direct_link():
@@ -214,23 +236,82 @@ def test_extract_path_rejects_bad_nodes():
 def test_extract_path_raises_without_next_hop():
     # line 0-1-2 whose table claims 0 reaches 2 in one hop: 0's only
     # neighbor, 1, is also at metric 1 from 2, so no neighbor is closer
-    s = DvState(line_topology(3), ((0, 1, 1), (1, 0, 1), (2, 1, 0)), 16)
+    t = line_topology(3)
+    s = state_from_table(t, ((0, 1, 1), (1, 0, 1), (1, 1, 0)), 16)
     with pytest.raises(RuntimeError):
         extract_path(s, 0, 2)
 
 
+class CountingNear(tuple):
+    """A near tuple that counts its reads: one per step of a walk."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_extract_path_stops_a_cycling_walk():
+    # ring 0-1-2-3-0 with dst 4 hanging off 0, whose forged metrics 7, 6, 5,
+    # 4 toward 4 fall by one mod 4 around the ring: unbounded, the mod-4
+    # rule would walk 0, 1, 2, 3, 0, ... for ever
+    t = Topology(5, tuple(QosLink(a, b, 10.0, 1.0, 0.0, 0.0)
+                          for a, b in ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4))))
+    s, _ = converge(t, 16)
+    table = [list(row) for row in metrics(s)]
+    for v, m in enumerate((7, 6, 5, 4)):
+        table[v][4] = table[4][v] = m
+    s = state_from_table(t, table, 16)
+    s = dataclasses.replace(s, near=CountingNear(s.near))
+    with pytest.raises(RuntimeError, match="no next hop at node 3"):
+        extract_path(s, 0, 4)
+    assert s.near.reads == 15  # infinity_metric - 1 steps
+
+
+@st.composite
+def forged_states(draw):
+    """A topology, an infinity and any table of metrics on it, fixed point
+    or not, as a state whose near counts its reads."""
+    t = draw(drawn_topologies())
+    k = draw(st.integers(2, 20))
+    table = draw(st.lists(st.lists(st.integers(0, k), min_size=t.n,
+                                   max_size=t.n), min_size=t.n, max_size=t.n))
+    s = state_from_table(t, table, k)
+    return dataclasses.replace(s, near=CountingNear(s.near))
+
+
+@given(forged_states(), st.data())
+def test_extract_path_on_any_state_is_bounded_and_follows_links(s, data):
+    # on a state that is not a fixed point, a walk either ends at dst or
+    # raises RuntimeError, after at most infinity_metric - 1 steps, each
+    # along a link of s.topology
+    t = s.topology
+    src = data.draw(st.integers(0, t.n - 1))
+    dst = data.draw(st.integers(0, t.n - 1))
+    try:
+        path = extract_path(s, src, dst)
+    except RuntimeError:
+        path = None
+    assert s.near.reads <= s.infinity_metric - 1
+    if path is not None:
+        assert path[0] == src and path[-1] == dst
+        assert len(path) <= s.infinity_metric
+        assert all(t.link_between(u, v) for u, v in zip(path, path[1:]))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_converged_tables_self_consistent(seed):
-    # every finite entry satisfies dist[u][d] = 1 + min over neighbors m
-    # of dist[m][d]
+    # every finite metric satisfies metric(u, d) = 1 + min over neighbors m
+    # of metric(m, d)
     t = generate_topology(10, seed=seed)
     s, _ = converge(t, 16)
     for u in range(t.n):
         for d in range(t.n):
-            if u == d or s.dist[u][d] >= s.infinity_metric:
+            if u == d or s.metric(u, d) >= s.infinity_metric:
                 continue
-            assert s.dist[u][d] == 1 + min(s.dist[m][d]
-                                           for m in t.adjacency[u])
+            assert s.metric(u, d) == 1 + min(s.metric(m, d)
+                                             for m in t.adjacency[u])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -242,7 +323,7 @@ def test_extracted_paths_simple_and_consistent(seed):
             path = extract_path(s, src, dst)
             assert path is not None
             assert len(set(path)) == len(path)
-            assert len(path) - 1 == s.dist[src][dst]
+            assert len(path) - 1 == s.metric(src, dst)
             assert all(t.link_between(u, v) for u, v in zip(path, path[1:]))
 
 
@@ -294,7 +375,7 @@ def test_irrelevant_failure_terminates_first_round():
         QosLink(0, 3, 10.0, 1.0, 0.0, 0.0),
     ))
     s, _ = converge(t, 16)
-    before = s.dist[1][3]
+    before = s.metric(1, 3)
     trace = fail_link_and_trace(t, 1, 2, probe=1, dest=3, max_rounds=64)
     assert trace.entries == ((1, before),)
 

@@ -24,6 +24,7 @@ from fitroute.experiment import (
     CLAIM_MIN_HOP,
     CLAIM_REFUSAL,
     CLAIM_SIMPLE_PATH,
+    MAX_QUERIES,
     REFUSAL_TEXT,
     PLOT_HEADER,
     Violation,
@@ -87,6 +88,14 @@ def test_config_rejects_bad_values():
         ExperimentConfig(n=4, explicit_queries=((0, 7),))
     with pytest.raises(ValueError):
         ExperimentConfig(demand=-1.0)
+
+
+def test_config_bounds_query_count():
+    # every query is a report row; an unbounded count would fill memory
+    assert ExperimentConfig(query_count=MAX_QUERIES).query_count == 10**6
+    for count in (MAX_QUERIES + 1, 2**64):
+        with pytest.raises(ValueError, match="query_count must lie in 0..1000000"):
+            ExperimentConfig(query_count=count)
 
 
 @pytest.mark.parametrize("field, value", [
