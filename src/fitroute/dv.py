@@ -45,7 +45,7 @@ from functools import reduce
 from itertools import repeat
 from operator import and_, or_, xor
 
-from .topology import MAX_NODES, Topology, is_int, remove_link
+from .topology import MAX_NODES, Topology, check_node, is_int, remove_link
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,10 @@ class DvTrace:
 
 
 def check_infinity(infinity_metric: int) -> None:
-    """An infinity metric is an int in 2..MAX_NODES, else ValueError. No hop
-    metric on a topology of at most MAX_NODES nodes reaches MAX_NODES, and
-    counting to infinity takes about infinity_metric rounds, so the bound
-    keeps every run finite."""
+    """An infinity metric is an int in 2..MAX_NODES, else ValueError. Every
+    Topology holds at most MAX_NODES nodes (check_node_count), so no hop
+    metric reaches MAX_NODES, and counting to infinity takes about
+    infinity_metric rounds, so the bound keeps every run finite."""
     if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
         raise ValueError(
             f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
@@ -162,12 +162,10 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
     a node with no such neighbour, or a walk that has not reached dst within
     infinity_metric - 1 steps, means s is not a fixed point and raises
     RuntimeError.
-    src and dst must be int node ids (not bools), else ValueError.
+    src and dst must be node ids of s.topology (check_node), else ValueError.
     """
-    n = s.topology.n
-    if not ((type(src) is int and type(dst) is int or is_int(src) and is_int(dst))
-            and 0 <= src < n and 0 <= dst < n):
-        raise ValueError(f"query ({src!r}, {dst!r}) needs int node ids in [0, {n})")
+    check_node(src, s.topology.n, "src")
+    check_node(dst, s.topology.n, "dst")
     reach = s.reach[dst]
     bit = 1 << src
     if not reach & bit:
@@ -201,25 +199,20 @@ def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
     """Converge on t, remove link {a, b} and record the probe node's metric
     toward dest each synchronous round on the failed topology.
 
-    Every input is checked before any round runs, else ValueError: probe,
-    dest and max_rounds must be ints (not bools), probe and dest in [0, n),
-    {a, b} a link of t, max_rounds at least 1 and infinity_metric an
-    integer at least 2. Only dest's column is exchanged on the failed
-    topology: its converged column on t, then one full recompute of it per
-    round, equal round for round to the full exchange's. Rounds stop when
-    the probe metric caps at the infinity metric, when the column stops
-    changing (the failure did not affect any route toward dest, or counting
-    has finished), or after max_rounds. The trace keeps the failed topology.
+    Every input is checked before any round runs, else ValueError: probe
+    and dest must pass check_node, {a, b} must be a link of t, max_rounds an
+    int (not a bool) at least 1 and infinity_metric pass check_infinity.
+    Only dest's column is exchanged on the failed topology: its converged
+    column on t, then one full recompute of it per round, equal round for
+    round to the full exchange's. Rounds stop when the probe metric caps at
+    the infinity metric, when the column stops changing (the failure did not
+    affect any route toward dest, or counting has finished), or after
+    max_rounds. The trace keeps the failed topology.
     """
-    for name, value in (("probe", probe), ("dest", dest),
-                        ("max_rounds", max_rounds)):
-        if not is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    for name, node in (("probe", probe), ("dest", dest)):
-        if not 0 <= node < t.n:
-            raise ValueError(f"{name} {node} outside [0, {t.n})")
+    check_node(probe, t.n, "probe")
+    check_node(dest, t.n, "dest")
+    if not (is_int(max_rounds) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     failed = remove_link(t, a, b)
     s, _ = converge(t, infinity_metric)
     col = [s.metric(v, dest) for v in range(t.n)]

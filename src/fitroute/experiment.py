@@ -34,10 +34,13 @@ from .topology import (
     GenParams,
     SplitMix64,
     Topology,
+    check_demand,
+    check_node,
+    check_node_count,
     check_seed,
     generate_topology_rng,
     is_int,
-    is_number,
+    is_node,
     topology_fingerprint,
 )
 # unused here; kept importable because the benchmark's tracer wraps these names
@@ -60,6 +63,10 @@ CLAIM_REFUSAL = "refusal"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One comparison's inputs, checked on construction (else ValueError)
+    by the shared checks of fitroute.topology. Explicit queries set
+    query_count to their number."""
+
     n: int = 16
     seed: int = 0
     gen: GenParams = DEFAULT_GEN_PARAMS
@@ -70,24 +77,25 @@ class ExperimentConfig:
     infinity_metric: int = 16
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("query_count", self.query_count)):
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.explicit_queries is not None:
+            object.__setattr__(self, "query_count", len(self.explicit_queries))
+        check_node_count(self.n)
         check_seed(self.seed)
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        if not is_int(self.query_count):
+            raise ValueError(
+                f"query_count must be an integer, got {self.query_count!r}")
         if not 0 <= self.query_count <= MAX_QUERIES:
             raise ValueError(f"query_count must lie in 0..{MAX_QUERIES}, "
                              f"got {self.query_count}")
-        if not is_number(self.demand) or not 0 <= self.demand < math.inf:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
+        check_demand(self.demand)
+        if not isinstance(self.gen, GenParams):
+            raise ValueError(f"gen must be a GenParams, got {self.gen!r}")
+        if not isinstance(self.weights, Weights):
+            raise ValueError(f"weights must be a Weights, got {self.weights!r}")
         dv_engine.check_infinity(self.infinity_metric)
-        if self.explicit_queries is not None:
-            for src, dst in self.explicit_queries:  # node ids are ints in [0, n)
-                if not (is_int(src) and is_int(dst)
-                        and 0 <= src < self.n and 0 <= dst < self.n):
-                    raise ValueError(
-                        f"query ({src!r}, {dst!r}) references nodes outside [0, {self.n})")
+        for src, dst in self.explicit_queries or ():
+            check_node(src, self.n, f"src of query {(src, dst)!r}")
+            check_node(dst, self.n, f"dst of query {(src, dst)!r}")
 
 
 @dataclass(frozen=True)
@@ -213,19 +221,13 @@ def run_comparison(cfg: ExperimentConfig,
         report.summary, violations=verify_claims(report, t)))
 
 
-def _is_node(v, t: Topology) -> bool:
-    """True for an int node id of t: 5.0 equals 5, True equals 1, and -1
-    would index from the end."""
-    return is_int(v) and 0 <= v < t.n
-
-
 def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
           demand: float) -> tuple[str | None, list[tuple[int, int, float | None]]]:
     """One pass over a path: why it is not a simple src->dst walk (None when
     it is), and its steps (u, v, bandwidth) that are not links (bandwidth
-    None) or carry less than the demand. A path holding an id that is not
-    an int node id of t (5.0 equals 5, and would index t) has no steps."""
-    if not all(is_int(v) and 0 <= v < t.n for v in path):
+    None) or carry less than the demand. A path holding an id that is not a
+    node id of t (is_node: 5.0 equals 5) has no steps."""
+    if not all(is_node(v, t.n) for v in path):
         return (f"{_path_text(path)} holds an id that is not an int in "
                 f"[0, {t.n})", [])
     reason = None
@@ -234,8 +236,9 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
     elif len(set(path)) != len(path):
         reason = f"{_path_text(path)} repeats a node"
     short = []
+    adjacency = t.adjacency  # ids passed is_node: link_between would recheck
     for u, v in zip(path, path[1:]):
-        link = t.link_between(u, v)
+        link = adjacency[u].get(v)
         if link is None:
             reason = reason or f"step {u}-{v} is not a link"
             short.append((u, v, None))
@@ -291,7 +294,7 @@ def _layer_of(layers: list[int], v: int) -> int | None:
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
     """Re-check every row against independent oracles.
 
-    A row whose src or dst is not an int node id of t is flagged
+    A row whose src or dst is not a node id of t (is_node) is flagged
     (simple_path) and checked no further. Every other row gets one expected
     outcome from the oracle's own BFS (_oracle_layers) over neighbour
     bitsets of t and of its links that carry the demand (_oracle_masks):
@@ -310,7 +313,7 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
     full_masks, feas_masks = _oracle_masks(t, demand)
     dsts = [0] * t.n
     for row in report.rows:
-        if _is_node(row.src, t) and _is_node(row.dst, t):
+        if is_node(row.src, t.n) and is_node(row.dst, t.n):
             dsts[row.src] |= 1 << row.dst
     full = functools.cache(lambda src: _oracle_layers(full_masks, src, dsts[src]))
     feas = functools.cache(lambda src: _oracle_layers(feas_masks, src, dsts[src]))
@@ -320,7 +323,7 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
         violations.append(Violation(i, claim, detail))
 
     for i, row in enumerate(report.rows):
-        if not (_is_node(row.src, t) and _is_node(row.dst, t)):
+        if not (is_node(row.src, t.n) and is_node(row.dst, t.n)):
             flag(i, CLAIM_SIMPLE_PATH, f"query {row.src!r}->{row.dst!r} "
                  f"holds an id that is not an int in [0, {t.n})")
             continue

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology, is_int, is_number
+from .topology import QosLink, Topology, check_demand, check_node, is_int, is_number
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
@@ -72,8 +72,9 @@ class RouteRequest:
     def __post_init__(self):
         if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
-        if not is_number(self.demand) or not 0 <= self.demand < math.inf:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand!r}")
+        check_demand(self.demand)
+        if not isinstance(self.weights, Weights):
+            raise ValueError(f"weights must be a Weights, got {self.weights!r}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. root and dst
-    are int node ids of t, and demand is a finite number >= 0.
+    must pass check_node and demand check_demand, else ValueError.
 
     Meet: bitset hop layers grow from root and from dst (bidirectional
     search, Pohl 1971, over bitmap frontiers, Beamer et al. 2012), each
@@ -195,14 +196,9 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     link costed at most once, so the search is bounded whatever the
     topology.
     """
-    if not (is_int(root) and is_int(dst)):
-        raise ValueError(f"root and dst must be ints, got {root!r}, {dst!r}")
-    if not 0 <= root < t.n:
-        raise ValueError(f"root {root} outside [0, {t.n})")
-    if not 0 <= dst < t.n:
-        raise ValueError(f"dst {dst} outside [0, {t.n})")
-    if not is_number(demand) or not 0 <= demand < math.inf:
-        raise ValueError(f"demand must be a finite number >= 0, got {demand!r}")
+    check_node(root, t.n, "root")
+    check_node(dst, t.n, "dst")
+    check_demand(demand)
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
     layers = ([1 << root], [1 << dst])  # hop layers from root and from dst

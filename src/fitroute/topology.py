@@ -24,7 +24,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
 _TWO64 = 18446744073709551616.0  # 2^64: draw / _TWO64 is a draw's float
 
-MAX_NODES = 1024  # largest node count the CLI and the file format accept
+MAX_NODES = 1024  # every Topology holds 1..MAX_NODES nodes (check_node_count)
 
 
 def is_int(value) -> bool:
@@ -44,6 +44,29 @@ def is_number(value) -> bool:
     """True for a real number that is not a bool: a str or None would fail
     later inside a comparison with TypeError, and True is no quantity."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def check_node_count(n) -> None:
+    """A node count is an int, not a bool, in 1..MAX_NODES, else ValueError."""
+    if not (is_int(n) and 1 <= n <= MAX_NODES):
+        raise ValueError(f"node count must be an integer in 1..{MAX_NODES}, got {n!r}")
+
+
+def is_node(v, n: int) -> bool:
+    """True for an int, not a bool, in [0, n): True and 2.0 hash as 1 and 2."""
+    return is_int(v) and 0 <= v < n
+
+
+def check_node(v, n: int, name: str) -> None:
+    """is_node(v, n), else ValueError naming the argument."""
+    if not is_node(v, n):
+        raise ValueError(f"{name} must be an integer node id in [0, {n}), got {v!r}")
+
+
+def check_demand(demand) -> None:
+    """A demand is a finite number >= 0, not a bool, else ValueError."""
+    if not (is_number(demand) and 0 <= demand < math.inf):
+        raise ValueError(f"demand must be a finite number >= 0, got {demand!r}")
 
 
 class SplitMix64:
@@ -163,7 +186,7 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable undirected graph: node count plus QoS links.
+    """Immutable undirected graph: node count (check_node_count) plus QoS links.
 
     Links are stored sorted by (a, b). `adjacency[x]` maps node x's
     neighbour ids, ascending, to the links joining them, built once and
@@ -180,10 +203,7 @@ class Topology:
                                                       compare=False)
 
     def __post_init__(self):
-        if not is_int(self.n):
-            raise ValueError(f"node count must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError("topology needs at least one node")
+        check_node_count(self.n)
         links = tuple(sorted(self.links, key=attrgetter("a", "b")))
         object.__setattr__(self, "links", links)
         adj: list[dict[int, QosLink]] = [{} for _ in range(self.n)]
@@ -197,8 +217,9 @@ class Topology:
         object.__setattr__(self, "adjacency", tuple(adj))
 
     def link_between(self, a: int, b: int) -> QosLink | None:
-        """The link {a, b} for int ids, or None (a negative a must not wrap)."""
-        return self.adjacency[a].get(b) if 0 <= a < self.n else None
+        """The link {a, b}, or None, also when a or b fails is_node."""
+        n = self.n
+        return self.adjacency[a].get(b) if is_node(a, n) and is_node(b, n) else None
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -318,8 +339,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     equal to the float test, so links come out sorted; step 4 keeps the
     float arithmetic above, operation for operation.
     """
-    if n < 1:
-        raise ValueError("topology needs at least one node")
+    check_node_count(n)
 
     perm = list(range(n))
     for i in range(1, n):
@@ -361,29 +381,27 @@ def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
 
 
 def feasible_subgraph(t: Topology, demand: float) -> Topology:
-    """Topology restricted to links with bandwidth >= demand; same nodes."""
-    if not 0 <= demand < math.inf:
-        raise ValueError(f"demand must be finite and >= 0, got {demand}")
+    """Topology restricted to links with bandwidth >= demand (check_demand)."""
+    check_demand(demand)
     return Topology(t.n, tuple(l for l in t.links if l.bandwidth >= demand))
 
 
 def remove_link(t: Topology, a: int, b: int) -> Topology:
-    """Copy of `t` without the link {a, b}. A missing link, or a or b not an
-    int node id, is an error."""
-    gone = t.link_between(a, b) if is_int(a) and is_int(b) else None
+    """Copy of `t` without the link {a, b}. A missing link, or a or b not a
+    node id (is_node), is an error."""
+    gone = t.link_between(a, b)
     if gone is None:
         raise ValueError(f"{a}:{b} is not a link of the topology")
     return Topology(t.n, tuple(l for l in t.links if l is not gone))
 
 
 def bfs_hops(t: Topology, src: int) -> dict[int, int]:
-    """Minimum hop count from src to every reachable node.
+    """Minimum hop count from src (check_node) to every reachable node.
 
     Unreachable nodes are absent from the result. Neighbors are expanded in
     ascending node-id order, so traversal order is deterministic.
     """
-    if not 0 <= src < t.n:
-        raise ValueError(f"source {src} outside [0, {t.n})")
+    check_node(src, t.n, "src")
     hops = {src: 0}
     queue = deque([src])
     while queue:
@@ -419,8 +437,7 @@ def parse_topology(text: str) -> Topology:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad node count line: {lines[0]!r}") from None
-    if not 1 <= n <= MAX_NODES:
-        raise ValueError(f"node count must lie in 1..{MAX_NODES}, got {n}")
+    check_node_count(n)
     links = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -197,7 +197,7 @@ def test_seed_outside_u64_exits_2(capsys, command, seed):
 def test_compare_rejects_out_of_range_query(capsys):
     code, _, err = run(capsys, "compare", "--nodes", "4", "--query", "0:9")
     assert code == 2
-    assert "outside" in err
+    assert "dst of query (0, 9) must be an integer node id in [0, 4), got 9" in err
 
 
 @pytest.mark.parametrize("argv", [["--query=-1:2"], ["--query", "-1:2"],
@@ -206,7 +206,7 @@ def test_compare_rejects_negative_query_node(capsys, argv):
     # argparse alone reads a bare "-1:2" as an option and never parses it
     code, out, err = run(capsys, "compare", "--nodes", "4", *argv)
     assert (code, out) == (2, "")
-    assert "query (-1, 2) references nodes outside [0, 4)" in err
+    assert "src of query (-1, 2) must be an integer node id in [0, 4), got -1" in err
 
 
 def test_compare_rejects_malformed_query(capsys):

@@ -349,7 +349,7 @@ def test_tree_for_one_destination_answers_only_for_it():
 
 @pytest.mark.parametrize("dst", [-1, 4, 99])
 def test_build_spanning_tree_rejects_bad_destination(dst):
-    with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+    with pytest.raises(ValueError, match=r"dst must be an integer node id in \[0, 4\)"):
         build_spanning_tree(thin_middle_line(), 0, UNIT, 0.0, dst)
 
 
@@ -359,7 +359,7 @@ def test_request_rejects_non_integer_nodes(src, dst):
     with pytest.raises(ValueError, match="must be ints"):
         RouteRequest(src, dst, 5.0, UNIT)
     # the search itself: a bit shift by a float id would raise TypeError
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="(root|dst) must be an integer node id"):
         build_spanning_tree(line_topology(3), src, UNIT, 0.0, dst)
 
 

@@ -1,0 +1,103 @@
+"""One input policy: every entry point checks node counts, node ids and
+demands with the shared checks in fitroute.topology (check_node_count,
+is_node, check_node, check_demand). A bad value raises ValueError naming the
+argument: never TypeError or AttributeError, and never a silent result."""
+
+import math
+
+import pytest
+
+from fitroute import (ExperimentConfig, GenParams, RouteRequest, Topology,
+                      Weights, generate_topology)
+from fitroute.dv import converge, extract_path, fail_link_and_trace
+from fitroute.fitness import build_spanning_tree
+from fitroute.topology import (MAX_NODES, SplitMix64, bfs_hops,
+                               feasible_subgraph, generate_topology_rng,
+                               parse_topology)
+
+from helpers import line_topology
+
+T = line_topology(4)
+STATE, _ = converge(T)
+W = Weights()
+
+COUNTS = (True, 2.5, 4.0, "4", None, -1, 0, MAX_NODES + 1)
+IDS = (True, False, 1.5, 2.0, "1", None, -1, T.n)  # -1 and n: just outside
+NON_INT_IDS = (True, 1.5, 2.0, "1", None)  # a request has no n to bound by
+DEMANDS = (True, "5", None, -1.0, math.nan, math.inf)
+NOT_CONFIGS = (None, "x", (1.0, 1.0, 1.0))
+
+# (entry point, call, bad values, what the message must start with)
+ENTRIES = [
+    ("Topology", lambda v: Topology(v, ()), COUNTS, "node count"),
+    ("generate_topology", generate_topology, COUNTS, "node count"),
+    ("generate_topology_rng",
+     lambda v: generate_topology_rng(v, GenParams(), SplitMix64(1)),
+     COUNTS, "node count"),
+    ("parse_topology", parse_topology,
+     ("n=True\n", "n=2.5\n", "n=x\n", "n=-1\n", "n=0\n", f"n={MAX_NODES + 1}\n"),
+     "(bad )?node count"),
+    ("ExperimentConfig.n", lambda v: ExperimentConfig(n=v), COUNTS, "node count"),
+    ("bfs_hops", lambda v: bfs_hops(T, v), IDS, "src"),
+    ("extract_path.src", lambda v: extract_path(STATE, v, 0), IDS, "src"),
+    ("extract_path.dst", lambda v: extract_path(STATE, 0, v), IDS, "dst"),
+    ("fail_link_and_trace.probe",
+     lambda v: fail_link_and_trace(T, 0, 1, v, 3, 64), IDS, "probe"),
+    ("fail_link_and_trace.dest",
+     lambda v: fail_link_and_trace(T, 0, 1, 0, v, 64), IDS, "dest"),
+    ("build_spanning_tree.root",
+     lambda v: build_spanning_tree(T, v, W, 0.0, 1), IDS, "root"),
+    ("build_spanning_tree.dst",
+     lambda v: build_spanning_tree(T, 0, W, 0.0, v), IDS, "dst"),
+    ("ExperimentConfig.query_src",
+     lambda v: ExperimentConfig(n=T.n, explicit_queries=((0, 1), (v, 1))),
+     IDS, "src of query"),
+    ("ExperimentConfig.query_dst",
+     lambda v: ExperimentConfig(n=T.n, explicit_queries=((0, v),)),
+     IDS, "dst of query"),
+    ("RouteRequest.src", lambda v: RouteRequest(v, 1), NON_INT_IDS, "src"),
+    ("RouteRequest.dst", lambda v: RouteRequest(0, v), NON_INT_IDS, "src and dst"),
+    ("feasible_subgraph", lambda v: feasible_subgraph(T, v), DEMANDS, "demand"),
+    ("RouteRequest.demand", lambda v: RouteRequest(0, 1, v), DEMANDS, "demand"),
+    ("build_spanning_tree.demand",
+     lambda v: build_spanning_tree(T, 0, W, v, 1), DEMANDS, "demand"),
+    ("ExperimentConfig.demand", lambda v: ExperimentConfig(demand=v),
+     DEMANDS, "demand"),
+    ("ExperimentConfig.gen", lambda v: ExperimentConfig(gen=v),
+     NOT_CONFIGS + (W,), "gen"),
+    ("ExperimentConfig.weights", lambda v: ExperimentConfig(weights=v),
+     NOT_CONFIGS + (GenParams(),), "weights"),
+    ("RouteRequest.weights", lambda v: RouteRequest(0, 1, 5.0, v),
+     NOT_CONFIGS + (GenParams(),), "weights"),
+]
+
+
+@pytest.mark.parametrize("call, value, name", [
+    pytest.param(call, value, name, id=f"{entry}-{value!r}")
+    for entry, call, values, name in ENTRIES for value in values])
+def test_entry_points_reject_bad_inputs_naming_the_argument(call, value, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        call(value)
+
+
+@pytest.mark.parametrize("a, b", [(0, True), (True, 0), (1, 2.0), (2.0, 1),
+                                  (0, "1"), (None, 1), (-1, 0), (3, T.n)])
+def test_link_between_finds_no_link_at_a_non_node_id(a, b):
+    # True and 2.0 hash as 1 and 2, so an adjacency lookup alone would
+    # return the links {0, 1} and {1, 2}
+    assert T.link_between(a, b) is None
+
+
+def test_generator_checks_the_count_before_any_draw():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="node count"):
+        generate_topology_rng(MAX_NODES + 1, GenParams(), rng)
+    assert rng.state == 1
+
+
+def test_explicit_queries_set_the_query_count():
+    # a count outside 0..MAX_QUERIES is never checked: the queries run
+    cfg = ExperimentConfig(n=4, query_count=2_000_000,
+                           explicit_queries=((0, 3), (1, 2), (3, 0)))
+    assert cfg.query_count == 3
+    assert ExperimentConfig(n=4, explicit_queries=()).query_count == 0
