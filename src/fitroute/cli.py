@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="destination being counted toward (default 2)")
     demo.add_argument("--infinity", type=int, default=16,
                       help="unreachability cap, 2..1024 (default 16)")
-    demo.add_argument("--max-rounds", type=int, default=64)
     demo.add_argument("--out", metavar="FILE", default=None)
 
     gen = sub.add_parser("gen-topology", help="write a topology file")
@@ -206,7 +205,7 @@ def _cmd_demo(args) -> int:
         t = _line_topology()
     a, b = _parse_node_pair(args.fail)
     trace = fail_link_and_trace(t, a, b, args.probe, args.dest,
-                                args.max_rounds, args.infinity)
+                                infinity_metric=args.infinity)
     outcome = select_route(trace.topology,
                            RouteRequest(args.probe, args.dest, 0.0))
     text = (format_trace(trace)

@@ -35,7 +35,8 @@ so d's row also gives every node's metric toward d.
 
 `fail_link_and_trace(t, ...)` checks its inputs, takes dest's converged
 column from converge(t) and counts on the topology without the failed link,
-recomputing that one column every round. All transitions are pure.
+recomputing that one column every round until the probe caps or the column
+settles, within infinity_metric rounds. All transitions are pure.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from functools import reduce
 from itertools import repeat
 from operator import and_, or_, xor
 
-from .topology import MAX_NODES, Topology, check_node, is_int, remove_link
+from .topology import MAX_NODES, Topology, check_node, remove_link
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class DvTrace:
 def check_infinity(infinity_metric: int) -> None:
     """An infinity metric is an int in 2..MAX_NODES, else ValueError. Every
     Topology holds at most MAX_NODES nodes (check_node_count), so no hop
-    metric reaches MAX_NODES, and counting to infinity takes about
-    infinity_metric rounds, so the bound keeps every run finite."""
+    metric reaches MAX_NODES, and counting to infinity takes at most
+    infinity_metric rounds, so the bound keeps every run short."""
     if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
         raise ValueError(
             f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
@@ -195,30 +196,29 @@ def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:
 
 
 def fail_link_and_trace(t: Topology, a: int, b: int, probe: int, dest: int,
-                        max_rounds: int, infinity_metric: int = 16) -> DvTrace:
+                        *, infinity_metric: int = 16) -> DvTrace:
     """Converge on t, remove link {a, b} and record the probe node's metric
     toward dest each synchronous round on the failed topology.
 
     Every input is checked before any round runs, else ValueError: probe
-    and dest must pass check_node, {a, b} must be a link of t, max_rounds an
-    int (not a bool) at least 1 and infinity_metric pass check_infinity.
-    Only dest's column is exchanged on the failed topology: its converged
-    column on t, then one full recompute of it per round, equal round for
-    round to the full exchange's. Rounds stop when the probe metric caps at
-    the infinity metric, when the column stops changing (the failure did not
-    affect any route toward dest, or counting has finished), or after
-    max_rounds. The trace keeps the failed topology.
+    and dest must pass check_node, {a, b} must be a link of t and
+    infinity_metric pass check_infinity. Only dest's column is exchanged on
+    the failed topology: its converged column on t, then one full recompute
+    of it per round, equal round for round to the full exchange's. Rounds
+    stop when the probe metric caps or the column stops changing, within
+    infinity_metric rounds: removing a link only lengthens distances, so
+    the column climbs to the failed topology's capped distances, and after
+    k rounds a metric short of its capped distance follows a k-hop walk not
+    yet at dest, so it is at least k + 1. The trace keeps the failed topology.
     """
     check_node(probe, t.n, "probe")
     check_node(dest, t.n, "dest")
-    if not (is_int(max_rounds) and max_rounds >= 1):
-        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     failed = remove_link(t, a, b)
     s, _ = converge(t, infinity_metric)
     col = [s.metric(v, dest) for v in range(t.n)]
     cap = infinity_metric - 1
     entries = []
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, infinity_metric + 1):
         prev = col
         col = [1 + min([cap] + [prev[m] for m in ms]) for ms in failed.adjacency]
         col[dest] = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 from . import dv as dv_engine
@@ -27,6 +28,7 @@ from .fitness import (
     Unreachable,
     Weights,
     build_spanning_tree,
+    check_weights,
     classify_outcome,
 )
 from .topology import (
@@ -35,6 +37,7 @@ from .topology import (
     SplitMix64,
     Topology,
     check_demand,
+    check_gen_params,
     check_node,
     check_node_count,
     check_seed,
@@ -64,7 +67,8 @@ CLAIM_REFUSAL = "refusal"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One comparison's inputs, checked on construction (else ValueError)
-    by the shared checks of fitroute.topology. Explicit queries set
+    by the shared checks of fitroute.topology and fitroute.fitness; each
+    explicit query must be a (src, dst) pair. Explicit queries set
     query_count to their number."""
 
     n: int = 16
@@ -88,14 +92,15 @@ class ExperimentConfig:
             raise ValueError(f"query_count must lie in 0..{MAX_QUERIES}, "
                              f"got {self.query_count}")
         check_demand(self.demand)
-        if not isinstance(self.gen, GenParams):
-            raise ValueError(f"gen must be a GenParams, got {self.gen!r}")
-        if not isinstance(self.weights, Weights):
-            raise ValueError(f"weights must be a Weights, got {self.weights!r}")
+        check_gen_params(self.gen, "gen")
+        check_weights(self.weights)
         dv_engine.check_infinity(self.infinity_metric)
-        for src, dst in self.explicit_queries or ():
-            check_node(src, self.n, f"src of query {(src, dst)!r}")
-            check_node(dst, self.n, f"dst of query {(src, dst)!r}")
+        for query in self.explicit_queries or ():
+            if not (isinstance(query, Sequence) and len(query) == 2):
+                raise ValueError(f"query {query!r} must be a (src, dst) pair")
+            src, dst = query
+            check_node(src, self.n, f"src of query {query!r}")
+            check_node(dst, self.n, f"dst of query {query!r}")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,12 @@ class Weights:
 DEFAULT_WEIGHTS = Weights()
 
 
+def check_weights(w) -> None:
+    """w is a Weights, else ValueError."""
+    if not isinstance(w, Weights):
+        raise ValueError(f"weights must be a Weights, got {w!r}")
+
+
 @dataclass(frozen=True)
 class RouteRequest:
     src: int
@@ -73,8 +79,7 @@ class RouteRequest:
         if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
         check_demand(self.demand)
-        if not isinstance(self.weights, Weights):
-            raise ValueError(f"weights must be a Weights, got {self.weights!r}")
+        check_weights(self.weights)
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,8 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     node's hop count is its breadth-first layer: a node first reached from
     layer k joins layer k+1 under the neighbour u in layer k with the smallest
     (cost_u + edge_cost, u), ties thus going to the smaller id. root and dst
-    must pass check_node and demand check_demand, else ValueError.
+    must pass check_node, demand check_demand and w check_weights, else
+    ValueError.
 
     Meet: bitset hop layers grow from root and from dst (bidirectional
     search, Pohl 1971, over bitmap frontiers, Beamer et al. 2012), each
@@ -199,6 +205,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     check_node(root, t.n, "root")
     check_node(dst, t.n, "dst")
     check_demand(demand)
+    check_weights(w)
     index = t.bandwidth_index
     key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
     layers = ([1 << root], [1 << dst])  # hop layers from root and from dst

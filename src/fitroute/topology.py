@@ -246,6 +246,13 @@ class Topology:
 
 DEFAULT_GEN_PARAMS = GenParams()
 
+
+def check_gen_params(params, name: str) -> None:
+    """params is a GenParams, else ValueError naming the argument."""
+    if not isinstance(params, GenParams):
+        raise ValueError(f"{name} must be a GenParams, got {params!r}")
+
+
 # Draws per batch of the generator's packed SplitMix64 (_draws): a batch is
 # one int of 128 * _BATCH bits, 16 KiB, however many draws a topology takes.
 # 2048 or 4096 lanes drew no faster, and their lane constants and batches
@@ -340,6 +347,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     float arithmetic above, operation for operation.
     """
     check_node_count(n)
+    check_gen_params(params, "params")
 
     perm = list(range(n))
     for i in range(1, n):

@@ -109,20 +109,23 @@ def reference_walk(t: Topology, table, infinity_metric: int, src: int,
 
 
 def reference_trace(t: Topology, a: int, b: int, probe: int, dest: int,
-                    max_rounds: int, infinity_metric: int):
+                    infinity_metric: int):
     """dv.fail_link_and_trace's entries from full-table rounds: every column
-    converged on t, then every column exchanged on the failed topology."""
+    converged on t, then every column exchanged on the failed topology until
+    the probe caps or dest's column stops changing. A hang guard, far above
+    the infinity_metric rounds the engine's docstring proves, raises instead
+    of looping on."""
     table, _ = reference_converge(t, infinity_metric)
     failed = remove_link(t, a, b)
     col = [row[dest] for row in table]
     entries = []
-    for rnd in range(1, max_rounds + 1):
+    for rnd in range(1, 4 * infinity_metric + 1):
         table, _ = reference_exchange_round(failed, table, infinity_metric)
         prev, col = col, [row[dest] for row in table]
         entries.append((rnd, col[probe]))
         if col[probe] >= infinity_metric or col == prev:
-            break
-    return tuple(entries)
+            return tuple(entries)
+    raise AssertionError(f"no stop rule within {len(entries)} rounds")
 
 
 def line_topology(n: int, bandwidth: float = 10.0, delay: float = 1.0,

@@ -176,7 +176,7 @@ def test_criterion_5_loop_freedom(suite):
 def test_criterion_6_count_to_infinity_contrast():
     line = Topology(3, (QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
                         QosLink(1, 2, 10.0, 1.0, 0.0, 0.0)))
-    trace = fail_link_and_trace(line, 1, 2, probe=0, dest=2, max_rounds=100)
+    trace = fail_link_and_trace(line, 1, 2, probe=0, dest=2)
     expected = [2, 4, 4, 6, 6, 8, 8, 10, 10, 12, 12, 14, 14, 16]
     assert trace.entries == tuple(enumerate(expected, start=1))
     assert trace.entries[-1] == (14, 16)  # capped at infinity 16 by round 14

@@ -380,25 +380,31 @@ def test_demo_rejects_bad_probe(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("rounds", ["0", "-3"])
-def test_demo_rejects_max_rounds_below_one(capsys, rounds):
+def test_demo_has_no_round_cap(capsys):
+    # the trace ends by itself within --infinity rounds
     code, out, err = run(capsys, "demo-count-to-infinity",
-                         "--max-rounds", rounds)
-    assert code == 2
-    assert out == ""
-    assert "max_rounds" in err
+                         "--max-rounds", "64")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-rounds" in err
+
+
+def test_demo_counts_all_the_way_to_a_high_infinity(capsys):
+    # 2, 4, 4, 6, 6, ...: probe 0 reaches 100 at round 98
+    code, out, _ = run(capsys, "demo-count-to-infinity", "--infinity", "100")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-2] == "98,INF" and len(lines) == 100
 
 
 def test_demo_rejects_infinity_above_max_nodes(capsys, monkeypatch):
-    # counting to 10^20 would take about 10^20 rounds whatever --max-rounds
-    # says; fail before any exchange round runs
+    # counting to 10^20 would take up to 10^20 rounds; fail before any
+    # exchange round runs
     def no_rounds(*args):
         raise AssertionError("ran a trace for a rejected infinity")
 
     monkeypatch.setattr("fitroute.dv.exchange_round", no_rounds)
     code, out, err = run(capsys, "demo-count-to-infinity",
-                         "--infinity", "100000000000000000000",
-                         "--max-rounds", "100000000")
+                         "--infinity", "100000000000000000000")
     assert (code, out) == (2, "")
     assert "infinity_metric must be at most 1024" in err
 
@@ -481,7 +487,6 @@ GRAMMAR = {
     "demo-count-to-infinity": {
         "--topology": FILES, "--fail": NODE_PAIRS, "--probe": ints(0, 5),
         "--dest": ints(0, 5), "--infinity": ints(2, 40),
-        "--max-rounds": ints(1, 100) | st.just("9" * 40),
         "--out": valid_or_not(st.just("{dir}/out.txt"), FILES)},
     "gen-topology": {
         "--nodes": ints(1, 24), "--seed": ints(0, 2**64 - 1),

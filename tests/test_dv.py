@@ -15,9 +15,9 @@ from fitroute.dv import (
 )
 from fitroute.topology import MAX_NODES, bfs_hops, remove_link
 
-from helpers import (cut_topologies, drawn_topologies, line_topology,
-                     reference_exchange_round, reference_init_tables,
-                     reference_trace, reference_walk)
+from helpers import (cut_topologies, drawn_topologies, grid_topologies,
+                     line_topology, reference_exchange_round,
+                     reference_init_tables, reference_trace, reference_walk)
 
 # Hand-simulated synchronous recurrence for the 3-node line 0-1-2 with link
 # {1,2} failed, infinity 16 (checked against an independent scratch
@@ -112,7 +112,8 @@ def test_engine_rejects_non_integer_infinity(infinity):
     t = line_topology(3)
     for run in (lambda: converge(t, infinity),
                 lambda: init_tables(t, infinity),
-                lambda: fail_link_and_trace(t, 1, 2, 0, 2, 64, infinity)):
+                lambda: fail_link_and_trace(t, 1, 2, 0, 2,
+                                            infinity_metric=infinity)):
         with pytest.raises(ValueError, match="integer >= 2"):
             run()
 
@@ -333,37 +334,34 @@ def test_engine_bounds_infinity_by_max_nodes():
     t = line_topology(3)
     for run in (lambda: converge(t, MAX_NODES + 1),
                 lambda: init_tables(t, MAX_NODES + 1),
-                lambda: fail_link_and_trace(t, 1, 2, 0, 2, 10**8, 10**20)):
+                lambda: fail_link_and_trace(t, 1, 2, 0, 2,
+                                            infinity_metric=10**20)):
         with pytest.raises(ValueError, match=f"at most {MAX_NODES}"):
             run()
-    trace = fail_link_and_trace(t, 1, 2, 0, 2, 10**8, MAX_NODES)
-    assert trace.entries[-1][1] == MAX_NODES
-    assert len(trace.entries) < 2 * MAX_NODES
+    trace = fail_link_and_trace(t, 1, 2, 0, 2, infinity_metric=MAX_NODES)
+    assert trace.entries[-1] == (MAX_NODES - 2, MAX_NODES)
 
 
 # --- count-to-infinity ---
 
 
 def test_count_to_infinity_probe_far_node():
-    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2,
-                                max_rounds=64)
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2)
     assert [m for _, m in trace.entries] == PROBE0_SEQUENCE
     assert [r for r, _ in trace.entries] == list(range(1, 15))
 
 
 def test_count_to_infinity_probe_near_node():
-    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=1, dest=2,
-                                max_rounds=64)
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=1, dest=2)
     assert [m for _, m in trace.entries] == PROBE1_SEQUENCE
 
 
 def test_counting_metric_monotone_and_bounded():
-    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2,
-                                max_rounds=64)
+    trace = fail_link_and_trace(line_topology(3), 1, 2, probe=0, dest=2)
     metrics = [m for _, m in trace.entries]
     assert all(a <= b for a, b in zip(metrics, metrics[1:]))
     assert metrics[-1] == 16
-    assert len(metrics) <= 2 * 16
+    assert len(metrics) <= 16
 
 
 def test_irrelevant_failure_terminates_first_round():
@@ -376,7 +374,7 @@ def test_irrelevant_failure_terminates_first_round():
     ))
     s, _ = converge(t, 16)
     before = s.metric(1, 3)
-    trace = fail_link_and_trace(t, 1, 2, probe=1, dest=3, max_rounds=64)
+    trace = fail_link_and_trace(t, 1, 2, probe=1, dest=3)
     assert trace.entries == ((1, before),)
 
 
@@ -384,18 +382,23 @@ def test_irrelevant_failure_terminates_first_round():
 def test_trace_rejects_nodes_outside_the_topology(probe, dest):
     with pytest.raises(ValueError,
                        match=r"(probe|dest) must be an integer node id in \[0, 3\)"):
-        fail_link_and_trace(line_topology(3), 1, 2, probe, dest, 64)
+        fail_link_and_trace(line_topology(3), 1, 2, probe, dest)
 
 
 @pytest.mark.parametrize("args", [
-    (True, 2, 0, 2, 4), (1, 2.0, 0, 2, 4),  # the failed link's ends
-    (1, 2, True, 2, 4), (1, 2, 0, False, 4), (1, 2, 0.0, 2, 4),
-    (1, 2, 0, "2", 4), (1, 2, 0, 2, 2.5), (1, 2, 0, 2, True),
+    (True, 2, 0, 2), (1, 2.0, 0, 2),  # the failed link's ends
+    (1, 2, True, 2), (1, 2, 0, False), (1, 2, 0.0, 2), (1, 2, 0, "2"),
 ])
-def test_trace_rejects_non_int_nodes_and_rounds(args):
-    # True would trace node 1; 2.5 rounds would fail in range() with TypeError
+def test_trace_rejects_non_int_nodes(args):
+    # True would trace node 1
     with pytest.raises(ValueError, match="must be an int|not a link"):
         fail_link_and_trace(line_topology(3), *args)
+
+
+def test_trace_takes_infinity_by_keyword_only():
+    # a stale round cap passed by position must not become the infinity
+    with pytest.raises(TypeError):
+        fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
 
 
 @pytest.mark.parametrize("src, dst", [(True, 2), (0, False), (0.0, 2),
@@ -417,38 +420,50 @@ def test_trace_settles_on_the_failed_topology_distance(data):
     probe = data.draw(st.integers(0, t.n - 1))
     dest = data.draw(st.integers(0, t.n - 1))
     inf = data.draw(st.integers(2, 16))
-    trace = fail_link_and_trace(t, link.a, link.b, probe, dest, 4 * inf, inf)
+    trace = fail_link_and_trace(t, link.a, link.b, probe, dest,
+                                infinity_metric=inf)
     failed = remove_link(t, link.a, link.b)
     assert trace.topology == failed
     assert trace.entries[-1][1] == min(bfs_hops(failed, probe).get(dest, inf),
                                        inf)
 
 
-@given(any_topology(), st.data())
-def test_trace_equals_full_table_rounds(t, data):
-    # same entries as exchanging every column, including failures that cut
-    # dest off and traces that max_rounds stops
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_topology(), drawn_topologies(), cut_topologies(),
+                 grid_topologies()), st.data())
+def test_trace_ends_by_itself_as_full_table_rounds_do(t, data):
+    # with no round cap, every trace stops by a stop rule within
+    # infinity_metric rounds, and its entries are those of exchanging every
+    # column, failures that cut dest off included
     assume(t.links)
     link = data.draw(st.sampled_from(t.links))
     # often the failed link's own endpoints, so failing a bridge cuts dest off
     anywhere = st.integers(0, t.n - 1)
     probe = data.draw(st.just(link.a) | anywhere)
     dest = data.draw(st.just(link.b) | anywhere)
-    k = data.draw(st.integers(2, 16))
-    max_rounds = data.draw(st.integers(1, 4 * k))
-    trace = fail_link_and_trace(t, link.a, link.b, probe, dest, max_rounds, k)
-    assert trace.entries == reference_trace(t, link.a, link.b, probe, dest,
-                                            max_rounds, k)
+    k = data.draw(st.integers(2, 64))
+    trace = fail_link_and_trace(t, link.a, link.b, probe, dest,
+                                infinity_metric=k)
+    assert trace.entries == reference_trace(t, link.a, link.b, probe, dest, k)
+    rounds, metrics = zip(*trace.entries)
+    assert rounds == tuple(range(1, len(rounds) + 1)) and len(rounds) <= k
+    assert all(m < k for m in metrics[:-1])
+    # the last entry is the probe's capped distance on the failed topology,
+    # and it caps or the column stopped changing, so the probe's did too
+    assert metrics[-1] == min(bfs_hops(trace.topology, probe).get(dest, k), k)
+    before = (metrics[-2] if len(metrics) > 1
+              else converge(t, k)[0].metric(probe, dest))
+    assert metrics[-1] in (k, before)
 
 
 def test_trace_deterministic():
-    a = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
-    b = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
+    a = fail_link_and_trace(line_topology(3), 1, 2, 0, 2)
+    b = fail_link_and_trace(line_topology(3), 1, 2, 0, 2)
     assert a == b
 
 
 def test_format_trace_csv():
-    trace = fail_link_and_trace(line_topology(3), 1, 2, 0, 2, 64)
+    trace = fail_link_and_trace(line_topology(3), 1, 2, 0, 2)
     text = format_trace(trace)
     lines = text.splitlines()
     assert lines[0] == "round,metric"

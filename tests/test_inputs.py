@@ -1,6 +1,7 @@
-"""One input policy: every entry point checks node counts, node ids and
-demands with the shared checks in fitroute.topology (check_node_count,
-is_node, check_node, check_demand). A bad value raises ValueError naming the
+"""One input policy: every entry point checks node counts, node ids,
+demands and parameter objects with the shared checks in fitroute.topology
+(check_node_count, is_node, check_node, check_demand, check_gen_params) and
+fitroute.fitness (check_weights). A bad value raises ValueError naming the
 argument: never TypeError or AttributeError, and never a silent result."""
 
 import math
@@ -26,6 +27,7 @@ IDS = (True, False, 1.5, 2.0, "1", None, -1, T.n)  # -1 and n: just outside
 NON_INT_IDS = (True, 1.5, 2.0, "1", None)  # a request has no n to bound by
 DEMANDS = (True, "5", None, -1.0, math.nan, math.inf)
 NOT_CONFIGS = (None, "x", (1.0, 1.0, 1.0))
+QUERIES = (5, None, (), (0,), (0, 1, 2), {0: 1})  # no (src, dst) pair
 
 # (entry point, call, bad values, what the message must start with)
 ENTRIES = [
@@ -42,9 +44,9 @@ ENTRIES = [
     ("extract_path.src", lambda v: extract_path(STATE, v, 0), IDS, "src"),
     ("extract_path.dst", lambda v: extract_path(STATE, 0, v), IDS, "dst"),
     ("fail_link_and_trace.probe",
-     lambda v: fail_link_and_trace(T, 0, 1, v, 3, 64), IDS, "probe"),
+     lambda v: fail_link_and_trace(T, 0, 1, v, 3), IDS, "probe"),
     ("fail_link_and_trace.dest",
-     lambda v: fail_link_and_trace(T, 0, 1, 0, v, 64), IDS, "dest"),
+     lambda v: fail_link_and_trace(T, 0, 1, 0, v), IDS, "dest"),
     ("build_spanning_tree.root",
      lambda v: build_spanning_tree(T, v, W, 0.0, 1), IDS, "root"),
     ("build_spanning_tree.dst",
@@ -69,6 +71,16 @@ ENTRIES = [
      NOT_CONFIGS + (GenParams(),), "weights"),
     ("RouteRequest.weights", lambda v: RouteRequest(0, 1, 5.0, v),
      NOT_CONFIGS + (GenParams(),), "weights"),
+    ("build_spanning_tree.w", lambda v: build_spanning_tree(T, 0, v, 0.0, 3),
+     NOT_CONFIGS + (GenParams(),), "weights"),
+    ("generate_topology.params", lambda v: generate_topology(4, v),
+     NOT_CONFIGS + (W,), "params"),
+    ("generate_topology_rng.params",
+     lambda v: generate_topology_rng(4, v, SplitMix64(1)),
+     NOT_CONFIGS + (W,), "params"),
+    ("ExperimentConfig.explicit_queries",
+     lambda v: ExperimentConfig(n=T.n, explicit_queries=((0, 1), v)),
+     QUERIES, "query"),
 ]
 
 
