@@ -67,9 +67,10 @@ CLAIM_REFUSAL = "refusal"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One comparison's inputs, checked on construction (else ValueError)
-    by the shared checks of fitroute.topology and fitroute.fitness; each
-    explicit query must be a (src, dst) pair. Explicit queries set
-    query_count to their number."""
+    by the shared checks of fitroute.topology and fitroute.fitness.
+    explicit_queries is None or a tuple or list of (src, dst) pairs, kept
+    as a tuple of tuples so that the config stays hashable; explicit
+    queries set query_count to their number."""
 
     n: int = 16
     seed: int = 0
@@ -81,8 +82,12 @@ class ExperimentConfig:
     infinity_metric: int = 16
 
     def __post_init__(self):
-        if self.explicit_queries is not None:
-            object.__setattr__(self, "query_count", len(self.explicit_queries))
+        queries = self.explicit_queries
+        if queries is not None:
+            if not isinstance(queries, (tuple, list)):
+                raise ValueError("explicit_queries must be a tuple or list of "
+                                 f"(src, dst) pairs, got {queries!r}")
+            object.__setattr__(self, "query_count", len(queries))
         check_node_count(self.n)
         check_seed(self.seed)
         if not is_int(self.query_count):
@@ -95,12 +100,14 @@ class ExperimentConfig:
         check_gen_params(self.gen, "gen")
         check_weights(self.weights)
         dv_engine.check_infinity(self.infinity_metric)
-        for query in self.explicit_queries or ():
+        for query in queries or ():
             if not (isinstance(query, Sequence) and len(query) == 2):
                 raise ValueError(f"query {query!r} must be a (src, dst) pair")
             src, dst = query
             check_node(src, self.n, f"src of query {query!r}")
             check_node(dst, self.n, f"dst of query {query!r}")
+        if queries is not None:
+            object.__setattr__(self, "explicit_queries", tuple(map(tuple, queries)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,8 @@ def run_comparison(cfg: ExperimentConfig,
     its seed draws the generated run's queries. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, with one search from its source over the
-    links that carry the demand for its destination's min-hop paths;
+    links that carry the demand for its destination's min-hop paths, every
+    search reading one gate built for cfg.demand (Topology.gate);
     classify_outcome tells refusals from unreachable rows by the topology's
     memoised connectivity labels. The summary's violation list is filled by
     verify_claims and is empty unless an engine misbehaved.
@@ -198,11 +206,12 @@ def run_comparison(cfg: ExperimentConfig,
 
     state, _ = dv_engine.converge(t, cfg.infinity_metric)
 
+    gate = t.gate(cfg.demand)
     rows = []
     for src, dst in queries:
         dv_path = dv_engine.extract_path(state, src, dst)
         ff = classify_outcome(
-            t, build_spanning_tree(t, src, cfg.weights, cfg.demand, dst))
+            t, build_spanning_tree(t, src, cfg.weights, gate, dst))
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path), ff))
 

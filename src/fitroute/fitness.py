@@ -2,9 +2,11 @@
 
 Bandwidth is a hard constraint, not a cost term: the search never crosses a
 link that cannot carry the requested demand, which is what gives the engine
-its bandwidth guarantee. The search applies that gate itself, reading each
-node's neighbours over the links that carry the demand off a bitset, so no
-pruned topology is built. The remaining QoS attributes (delay, jitter, loss)
+its bandwidth guarantee. The search reads that gate as one neighbour bitset
+per node, gate[v] (v's neighbours over the links that carry the demand), so
+no pruned topology is built: a compare builds one gate per run
+(Topology.gate), a request reads its masks off the topology's bandwidth index
+(Topology.indexed_gate). The remaining QoS attributes (delay, jitter, loss)
 are folded into an additive edge cost, and paths minimise the lexicographic
 label (hops, cost). The search expands one hop layer at a time, each newly
 reached node taking its cheapest predecessor in the layer before; a link is
@@ -31,7 +33,6 @@ accumulated cost grows.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -160,38 +161,38 @@ class SpanningTree:
         return path
 
 
-def _reach(index, key: float, bits: int) -> int:
-    """The gated neighbours of the nodes in `bits`: the OR of their masks
-    at `key` in `index` (Topology.bandwidth_index)."""
+def _reach(gate, bits: int) -> int:
+    """The gated neighbours of the nodes in `bits`: the OR of their masks."""
     reach = 0
     while bits:
         u = bits.bit_length() - 1
         bits ^= 1 << u
-        keys, masks = index[u]
-        reach |= masks[bisect_right(keys, key)]
+        reach |= gate[u]
     return reach
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
+def build_spanning_tree(t: Topology, root: int, w: Weights, gate,
                         dst: int) -> SpanningTree:
     """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
     hop layer at a time.
 
-    Only links with bandwidth >= demand are crossed (demand 0 crosses every
-    link, as on a topology pruned beforehand). Hops compare first, so a
-    node's hop count is its breadth-first layer: a node first reached from
-    layer k joins layer k+1 under the neighbour u in layer k with the smallest
-    (cost_u + edge_cost, u), ties thus going to the smaller id. root and dst
-    must pass check_node, demand check_demand and w check_weights, else
+    Only the links of `gate` are crossed: gate[v] is v's neighbour bitset
+    over the links with bandwidth >= the demand, as t.gate(demand) or
+    t.indexed_gate(demand) gives it, which check the demand (demand 0
+    crosses every link, as on a topology pruned beforehand). Hops compare
+    first, so a node's hop count is its breadth-first layer: a node first
+    reached from layer k joins layer k+1 under the neighbour u in layer k
+    with the smallest (cost_u + edge_cost, u), ties thus going to the
+    smaller id. root and dst must pass check_node and w check_weights, else
     ValueError.
 
     Meet: bitset hop layers grow from root and from dst (bidirectional
     search, Pohl 1971, over bitmap frontiers, Beamer et al. 2012), each
     step on the side whose last layer has fewer nodes (root on a tie), each
-    layer the OR of the last one's gated masks (t.bandwidth_index) less the
-    nodes that side has seen. The first new layer that touches the other
-    side's seen set meets it in `meet`: the nodes of dst's min-hop paths at
-    that hop count, which lie in both sides' last layers. A side that runs
+    layer the OR of the last one's gate masks less the nodes that side has
+    seen. The first new layer that touches the other side's seen set meets
+    it in `meet`: the nodes of dst's min-hop paths at that hop count, which
+    lie in both sides' last layers. A side that runs
     dry first refuses. Walk: from `meet`, each kept layer is the gated
     neighbours of the one before it, within root's layers towards root and
     within dst's towards dst; these are the nodes on dst's min-hop paths.
@@ -204,16 +205,13 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     """
     check_node(root, t.n, "root")
     check_node(dst, t.n, "dst")
-    check_demand(demand)
     check_weights(w)
-    index = t.bandwidth_index
-    key = -demand  # masks[bisect_right(keys, key)]: links with bandwidth >= demand
     layers = ([1 << root], [1 << dst])  # hop layers from root and from dst
     seen = [1 << root, 1 << dst]
     meet = seen[0] & seen[1]
     while not meet:
         side = layers[0][-1].bit_count() > layers[1][-1].bit_count()
-        frontier = _reach(index, key, layers[side][-1]) & ~seen[side]
+        frontier = _reach(gate, layers[side][-1]) & ~seen[side]
         if not frontier:
             return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
         layers[side].append(frontier)
@@ -222,10 +220,10 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
     # kept[h]: the nodes h hops from root on dst's min-hop paths
     kept = [meet]
     for layer in reversed(layers[0][:-1]):
-        kept.append(_reach(index, key, kept[-1]) & layer)
+        kept.append(_reach(gate, kept[-1]) & layer)
     kept.reverse()
     for layer in reversed(layers[1][:-1]):
-        kept.append(_reach(index, key, kept[-1]) & layer)
+        kept.append(_reach(gate, kept[-1]) & layer)
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
@@ -237,8 +235,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
             v = low.bit_length() - 1
             layer ^= low
             links = adjacency[v]
-            keys, masks = index[v]
-            bits = masks[bisect_right(keys, key)] & before
+            bits = gate[v] & before
             best = None
             # lowest bit first: u ascending, so strict < keeps the smaller u
             # on a tie
@@ -257,7 +254,8 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, demand: float,
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search from req.src over the links that carry
-    req.demand for req.dst's min-hop paths alone (build_spanning_tree), then
+    req.demand for req.dst's min-hop paths alone (build_spanning_tree, over
+    t.indexed_gate: the demand changes from request to request), then
     classify the outcome on that tree.
 
     Returns a Route when the destination is reached over such links,
@@ -265,7 +263,8 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     component, and Unreachable otherwise. Routing failures are outcomes;
     only bad input raises ValueError.
     """
-    tree = build_spanning_tree(t, req.src, req.weights, req.demand, req.dst)
+    tree = build_spanning_tree(t, req.src, req.weights,
+                               t.indexed_gate(req.demand), req.dst)
     return classify_outcome(t, tree)
 
 

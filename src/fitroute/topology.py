@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -29,8 +30,10 @@ MAX_NODES = 1024  # every Topology holds 1..MAX_NODES nodes (check_node_count)
 
 def is_int(value) -> bool:
     """True for an int that is not a bool: bool subclasses int, but True is
-    no node id or count, and JSON would echo it as `true`."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    no node id or count, and JSON would echo it as `true`. An exact int
+    skips the isinstance calls: every search checks two node ids."""
+    return (type(value) is int
+            or isinstance(value, int) and not isinstance(value, bool))
 
 
 def check_seed(seed) -> None:
@@ -42,8 +45,11 @@ def check_seed(seed) -> None:
 
 def is_number(value) -> bool:
     """True for a real number that is not a bool: a str or None would fail
-    later inside a comparison with TypeError, and True is no quantity."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    later inside a comparison with TypeError, and True is no quantity. An
+    exact float or int skips the ABC isinstance call, the costly part of
+    the demand check every route request makes."""
+    return (type(value) is float or type(value) is int
+            or isinstance(value, Real) and not isinstance(value, bool))
 
 
 def check_node_count(n) -> None:
@@ -193,8 +199,11 @@ class Topology:
     shared by every traversal and link lookup: x gets its neighbours a < x
     from the links (a, x), then b > x from the links (x, b). `components`
     (which tells a refusal from an unreachable verdict) and `bandwidth_index`
-    (which gates the route search's bitset layers) are memoised on first
-    read, outside the compared fields.
+    are memoised on first read, outside the compared fields. The route
+    search reads a gate, each node's neighbour bitset at one demand:
+    `gate(demand)` builds one for a whole compare run, and
+    `indexed_gate(demand)` reads a request's masks off `bandwidth_index`,
+    which serves select_route alone.
     """
 
     n: int
@@ -236,12 +245,50 @@ class Topology:
         """Per node, (keys, masks) from its adjacency map: keys are its links'
         bandwidths negated, ascending, and masks[i] the neighbour bitset (bit
         b for neighbour b) of its first i links, so masks[bisect_right(keys,
-        -demand)] holds its neighbours over links with bandwidth >= demand."""
+        -demand)] holds its neighbours over links with bandwidth >= demand,
+        which is what indexed_gate reads."""
         rows = (sorted((-link.bandwidth, 1 << b) for b, link in links.items())
                 for links in self.adjacency)
         return tuple((tuple(key for key, _ in row),
                       tuple(accumulate((bit for _, bit in row), or_, initial=0)))
                      for row in rows)
+
+    def gate(self, demand: float) -> list[int]:
+        """Each node's neighbour bitset over the links with bandwidth >=
+        demand (check_demand): bit b of gate[a] is set when {a, b} is such a
+        link. Built in one pass over the links and not memoised: a compare
+        routes every row at one demand, so it builds one gate per run."""
+        check_demand(demand)
+        gate = [0] * self.n
+        for link in self.links:
+            if link.bandwidth >= demand:
+                a, b = link.a, link.b
+                gate[a] |= 1 << b
+                gate[b] |= 1 << a
+        return gate
+
+    def indexed_gate(self, demand: float) -> IndexedGate:
+        """gate(demand)'s masks read off bandwidth_index one node at a time
+        (check_demand): a request's search reads a few dozen nodes' masks,
+        far fewer than a gate of every node would cost to build."""
+        check_demand(demand)
+        return IndexedGate(self.bandwidth_index, -demand)
+
+
+class IndexedGate:
+    """A gate over Topology.bandwidth_index at one demand: self[v] is node
+    v's neighbour bitset over its links with bandwidth >= demand, the
+    masks[bisect_right(keys, -demand)] of v's (keys, masks)."""
+
+    __slots__ = ("index", "key")
+
+    def __init__(self, index, key: float):
+        self.index = index
+        self.key = key
+
+    def __getitem__(self, v: int) -> int:
+        keys, masks = self.index[v]
+        return masks[bisect_right(keys, self.key)]
 
 
 DEFAULT_GEN_PARAMS = GenParams()

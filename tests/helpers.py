@@ -3,6 +3,7 @@ across the test modules, the full-table distance-vector exchange that the
 bitset engine must equal among them."""
 
 import json
+import math
 import random
 import time
 from collections import defaultdict
@@ -232,6 +233,18 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
             parent[v] = u
         layer = sorted(reached)
     return SpanningTree(root, root, parent, label, relaxations)
+
+
+def boundary_demands(t: Topology) -> list[float]:
+    """0, a demand above t's widest link and every link's bandwidth with the
+    floats just below and above it: demands on both sides of every step
+    of a gate, ascending."""
+    demands = {0.0, math.nextafter(max((link.bandwidth for link in t.links),
+                                       default=0.0), math.inf)}
+    for link in t.links:
+        bw = link.bandwidth
+        demands |= {math.nextafter(bw, 0.0), bw, math.nextafter(bw, math.inf)}
+    return sorted(demands)
 
 
 def full_tree_outcome(t: Topology, tree: SpanningTree, dst: int):

@@ -67,12 +67,13 @@ def test_criterion_1_oracle_equivalence():
         t = generate_topology(n, DEFAULT_GEN, seed)
         state, _ = converge(t, 16)
         pruned = feasible_subgraph(t, SUITE_DEMAND)
+        gate = t.gate(SUITE_DEMAND)
         for src in range(n):
             oracle = bfs_hops(t, src)
             pruned_oracle = bfs_hops(pruned, src)
             for dst in range(n):
                 tree = build_spanning_tree(t, src, ExperimentConfig().weights,
-                                           SUITE_DEMAND, dst)
+                                           gate, dst)
                 assert state.metric(src, dst) == oracle[dst]
                 if dst in tree.label:  # and every node on its min-hop paths
                     assert all(hops == pruned_oracle[v]
@@ -157,9 +158,9 @@ def test_criterion_5_loop_freedom(suite):
                     paths += 1
                     assert len(set(path)) == len(path)
     for cfg, t, report in runs[::10]:
+        gate = t.gate(cfg.demand)
         for row in report.rows:  # the tree each row's route was read off
-            tree = build_spanning_tree(t, row.src, cfg.weights, cfg.demand,
-                                       row.dst)
+            tree = build_spanning_tree(t, row.src, cfg.weights, gate, row.dst)
             trees += 1
             assert set(tree.parent) == set(tree.label) - {tree.root}
             for node in tree.label:
@@ -185,7 +186,7 @@ def test_criterion_6_count_to_infinity_contrast():
     outcome = select_route(failed, RouteRequest(0, 2, SUITE_DEMAND))
     assert isinstance(outcome, Unreachable)
     tree = build_spanning_tree(failed, 0, ExperimentConfig().weights,
-                               SUITE_DEMAND, 2)
+                               failed.gate(SUITE_DEMAND), 2)
     assert len(tree.label) <= failed.n
     assert tree.relaxations <= 2 * len(failed.links)
     print("criterion 6 PASS: dv counts 2,4,4,...,16 capping at round 14; "

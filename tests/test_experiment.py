@@ -154,6 +154,18 @@ def test_replay_draws_the_generated_queries(n, edge_prob):
     assert replayed.rows == run_comparison(cfg).rows
 
 
+@pytest.mark.parametrize("edge_prob, demand", [(0.15, 5.0), (0.15, 50.0),
+                                               (0.016, 50.0)])
+def test_compare_builds_no_bandwidth_index(edge_prob, demand):
+    # every row's search reads the one gate the run builds for its demand
+    gen = GenParams(edge_prob=edge_prob)
+    cfg = ExperimentConfig(n=40, seed=3, gen=gen, query_count=100, demand=demand)
+    t = generate_topology(cfg.n, gen, seed=cfg.seed)
+    report = run_comparison(cfg, t)
+    assert "bandwidth_index" not in vars(t)
+    assert report.summary.violations == ()
+
+
 # --- run_comparison ---
 
 

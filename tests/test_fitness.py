@@ -24,10 +24,10 @@ from fitroute.fitness import (
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
-from helpers import (check_routes_against_full_trees, cut_topologies,
-                     drawn_topologies, full_gated_tree, full_tree_outcome,
-                     grid_topologies, line_topology, path_fitness,
-                     square_topology, triangle_topology)
+from helpers import (boundary_demands, check_routes_against_full_trees,
+                     cut_topologies, drawn_topologies, full_gated_tree,
+                     full_tree_outcome, grid_topologies, line_topology,
+                     path_fitness, square_topology, triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -162,7 +162,7 @@ def test_fitness_bounds(attrs):
 
 def test_tree_on_line():
     t = line_topology(3, delay=2.0)
-    tree = build_spanning_tree(t, 0, UNIT, 0.0, 2)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 2)
     assert tree.label == {0: (0, 0.0), 1: (1, 2.0), 2: (2, 4.0)}
     assert tree.parent[1] == 0 and tree.parent[2] == 1
     assert tree.path_to(2) == [0, 1, 2]
@@ -170,7 +170,8 @@ def test_tree_on_line():
 
 def test_tree_square_prefers_cheaper_equal_hop_path():
     # 0-1-2 costs 2.0 total, 0-3-2 costs 10.0; equal hops, cost decides
-    tree = build_spanning_tree(square_topology(), 0, UNIT, 0.0, 2)
+    t = square_topology()
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 2)
     assert tree.label[2] == (2, 2.0)
     assert tree.parent[2] == 1
 
@@ -178,30 +179,35 @@ def test_tree_square_prefers_cheaper_equal_hop_path():
 def test_tree_isolated_root():
     t = Topology(3, (QosLink(1, 2, 10.0, 1.0, 0.0, 0.0),))
     for dst in (1, 2):
-        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
         assert tree.label == {0: (0, 0.0)}
         assert tree.parent == {}
         assert tree.path_to(dst) is None
 
 
 def test_tree_rejects_bad_root():
+    t = line_topology(2)
     with pytest.raises(ValueError):
-        build_spanning_tree(line_topology(2), 7, UNIT, 0.0, 1)
+        build_spanning_tree(t, 7, UNIT, t.gate(0.0), 1)
 
 
 @pytest.mark.parametrize("demand", [math.nan, -1.0, math.inf])
-def test_tree_rejects_bad_demand(demand):
+def test_gates_reject_bad_demand(demand):
     # nan would gate out every link and yield a root-only tree; a negative
     # demand would cross every link
-    with pytest.raises(ValueError, match="demand"):
-        build_spanning_tree(line_topology(3), 0, UNIT, demand, 2)
+    t = line_topology(3)
+    for gate in (t.gate, t.indexed_gate):
+        with pytest.raises(ValueError, match="demand"):
+            gate(demand)
 
 
 @pytest.mark.parametrize("demand", [True, False, "5", None])
-def test_tree_rejects_non_number_demand(demand):
+def test_gates_reject_non_number_demand(demand):
     # True would gate at demand 1; a str would raise TypeError in the gate
-    with pytest.raises(ValueError, match="demand"):
-        build_spanning_tree(line_topology(3), 0, UNIT, demand, 2)
+    t = line_topology(3)
+    for gate in (t.gate, t.indexed_gate):
+        with pytest.raises(ValueError, match="demand"):
+            gate(demand)
 
 
 def test_tree_hops_beat_cost():
@@ -211,7 +217,7 @@ def test_tree_hops_beat_cost():
         QosLink(0, 1, 10.0, 1.0, 0.0, 0.0),
         QosLink(1, 2, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT, 0.0, 2)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 2)
     assert tree.label[2] == (1, 100.0)
     assert tree.path_to(2) == [0, 2]
 
@@ -225,7 +231,7 @@ def test_tree_equal_label_keeps_smaller_predecessor():
         QosLink(1, 3, 10.0, 1.0, 0.0, 0.0),
         QosLink(2, 3, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT, 0.0, 3)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 3)
     assert tree.parent[3] == 1
 
 
@@ -240,7 +246,7 @@ def test_tree_equal_label_tie_ignores_discovery_order():
         QosLink(3, 5, 10.0, 1.0, 0.0, 0.0),
         QosLink(4, 5, 10.0, 1.0, 0.0, 0.0),
     ))
-    tree = build_spanning_tree(t, 0, UNIT, 0.0, 5)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 5)
     assert tree.label[5] == (3, 3.0)
     assert tree.path_to(5) == [0, 2, 3, 5]
 
@@ -249,7 +255,7 @@ def test_tree_equal_label_tie_ignores_discovery_order():
 def test_tree_labels_monotone_and_bounded(seed):
     t = generate_topology(12, seed=seed)
     for dst in range(t.n):
-        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
         assert dst in tree.label and len(tree.label) <= t.n
         assert tree.relaxations <= 2 * len(t.links)
         for node in tree.label:
@@ -263,7 +269,7 @@ def test_tree_labels_monotone_and_bounded(seed):
 def test_tree_matches_brute_force(seed):
     t = generate_topology(8, GenParams(edge_prob=0.3), seed=seed)
     for dst in range(1, t.n):
-        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
         expected = brute_force_best(t, 0, dst, UNIT)
         if expected is None:
             assert dst not in tree.label
@@ -330,7 +336,8 @@ def thin_middle_line() -> Topology:
 def test_classify_outcome_reads_source_and_demand_off_the_tree():
     t = thin_middle_line()
     def outcome(src, demand, dst):
-        return classify_outcome(t, build_spanning_tree(t, src, UNIT, demand, dst))
+        return classify_outcome(
+            t, build_spanning_tree(t, src, UNIT, t.gate(demand), dst))
 
     assert outcome(0, 0.0, 3) == Route((0, 1, 2, 3), 3, 3.0, 0.25)
     # the tree's gate is the demand: a demand-5 tree cannot cross 1-2
@@ -342,15 +349,16 @@ def test_classify_outcome_reads_source_and_demand_off_the_tree():
 
 def test_tree_for_one_destination_answers_only_for_it():
     t = thin_middle_line()
-    tree = build_spanning_tree(t, 0, UNIT, 0.0, 1)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 1)
     assert tree.dst == 1 and 3 not in tree.label
     assert classify_outcome(t, tree).path == (0, 1)
 
 
 @pytest.mark.parametrize("dst", [-1, 4, 99])
 def test_build_spanning_tree_rejects_bad_destination(dst):
+    t = thin_middle_line()
     with pytest.raises(ValueError, match=r"dst must be an integer node id in \[0, 4\)"):
-        build_spanning_tree(thin_middle_line(), 0, UNIT, 0.0, dst)
+        build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
 
 
 @pytest.mark.parametrize("src, dst", [(1, 2.0), (1.5, 2), (0, "1"), (None, 1),
@@ -359,8 +367,9 @@ def test_request_rejects_non_integer_nodes(src, dst):
     with pytest.raises(ValueError, match="must be ints"):
         RouteRequest(src, dst, 5.0, UNIT)
     # the search itself: a bit shift by a float id would raise TypeError
+    t = line_topology(3)
     with pytest.raises(ValueError, match="(root|dst) must be an integer node id"):
-        build_spanning_tree(line_topology(3), src, UNIT, 0.0, dst)
+        build_spanning_tree(t, src, UNIT, t.gate(0.0), dst)
 
 
 def test_select_route_rejects_cost_overflow():
@@ -415,7 +424,7 @@ def test_demand_monotonicity(seed):
 def test_route_cost_matches_tree_label_exactly():
     t = generate_topology(12, seed=9)
     for dst in range(1, t.n):
-        tree = build_spanning_tree(t, 0, UNIT, 0.0, dst)
+        tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
         out = select_route(t, RouteRequest(0, dst, 0.0, UNIT))
         assert isinstance(out, Route)
         assert out.cost == tree.label[dst][1]  # identical accumulation order
@@ -426,13 +435,15 @@ def test_route_cost_matches_tree_label_exactly():
 
 
 def test_tree_stops_at_destination_layer():
-    tree = build_spanning_tree(line_topology(5), 0, UNIT, 0.0, 1)
+    t = line_topology(5)
+    tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 1)
     assert set(tree.label) == {0, 1}
     assert tree.path_to(1) == [0, 1]
 
 
 def test_tree_to_its_own_root_does_no_work():
-    tree = build_spanning_tree(line_topology(5), 2, UNIT, 0.0, 2)
+    t = line_topology(5)
+    tree = build_spanning_tree(t, 2, UNIT, t.gate(0.0), 2)
     assert tree.label == {2: (0, 0.0)}
     assert tree.relaxations == 0
 
@@ -446,7 +457,7 @@ def search_equals_full_tree(t: Topology, src: int, dst: int,
                             demand: float = 0.0) -> SpanningTree:
     """The search for dst, asserted to give the outcome of the full gated
     tree from src and, on every node it labels, its labels and parents."""
-    tree = build_spanning_tree(t, src, UNIT, demand, dst)
+    tree = build_spanning_tree(t, src, UNIT, t.gate(demand), dst)
     full = full_gated_tree(t, src, UNIT, demand)
     assert classify_outcome(t, tree) == full_tree_outcome(t, full, dst)
     assert tree.label == {v: full.label[v] for v in tree.label}
@@ -593,7 +604,7 @@ def test_gated_search_equals_prune_then_search(data):
     # a search for dst labels the root and, when the gate lets it reach dst,
     # exactly the nodes on dst's min-hop gated paths (by this module's own
     # BFS), each with the full tree's label and parent
-    bounded = build_spanning_tree(t, src, w, demand, dst)
+    bounded = build_spanning_tree(t, src, w, t.gate(demand), dst)
     assert bounded.dst == dst and classify_outcome(t, bounded) == out
     assert (dst in bounded.label) == (dst in gated.label)
     assert bounded.label == {v: gated.label[v] for v in bounded.label}
@@ -625,19 +636,38 @@ def test_gated_search_equals_prune_then_search(data):
         assert (out.hops, out.cost) == best
 
 
+@given(st.data())
+def test_trees_over_a_gate_equal_trees_over_the_index(data):
+    # run_comparison's searches read a list of masks, select_route's a view
+    # over the bandwidth index: one search body, so the same tree
+    t = data.draw(st.one_of(drawn_topologies(), cut_topologies(),
+                            grid_topologies()))
+    src = data.draw(st.integers(0, t.n - 1))
+    dst = data.draw(st.integers(0, t.n - 1))
+    demand = data.draw(st.sampled_from(boundary_demands(t)))
+    w = data.draw(st.sampled_from(WEIGHT_CHOICES))
+    over_list = build_spanning_tree(t, src, w, t.gate(demand), dst)
+    over_view = build_spanning_tree(t, src, w, t.indexed_gate(demand), dst)
+    assert list(over_list.label.items()) == list(over_view.label.items())
+    assert list(over_list.parent.items()) == list(over_view.parent.items())
+    assert over_list == over_view  # relaxations, root and dst too
+
+
 # --- component labels ---
 
 
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_components_match_bfs_and_stay_out_of_identity(t):
-    # labelled and indexed on first use only
+    # labelled and indexed on first use only; a gate is never memoised
     assert "components" not in vars(t)
     assert "bandwidth_index" not in vars(t)
     for a in range(t.n):
         reached = bfs_hops(t, a)
         for b in range(t.n):
             assert (t.components[a] == t.components[b]) == (b in reached)
-    build_spanning_tree(t, 0, UNIT, 0.0, t.n - 1)
+    build_spanning_tree(t, 0, UNIT, t.gate(0.0), t.n - 1)
+    assert "bandwidth_index" not in vars(t)
+    select_route(t, RouteRequest(0, t.n - 1, 0.0, UNIT))
     assert "bandwidth_index" in vars(t)
     fresh = Topology(t.n, t.links)
     assert t == fresh

@@ -5,6 +5,8 @@ fitroute.fitness (check_weights). A bad value raises ValueError naming the
 argument: never TypeError or AttributeError, and never a silent result."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,7 @@ from fitroute.dv import converge, extract_path, fail_link_and_trace
 from fitroute.fitness import build_spanning_tree
 from fitroute.topology import (MAX_NODES, SplitMix64, bfs_hops,
                                feasible_subgraph, generate_topology_rng,
-                               parse_topology)
+                               is_int, is_number, parse_topology)
 
 from helpers import line_topology
 
@@ -28,6 +30,7 @@ NON_INT_IDS = (True, 1.5, 2.0, "1", None)  # a request has no n to bound by
 DEMANDS = (True, "5", None, -1.0, math.nan, math.inf)
 NOT_CONFIGS = (None, "x", (1.0, 1.0, 1.0))
 QUERIES = (5, None, (), (0,), (0, 1, 2), {0: 1})  # no (src, dst) pair
+QUERY_LISTS = (5, 1.5, True, "01", {(0, 1)}, {0: 1})  # no tuple or list
 
 # (entry point, call, bad values, what the message must start with)
 ENTRIES = [
@@ -48,9 +51,9 @@ ENTRIES = [
     ("fail_link_and_trace.dest",
      lambda v: fail_link_and_trace(T, 0, 1, 0, v), IDS, "dest"),
     ("build_spanning_tree.root",
-     lambda v: build_spanning_tree(T, v, W, 0.0, 1), IDS, "root"),
+     lambda v: build_spanning_tree(T, v, W, T.gate(0.0), 1), IDS, "root"),
     ("build_spanning_tree.dst",
-     lambda v: build_spanning_tree(T, 0, W, 0.0, v), IDS, "dst"),
+     lambda v: build_spanning_tree(T, 0, W, T.gate(0.0), v), IDS, "dst"),
     ("ExperimentConfig.query_src",
      lambda v: ExperimentConfig(n=T.n, explicit_queries=((0, 1), (v, 1))),
      IDS, "src of query"),
@@ -61,8 +64,8 @@ ENTRIES = [
     ("RouteRequest.dst", lambda v: RouteRequest(0, v), NON_INT_IDS, "src and dst"),
     ("feasible_subgraph", lambda v: feasible_subgraph(T, v), DEMANDS, "demand"),
     ("RouteRequest.demand", lambda v: RouteRequest(0, 1, v), DEMANDS, "demand"),
-    ("build_spanning_tree.demand",
-     lambda v: build_spanning_tree(T, 0, W, v, 1), DEMANDS, "demand"),
+    ("Topology.gate", T.gate, DEMANDS, "demand"),
+    ("Topology.indexed_gate", T.indexed_gate, DEMANDS, "demand"),
     ("ExperimentConfig.demand", lambda v: ExperimentConfig(demand=v),
      DEMANDS, "demand"),
     ("ExperimentConfig.gen", lambda v: ExperimentConfig(gen=v),
@@ -71,7 +74,8 @@ ENTRIES = [
      NOT_CONFIGS + (GenParams(),), "weights"),
     ("RouteRequest.weights", lambda v: RouteRequest(0, 1, 5.0, v),
      NOT_CONFIGS + (GenParams(),), "weights"),
-    ("build_spanning_tree.w", lambda v: build_spanning_tree(T, 0, v, 0.0, 3),
+    ("build_spanning_tree.w",
+     lambda v: build_spanning_tree(T, 0, v, T.gate(0.0), 3),
      NOT_CONFIGS + (GenParams(),), "weights"),
     ("generate_topology.params", lambda v: generate_topology(4, v),
      NOT_CONFIGS + (W,), "params"),
@@ -81,6 +85,9 @@ ENTRIES = [
     ("ExperimentConfig.explicit_queries",
      lambda v: ExperimentConfig(n=T.n, explicit_queries=((0, 1), v)),
      QUERIES, "query"),
+    ("ExperimentConfig.explicit_queries.container",
+     lambda v: ExperimentConfig(n=T.n, explicit_queries=v),
+     QUERY_LISTS, "explicit_queries"),
 ]
 
 
@@ -113,3 +120,52 @@ def test_explicit_queries_set_the_query_count():
                            explicit_queries=((0, 3), (1, 2), (3, 0)))
     assert cfg.query_count == 3
     assert ExperimentConfig(n=4, explicit_queries=()).query_count == 0
+
+
+def test_explicit_queries_are_kept_as_a_tuple_of_pairs():
+    # a list is converted, so the frozen config stays hashable and equals
+    # the one given tuples
+    given = ExperimentConfig(n=4, explicit_queries=[[0, 3], (1, 2)])
+    as_tuples = ExperimentConfig(n=4, explicit_queries=((0, 3), (1, 2)))
+    assert given.explicit_queries == ((0, 3), (1, 2))
+    assert given == as_tuples and hash(given) == hash(as_tuples)
+    assert given.query_count == 2
+    assert hash(ExperimentConfig(n=4, explicit_queries=[])) == hash(
+        ExperimentConfig(n=4, explicit_queries=()))
+    # an iterator has no length to set query_count from
+    for queries in (iter([(0, 1)]), ((0, 1) for _ in range(1))):
+        with pytest.raises(ValueError, match="^explicit_queries "):
+            ExperimentConfig(n=4, explicit_queries=queries)
+
+
+class IntSubclass(int):
+    pass
+
+
+class FloatSubclass(float):
+    pass
+
+
+# value, is_int, is_number: the exact-type fast paths change neither column
+NUMBER_TABLE = [
+    (3, True, True),
+    (True, False, False),
+    (IntSubclass(3), True, True),
+    (2.5, False, True),
+    (FloatSubclass(2.5), False, True),
+    (Fraction(1, 2), False, True),
+    (Decimal("1.5"), False, False),  # not registered as a numbers.Real
+    (1j, False, False),
+    ("1", False, False),
+    (None, False, False),
+    (math.nan, False, True),
+    (math.inf, False, True),
+    (-math.inf, False, True),
+]
+
+
+@pytest.mark.parametrize("value, int_, number", NUMBER_TABLE,
+                         ids=[repr(row[0]) for row in NUMBER_TABLE])
+def test_is_int_and_is_number_truth_table(value, int_, number):
+    assert is_int(value) is int_
+    assert is_number(value) is number

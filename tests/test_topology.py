@@ -20,9 +20,9 @@ from fitroute.topology import (
     topology_fingerprint,
 )
 
-from helpers import (cut_topologies, drawn_topologies, grid_topologies,
-                     is_connected, line_topology, reference_topology_rng,
-                     triangle_topology)
+from helpers import (boundary_demands, cut_topologies, drawn_topologies,
+                     grid_topologies, is_connected, line_topology,
+                     reference_topology_rng, triangle_topology)
 
 SEEDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
 
@@ -551,6 +551,21 @@ def test_bandwidth_index_gates_neighbour_masks(t):
     assert repr(t) == repr(fresh)
 
 
+@given(st.one_of(drawn_topologies(), cut_topologies(), grid_topologies()),
+       st.data())
+def test_gates_read_as_the_index(t, data):
+    # a compare's gate and a request's view over the index give every node
+    # the mask the index holds at that demand, on both sides of every step
+    demands = boundary_demands(t)
+    for demand in data.draw(st.lists(st.sampled_from(demands), min_size=1)):
+        gate, view = t.gate(demand), t.indexed_gate(demand)
+        assert len(gate) == t.n
+        for node, (keys, masks) in enumerate(t.bandwidth_index):
+            read = masks[bisect_right(keys, -demand)]
+            assert gate[node] == view[node] == read == gated_mask(t, node, demand)
+    assert t.gate(0.0) is not t.gate(0.0)  # built per call, not memoised
+
+
 def test_bandwidth_index_on_a_triangle():
     t = triangle_topology(10.0, 5.0, 2.5)
     keys, masks = t.bandwidth_index[0]  # links 0-1 (10) and 0-2 (2.5)
@@ -558,3 +573,4 @@ def test_bandwidth_index_on_a_triangle():
     assert masks == (0, 0b010, 0b110)
     gate = {d: masks[bisect_right(keys, -d)] for d in (0.0, 2.5, 2.6, 10.0, 11.0)}
     assert gate == {0.0: 0b110, 2.5: 0b110, 2.6: 0b010, 10.0: 0b010, 11.0: 0}
+    assert t.gate(2.6) == [0b010, 0b101, 0b010]  # links 0-1 (10) and 1-2 (5)
