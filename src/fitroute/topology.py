@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, compress, repeat
 from numbers import Real
 from operator import attrgetter, or_
 
@@ -300,56 +300,85 @@ def check_gen_params(params, name: str) -> None:
         raise ValueError(f"{name} must be a GenParams, got {params!r}")
 
 
-# Draws per batch of the generator's packed SplitMix64 (_draws): a batch is
+# Draws per batch of the generator's packed SplitMix64 (_mix): a batch is
 # one int of 128 * _BATCH bits, 16 KiB, however many draws a topology takes.
 # 2048 or 4096 lanes drew no faster, and their lane constants and batches
 # raised the benchmark's route-stream peak RSS by 0.06-0.2 MB.
 _BATCH = 1024
 
 
-def _packed(values) -> int:
-    """One int holding the 64-bit values as lanes, value i at bit 128 * i."""
-    lanes = bytearray(16 * _BATCH)
-    for i, value in enumerate(values):
-        lanes[16 * i:16 * i + 8] = value.to_bytes(8, "little")
-    return int.from_bytes(lanes, "little")
+def _broadcast(value: int, m: int) -> int:
+    """value < 2^128 in each of m 128-bit slots, its 16 bytes repeated."""
+    return int.from_bytes(value.to_bytes(16, "little") * m, "little")
 
 
-_STEPS = _packed((i + 1) * _GAMMA & _MASK64 for i in range(_BATCH))
-_ONES = _packed(1 for _ in range(_BATCH))
-_LOW64 = _ONES * _MASK64
+_STEPS = int.from_bytes(b"".join(((i + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
+                                 for i in range(_BATCH)), "little")
+_LOW64 = _broadcast(_MASK64, _BATCH)
 
 
-def _batch(state: int, m: int) -> memoryview:
-    """The m <= _BATCH draws that m next_u64 calls make from `state`.
+def _batches(rng: SplitMix64, count: int) -> list[tuple[int, int]]:
+    """(state, m) for each batch of rng's next `count` draws, _BATCH at a
+    time: the batch's draws are the m next_u64 calls made from state. rng
+    advances past all of them at once, as skip(count)."""
+    state = rng.state
+    rng.skip(count)
+    return [((state + start * _GAMMA) & _MASK64, min(_BATCH, count - start))
+            for start in range(0, count, _BATCH)]
+
+
+def _mix(state: int, m: int) -> int:
+    """The m <= _BATCH draws that m next_u64 calls make from `state`, as
+    lanes of one int: draw i in bits 0-63 of the 128-bit slot at bit 128 * i.
 
     Lane i starts as state + (i+1)*gamma, the state of draw i+1, and runs
     the mixer's steps with all lanes in one int. A lane's 64 bits sit in a
     128-bit slot, so a product of two 64-bit factors never carries into the
     next lane, and a right shift moves the next lane's low bits only into
-    the slot's upper half, which the mask clears before every multiply.
-    The draws are the slots' low 64-bit words, read in place off z's bytes
-    as native words: every other word, lane 0 first.
+    the slot's upper half, which the mask clears before every multiply. The
+    last xor-shift is left unmasked: it moves the next lane's low 31 bits
+    into each slot's bits 97-127, so bits 64-96 of every slot stay 0.
     """
-    lanes = (1 << 128 * m) - 1
-    low = _LOW64 & lanes
-    z = ((_STEPS & lanes) + state * (_ONES & lanes)) & low
+    low = _LOW64 >> 128 * (_BATCH - m)
+    z = (_STEPS + _broadcast(state, m)) & low
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    z ^= z >> 31
+    return z ^ (z >> 31)
+
+
+def _low_words(z: int, m: int) -> memoryview:
+    """The draws of _mix(state, m), the slots' low 64-bit words, read in
+    place off z's bytes as native words: every other word, lane 0 first."""
     words = memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")
     return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
 def _draws(rng: SplitMix64, count: int):
-    """An iterator over rng's next `count` draws, equal to `count` next_u64
-    calls, computed one _BATCH at a time as it is read. rng advances past
-    all of them at once, as skip(count)."""
-    state = rng.state
-    rng.skip(count)
-    return chain.from_iterable(
-        _batch((state + start * _GAMMA) & _MASK64, min(_BATCH, count - start))
-        for start in range(0, count, _BATCH))
+    """rng's next `count` draws, equal to `count` next_u64 calls, as one
+    memoryview of ints per batch of _BATCH, each computed as it is read.
+    rng advances past all of them at once, as skip(count)."""
+    return (_low_words(_mix(state, m), m) for state, m in _batches(rng, count))
+
+
+_LINKED = bytes.maketrans(b"\0\1", b"\1\0")  # a clear bit 64 links the pair
+
+
+def _link_flags(rng: SplitMix64, count: int, threshold: int) -> bytes:
+    """One byte per draw of rng's next `count`, 1 where the draw is below
+    `threshold` (0 <= threshold <= 2^64), else 0: the bytes of
+    [z < threshold for z in _draws(rng, count)], and rng advances the same.
+
+    No draw becomes an int of its own: 2^64 - threshold, added to every
+    slot of a batch, sets a slot's bit 64 exactly when its draw is >=
+    threshold. The sum stays below 2^65 and so inside the slot's clear bits
+    64-96 (_mix). Bit 64 is bit 0 of the slot's byte 8, read for all slots
+    at once as one bytes slice, and 0 and 1 swap in one translate.
+    """
+    width = min(count, _BATCH)
+    addend = _broadcast((1 << 64) - threshold, width)
+    return b"".join(
+        (_mix(state, m) + addend).to_bytes(16 * width, "little")[8:16 * m:16]
+        for state, m in _batches(rng, count)).translate(_LINKED)
 
 
 def _link_threshold(edge_prob: float) -> int:
@@ -366,6 +395,72 @@ def _link_threshold(edge_prob: float) -> int:
     return lo
 
 
+_LINK_SLOTS = tuple(getattr(QosLink, name).__set__ for name in QosLink.__slots__)
+
+
+def _generated_links(a, b, bandwidth, delay, jitter, loss) -> tuple[QosLink, ...]:
+    """QosLink(*fields) for each row of the six columns (a and b may be
+    iterators), built by setting the slots column by column, with one min
+    or max per column in place of the per-link checks of
+    QosLink.__post_init__. It takes the generator's columns alone: a < b
+    ints and float attributes, each lo + u*(hi - lo) with u = draw / 2^64
+    and lo, hi from a checked GenParams. That keeps every attribute >= its
+    lo (so bandwidth > 0 and delay, jitter and loss >= 0) and never NaN. It
+    does not keep one <= hi: u reads 1.0 for the top 1024 draws, and
+    lo + (hi - lo) can round above hi, so loss can reach 1.0 and an
+    attribute near the float maximum infinity. Those are the checks made
+    here; if one fails, the checked constructor rebuilds the links and
+    raises the first bad one's error.
+    """
+    if bandwidth and not (0 < min(bandwidth) and max(bandwidth) < math.inf
+                          and max(delay) < math.inf and max(jitter) < math.inf
+                          and max(loss) < 1):
+        return tuple(map(QosLink, a, b, bandwidth, delay, jitter, loss))
+    links = tuple(map(object.__new__, repeat(QosLink, len(bandwidth))))
+    for set_slot, column in zip(_LINK_SLOTS, (a, b, bandwidth, delay, jitter, loss)):
+        deque(map(set_slot, links, column), maxlen=0)
+    return links
+
+
+def _linked_rows(perm: list[int], flags: bytes) -> list[list[int]]:
+    """Steps 2 and 3 of generate_topology_rng: rows[a] holds the b > a
+    linked to a, ascending, the chain's links through perm and the drawn
+    pairs whose flag (_link_flags) is set, one flag per pair off the
+    chain, in ascending (a, b) order."""
+    n = len(perm)
+    chained = [[] for _ in range(n)]  # chain neighbours b > a, per row a
+    for u, v in zip(perm, perm[1:]):
+        chained[min(u, v)].append(max(u, v))
+    rows = []
+    pos = 0  # flags[pos]: the next drawn pair's flag
+    for a, ends in enumerate(chained):
+        row, b = [], a + 1
+        for c in sorted(ends):  # the drawn pairs before chain link (a, c)
+            row += compress(range(b, c), flags[pos:pos + c - b])
+            pos += c - b
+            row.append(c)
+            b = c + 1
+        row += compress(range(b, n), flags[pos:pos + n - b])
+        pos += n - b
+        rows.append(row)
+    return rows
+
+
+def _attribute_columns(rng: SplitMix64, link_count: int,
+                       params: GenParams) -> list[list[float]]:
+    """Step 4 of generate_topology_rng: the bandwidth, delay, jitter and
+    loss columns of `link_count` links, each attribute lo + draw / 2^64 * span
+    from the link's 4 draws in turn. _BATCH is a multiple of 4, so a
+    batch's draws[k::4] are attribute k of its links."""
+    spans = [(lo, hi - lo) for lo, hi in (params.bandwidth_range, params.delay_range,
+                                          params.jitter_range, params.loss_range)]
+    columns = [[], [], [], []]
+    for draws in _draws(rng, 4 * link_count):
+        for k, (column, (lo, span)) in enumerate(zip(columns, spans)):
+            column += [lo + z / _TWO64 * span for z in draws[k::4]]
+    return columns
+
+
 def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topology:
     """Generate a connected random topology, consuming draws from `rng`.
 
@@ -380,18 +475,24 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
        chain consume no draw.
     4. Visit links in ascending (a, b) order and draw bandwidth, delay,
        jitter, loss for each, in that order, as min + (draw/2^64)*(max-min).
+       The top 1024 draws read exactly 1.0, and the sum can round up, so an
+       attribute can equal its max or, by an ulp, pass it: a link that
+       fails QosLink's checks so raises its ValueError.
 
     In all that is n(n-1)/2 + 4*len(links) draws, the count run_comparison
     skips when it replays a topology.
 
     Steps 1 and 2 call next_u64 once per draw. Steps 3 and 4 know their
     draw counts up front, (n-1)(n-2)/2 and then 4 per link, and take them
-    from _draws: SplitMix64 draw k depends only on seed + k*gamma mod 2^64,
-    so a batch of lanes computes the very draws those calls would return,
-    in order, and leaves rng where they would. Step 3 runs row by row, a
-    ascending, with the integer test draw < _link_threshold(edge_prob),
-    equal to the float test, so links come out sorted; step 4 keeps the
-    float arithmetic above, operation for operation.
+    from packed batches of lanes (_mix): SplitMix64 draw k depends only on
+    seed + k*gamma mod 2^64, so a batch computes the very draws those calls
+    would return, in order, and leaves rng where they would. Step 3 tests
+    draw < _link_threshold(edge_prob), equal to the float test, inside the
+    packed lanes (_link_flags), one flag byte per pair, and runs row by
+    row, a ascending, so links come out sorted (_linked_rows). Step 4
+    keeps the float arithmetic above, operation for operation, one
+    attribute column at a time (_attribute_columns), and the links are
+    built from the columns (_generated_links).
     """
     check_node_count(n)
     check_gen_params(params, "params")
@@ -401,30 +502,13 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
         j = rng.next_below(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
-    chained = [[] for _ in range(n)]  # chain neighbours b > a, per row a
-    for u, v in zip(perm, perm[1:]):
-        chained[min(u, v)].append(max(u, v))
-    draws = _draws(rng, (n - 1) * (n - 2) // 2)
-    linked = _link_threshold(params.edge_prob).__gt__  # linked(z): z < thr
-    rows = []  # rows[a]: the b > a linked to a, ascending
-    for a, ends in enumerate(chained):
-        row, b = [], a + 1
-        for c in sorted(ends):  # the drawn pairs before chain link (a, c)
-            row += compress(range(b, c), map(linked, islice(draws, c - b)))
-            row.append(c)
-            b = c + 1
-        row += compress(range(b, n), map(linked, islice(draws, n - b)))
-        rows.append(row)
-
-    draws = _draws(rng, 4 * sum(map(len, rows)))
-    quads = zip(draws, draws, draws, draws)
-    (b0, bspan), (d0, dspan), (j0, jspan), (l0, lspan) = (
-        (lo, hi - lo) for lo, hi in (params.bandwidth_range, params.delay_range,
-                                     params.jitter_range, params.loss_range))
-    return Topology(n, tuple(
-        QosLink(a, b, b0 + zb / _TWO64 * bspan, d0 + zd / _TWO64 * dspan,
-                j0 + zj / _TWO64 * jspan, l0 + zl / _TWO64 * lspan)
-        for a, row in enumerate(rows) for b, (zb, zd, zj, zl) in zip(row, quads)))
+    rows = _linked_rows(perm, _link_flags(rng, (n - 1) * (n - 2) // 2,
+                                          _link_threshold(params.edge_prob)))
+    links = _generated_links(
+        chain.from_iterable(map(repeat, range(n), map(len, rows))),
+        chain.from_iterable(rows),
+        *_attribute_columns(rng, sum(map(len, rows)), params))
+    return Topology(n, links)
 
 
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,

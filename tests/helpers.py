@@ -45,6 +45,27 @@ def reference_topology_rng(n: int, params: GenParams,
         for a, b in pairs))
 
 
+def splitmix64_unmix(z: int) -> int:
+    """The state whose SplitMix64 output is z: the mixer is a bijection on
+    64-bit words, so each xor-shift is undone by repeating it (x from
+    y = x ^ (x >> s)) and each multiply by the constant's inverse mod 2^64,
+    last step first."""
+    def unshift(y: int, s: int) -> int:
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(z, 30)
+
+
+def seed_drawing(z: int, k: int) -> int:
+    """The seed whose k-th draw (k >= 1) is z: the state that SplitMix64
+    mixes into z, less the k increments that reach it."""
+    return (splitmix64_unmix(z) - k * 0x9E3779B97F4A7C15) % 2**64
+
+
 def reference_init_tables(t: Topology,
                           infinity_metric: int) -> tuple[tuple[int, ...], ...]:
     """The full-table initial vectors: table[v][d] is 0 for v = d, 1 for a

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import sys
 from bisect import bisect_right
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from fitroute.topology import (
     _BATCH,
     SplitMix64,
     _draws,
+    _link_flags,
     _link_threshold,
     bfs_hops,
     feasible_subgraph,
@@ -22,7 +25,8 @@ from fitroute.topology import (
 
 from helpers import (boundary_demands, cut_topologies, drawn_topologies,
                      grid_topologies, is_connected, line_topology,
-                     reference_topology_rng, triangle_topology)
+                     reference_topology_rng, seed_drawing, splitmix64_unmix,
+                     triangle_topology)
 
 SEEDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
 
@@ -74,9 +78,43 @@ def test_next_float_in_unit_interval():
                         st.integers(0, 2 * _BATCH + 3)))
 def test_batched_draws_equal_next_u64(seed, count):
     rng, ref, skipped = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
-    assert list(_draws(rng, count)) == [ref.next_u64() for _ in range(count)]
+    assert list(chain.from_iterable(_draws(rng, count))) == [
+        ref.next_u64() for _ in range(count)]
     skipped.skip(count)
     assert rng.state == ref.state == skipped.state
+
+
+@given(SEEDS)
+def test_unmix_inverts_the_mixer(seed):
+    rng = SplitMix64(seed)
+    z = rng.next_u64()
+    assert splitmix64_unmix(z) == rng.state
+    crafted = SplitMix64(seed_drawing(z, 7))
+    crafted.skip(6)
+    assert crafted.next_u64() == z
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x5EED])
+@pytest.mark.parametrize("count", [0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                   3 * _BATCH + 5])
+@pytest.mark.parametrize("threshold", [0, 1, 2**63, 2**64 - 1, 2**64])
+def test_link_flags_equal_the_per_draw_test(threshold, count, seed):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    flags = _link_flags(rng, count, threshold)
+    draws = chain.from_iterable(_draws(ref, count))
+    assert list(flags) == [z < threshold for z in draws]
+    assert rng.state == ref.state
+
+
+@pytest.mark.parametrize("k", [1, 2, _BATCH, _BATCH + 1, 2 * _BATCH + 3])
+@pytest.mark.parametrize("threshold", [1, 2**63, 2**64 - 1024, 2**64 - 1, 2**64])
+def test_link_flags_split_at_the_threshold(threshold, k):
+    # draw k crafted to sit just below and then at the threshold, in lane
+    # k - 1 of its batch: a carry into bit 64 flags it, one short does not
+    for z in (threshold - 1, threshold):
+        if z < 2**64:
+            flags = _link_flags(SplitMix64(seed_drawing(z, k)), k, threshold)
+            assert flags[-1] == (z < threshold)
 
 
 # --- QosLink / GenParams / Topology invariants ---
@@ -312,29 +350,86 @@ def test_link_threshold_brackets_edge_prob(p):
     assert (thr - 1) / 2**64 < p <= thr / 2**64
 
 
-def _seed_drawing(z: int, k: int) -> int:
-    """The seed whose k-th draw (k >= 1) is z: SplitMix64's mixer inverted
-    step by step, then k increments taken off."""
-    def unshift(y, s):  # x from y = x ^ (x >> s)
-        x = y
-        for _ in range(64 // s):
-            x = y ^ (x >> s)
-        return x
-    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
-    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
-    return (unshift(z, 30) - k * 0x9E3779B97F4A7C15) % 2**64
-
-
 @pytest.mark.parametrize("draw, links", [(2**64 - 1025, 3), (2**64 - 1024, 2),
                                          (2**64 - 1, 2)])
 def test_edge_prob_1_links_no_pair_whose_draw_rounds_to_1(draw, links):
     # three nodes: two permutation draws, then one pair off the chain
-    seed = _seed_drawing(draw, 3)
+    seed = seed_drawing(draw, 3)
     rng = SplitMix64(seed)
     assert [rng.next_u64() for _ in range(3)][-1] == draw
     params = GenParams(edge_prob=1.0)
     assert len(generate_topology(3, params, seed).links) == links
     _assert_same_generation(3, params, seed)
+
+
+_FLOAT_MAX = sys.float_info.max
+_LOSS_MAX = math.nextafter(1.0, 0.0)
+
+
+@st.composite
+def extreme_generations(draw):
+    """(n, params, seed) with ranges that reach the float extremes, such as
+    subnormal and near-maximal bounds and a loss max one ulp below 1. Half
+    the seeds are crafted so that one of the first link's four attribute
+    draws, the loss most often, is among the top 2048, which read 1.0 from
+    2^64 - 1024 up and just under 1.0 below."""
+    def pair(lo, hi, lows, highs):
+        x = draw(st.one_of(st.sampled_from(lows), st.floats(lo, hi)))
+        y = draw(st.one_of(st.sampled_from(highs), st.floats(x, hi)))
+        return (x, max(x, y))
+    big = (_FLOAT_MAX, math.nextafter(_FLOAT_MAX, 0.0), _FLOAT_MAX / 2)
+    params = GenParams(
+        edge_prob=draw(st.floats(0.0, 1.0)),
+        bandwidth_range=pair(5e-324, _FLOAT_MAX, (5e-324, 1e-310, 1.0), big),
+        delay_range=pair(0.0, _FLOAT_MAX, (0.0, 5e-324), big),
+        jitter_range=pair(0.0, _FLOAT_MAX, (0.0, 5e-324), big),
+        # lo + (_LOSS_MAX - lo) rounds up to 1.0 for lo 0.3, not for 0 or 0.5
+        loss_range=pair(0.0, _LOSS_MAX, (0.0, 0.3, 0.381887309488307, 0.5),
+                        (_LOSS_MAX,)))
+    n = draw(st.integers(1, 8))
+    first = n - 1 + (n - 1) * (n - 2) // 2  # the draws before the first link's
+    top = st.builds(seed_drawing,
+                    st.one_of(st.sampled_from((2**64 - 1, 2**64 - 1024)),
+                              st.integers(2**64 - 2048, 2**64 - 1)),
+                    st.one_of(st.just(first + 4), st.integers(first + 1, first + 4)))
+    return n, params, draw(st.one_of(SEEDS, top))
+
+
+@given(extreme_generations())
+def test_generated_links_pass_the_checked_constructor(case):
+    n, params, seed = case
+    # the generator sets its links' slots unchecked; the scalar reference
+    # builds every link through QosLink's checks, so either both raise the
+    # same error or every generated link is one the checks accept
+    try:
+        reference_topology_rng(n, params, SplitMix64(seed))
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            generate_topology(n, params, seed)
+        assert str(raised.value) == str(error)
+        return
+    for link in generate_topology(n, params, seed).links:
+        fields = (link.a, link.b, link.bandwidth, link.delay, link.jitter, link.loss)
+        assert QosLink(*fields) == link
+        assert all(type(x) is int for x in fields[:2])
+        assert all(type(x) is float for x in fields[2:])
+    _assert_same_generation(n, params, seed)
+
+
+@pytest.mark.parametrize("draw, rejected", [(2**64 - 1, True), (2**64 - 1024, True),
+                                            (2**64 - 1025, False)])
+def test_generation_rejects_a_loss_rounded_up_to_1(draw, rejected):
+    # two nodes: one permutation draw, no pair draws, then bandwidth, delay,
+    # jitter and loss, so the loss takes draw 5. From 2^64 - 1024 up a draw
+    # reads exactly 1.0, and lo + 1.0 * (hi - lo) rounds up to 1.0 here
+    seed = seed_drawing(draw, 5)
+    params = GenParams(loss_range=(0.381887309488307, _LOSS_MAX))
+    if rejected:
+        with pytest.raises(ValueError, match=r"loss must lie in \[0, 1\), got 1\.0"):
+            generate_topology(2, params, seed)
+    else:
+        assert generate_topology(2, params, seed).links[0].loss < 1.0
+        _assert_same_generation(2, params, seed)
 
 
 def test_generation_fingerprint_pinned():
