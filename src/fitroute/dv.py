@@ -46,7 +46,7 @@ from functools import reduce
 from itertools import repeat
 from operator import and_, or_, xor
 
-from .topology import MAX_NODES, Topology, check_node, remove_link
+from .topology import MAX_NODES, Topology, check_node, is_int, remove_link
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,14 @@ class DvTrace:
 
 
 def check_infinity(infinity_metric: int) -> None:
-    """An infinity metric is an int in 2..MAX_NODES, else ValueError. Every
-    Topology holds at most MAX_NODES nodes (check_node_count), so no hop
-    metric reaches MAX_NODES, and counting to infinity takes at most
-    infinity_metric rounds, so the bound keeps every run short."""
-    if not (isinstance(infinity_metric, int) and infinity_metric >= 2):
-        raise ValueError(
-            f"infinity_metric must be an integer >= 2, got {infinity_metric!r}")
-    if infinity_metric > MAX_NODES:
-        raise ValueError(f"infinity_metric must be at most {MAX_NODES}, "
-                         f"got {infinity_metric}")
+    """An infinity metric is an int, not a bool, in 2..MAX_NODES, else
+    ValueError. Every Topology holds at most MAX_NODES nodes
+    (check_node_count), so no hop metric reaches MAX_NODES, and counting to
+    infinity takes at most infinity_metric rounds, so the bound keeps every
+    run short."""
+    if not (is_int(infinity_metric) and 2 <= infinity_metric <= MAX_NODES):
+        raise ValueError(f"infinity_metric must be an integer in 2..{MAX_NODES}, "
+                         f"got {infinity_metric!r}")
 
 
 def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:

@@ -70,7 +70,9 @@ class ExperimentConfig:
     by the shared checks of fitroute.topology and fitroute.fitness.
     explicit_queries is None or a tuple or list of (src, dst) pairs, kept
     as a tuple of tuples so that the config stays hashable; explicit
-    queries set query_count to their number."""
+    queries set query_count to their number. demand is kept as a float, as
+    GenParams and Weights keep theirs, so equal configs render equal
+    reports."""
 
     n: int = 16
     seed: int = 0
@@ -82,32 +84,29 @@ class ExperimentConfig:
     infinity_metric: int = 16
 
     def __post_init__(self):
+        check_node_count(self.n)
+        check_seed(self.seed)
         queries = self.explicit_queries
         if queries is not None:
             if not isinstance(queries, (tuple, list)):
                 raise ValueError("explicit_queries must be a tuple or list of "
                                  f"(src, dst) pairs, got {queries!r}")
+            for query in queries:
+                if not (isinstance(query, Sequence) and len(query) == 2):
+                    raise ValueError(f"query {query!r} must be a (src, dst) pair")
+                src, dst = query
+                check_node(src, self.n, f"src of query {query!r}")
+                check_node(dst, self.n, f"dst of query {query!r}")
+            object.__setattr__(self, "explicit_queries", tuple(map(tuple, queries)))
             object.__setattr__(self, "query_count", len(queries))
-        check_node_count(self.n)
-        check_seed(self.seed)
-        if not is_int(self.query_count):
-            raise ValueError(
-                f"query_count must be an integer, got {self.query_count!r}")
-        if not 0 <= self.query_count <= MAX_QUERIES:
-            raise ValueError(f"query_count must lie in 0..{MAX_QUERIES}, "
-                             f"got {self.query_count}")
+        if not (is_int(self.query_count) and 0 <= self.query_count <= MAX_QUERIES):
+            raise ValueError(f"query_count must be an integer in 0..{MAX_QUERIES}, "
+                             f"got {self.query_count!r}")
         check_demand(self.demand)
+        object.__setattr__(self, "demand", float(self.demand))
         check_gen_params(self.gen, "gen")
         check_weights(self.weights)
         dv_engine.check_infinity(self.infinity_metric)
-        for query in queries or ():
-            if not (isinstance(query, Sequence) and len(query) == 2):
-                raise ValueError(f"query {query!r} must be a (src, dst) pair")
-            src, dst = query
-            check_node(src, self.n, f"src of query {query!r}")
-            check_node(dst, self.n, f"dst of query {query!r}")
-        if queries is not None:
-            object.__setattr__(self, "explicit_queries", tuple(map(tuple, queries)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,10 @@ def run_comparison(cfg: ExperimentConfig,
     """Run both engines over every query and assemble the verified report.
 
     The topology is generated from cfg unless an explicit one is supplied
-    (replay mode); queries then come from the same seeded stream, after the
-    generation draws, which replay skips, so a written topology replayed with
-    its seed draws the generated run's queries. The distance-vector engine
+    (replay mode). Either way the random queries come from cfg.seed's stream
+    skipped past the draws generating the topology takes
+    (generate_topology_rng), so a written topology replayed with its seed
+    draws the generated run's queries. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, with one search from its source over the
     links that carry the demand for its destination's min-hop paths, every
@@ -189,19 +189,18 @@ def run_comparison(cfg: ExperimentConfig,
     memoised connectivity labels. The summary's violation list is filled by
     verify_claims and is empty unless an engine misbehaved.
     """
-    rng = SplitMix64(cfg.seed)
     if topology is None:
-        topology = generate_topology_rng(cfg.n, cfg.gen, rng)
+        topology = generate_topology_rng(cfg.n, cfg.gen, SplitMix64(cfg.seed))
     elif topology.n != cfg.n:
         raise ValueError(
             f"config says n={cfg.n} but topology has {topology.n} nodes")
-    else:
-        rng.skip(cfg.n * (cfg.n - 1) // 2 + 4 * len(topology.links))
     t = topology
 
     if cfg.explicit_queries is not None:
         queries = list(cfg.explicit_queries)
     else:
+        rng = SplitMix64(cfg.seed)
+        rng.skip(cfg.n * (cfg.n - 1) // 2 + 4 * len(t.links))
         queries = _draw_queries(cfg, rng)
 
     state, _ = dv_engine.converge(t, cfg.infinity_metric)

@@ -44,7 +44,8 @@ from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 @dataclass(frozen=True)
 class Weights:
     """Per-attribute cost weights: delay and jitter per ms, loss applied to
-    -ln(1 - loss). All finite and non-negative, not all zero."""
+    -ln(1 - loss). All finite and non-negative, not all zero; stored as
+    floats, so equal weights echo alike in a report."""
 
     delay: float = 1.0
     jitter: float = 1.0
@@ -53,7 +54,11 @@ class Weights:
     def __post_init__(self):
         weights = (self.delay, self.jitter, self.loss)
         if not all(map(is_number, weights)):
-            raise ValueError(f"weights must be numbers, not bools: {weights!r}")
+            raise ValueError("weights must be numbers within float range, "
+                             f"not bools: {weights!r}")
+        weights = tuple(map(float, weights))
+        for name, x in zip(("delay", "jitter", "loss"), weights):
+            object.__setattr__(self, name, x)
         if not all(0 <= x < math.inf for x in weights):
             raise ValueError("weights must be finite and non-negative")
         if self.delay == self.jitter == self.loss == 0:

@@ -44,12 +44,22 @@ def check_seed(seed) -> None:
 
 
 def is_number(value) -> bool:
-    """True for a real number that is not a bool: a str or None would fail
-    later inside a comparison with TypeError, and True is no quantity. An
-    exact float or int skips the ABC isinstance call, the costly part of
-    the demand check every route request makes."""
-    return (type(value) is float or type(value) is int
-            or isinstance(value, Real) and not isinstance(value, bool))
+    """True for a real number that is not a bool and that a float holds: a
+    str or None would fail later inside a comparison with TypeError, True is
+    no quantity, and an int such as 10**400, which compares below math.inf,
+    would raise OverflowError in the first float arithmetic. An exact float
+    returns at once and an exact int skips the ABC isinstance call, the
+    costly part of the demand check every route request makes."""
+    if type(value) is float:
+        return True
+    if not (type(value) is int
+            or isinstance(value, Real) and not isinstance(value, bool)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def check_node_count(n) -> None:
@@ -113,7 +123,10 @@ class SplitMix64:
 @dataclass(frozen=True, slots=True)
 class QosLink:
     """One undirected link. Endpoints are normalized so that a < b; the four
-    attributes are numbers, bools excluded."""
+    attributes are numbers within float range (is_number), bools excluded,
+    kept as given: an int attribute equals its float, and format_topology
+    writes the two alike. Generated links are built from checked columns
+    without this constructor (_generated_links)."""
 
     a: int
     b: int
@@ -123,11 +136,8 @@ class QosLink:
     loss: float       # probability, in [0, 1)
 
     def __post_init__(self):
-        # exact types first: a generated topology builds ~n^2/2 * edge_prob
-        # links, and the checks' calls, is_number's ABC isinstance above
-        # all, would dominate its generation
         a, b = self.a, self.b
-        if not (type(a) is int and type(b) is int or is_int(a) and is_int(b)):
+        if not (is_int(a) and is_int(b)):
             raise ValueError(f"node ids must be ints, got {a!r}, {b!r}")
         if a == b:
             raise ValueError(f"self-loop at node {a}")
@@ -138,11 +148,9 @@ class QosLink:
         if a < 0:
             raise ValueError(f"negative node id {a}")
         bw, delay, jitter, loss = self.bandwidth, self.delay, self.jitter, self.loss
-        if not (type(bw) is float and type(delay) is float
-                and type(jitter) is float and type(loss) is float
-                or all(map(is_number, (bw, delay, jitter, loss)))):
-            raise ValueError("link attributes must be numbers, not bools: "
-                             f"{(bw, delay, jitter, loss)!r}")
+        if not all(map(is_number, (bw, delay, jitter, loss))):
+            raise ValueError("link attributes must be numbers within float range, "
+                             f"not bools: {(bw, delay, jitter, loss)!r}")
         if not 0 < bw < math.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
         if not (0 <= delay < math.inf and 0 <= jitter < math.inf):
@@ -157,7 +165,9 @@ class QosLink:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Attribute distributions for the random generator (uniform per range)."""
+    """Attribute distributions for the random generator (uniform per range).
+    Any real numbers within float range, bools excluded, are accepted and
+    stored as floats, each range as a (min, max) tuple of two."""
 
     edge_prob: float = 0.15
     bandwidth_range: tuple[float, float] = (1.0, 100.0)
@@ -174,8 +184,13 @@ class GenParams:
         values = (self.edge_prob, *self.bandwidth_range, *self.delay_range,
                   *self.jitter_range, *self.loss_range)
         if not all(map(is_number, values)):
-            raise ValueError(
-                f"generator parameters must be numbers, not bools: {values!r}")
+            raise ValueError("generator parameters must be numbers within float "
+                             f"range, not bools: {values!r}")
+        # stored, and checked, as floats: equal params then hash alike and
+        # echo alike in a report, and a list range is kept as a tuple
+        object.__setattr__(self, "edge_prob", float(self.edge_prob))
+        for name in names:
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in names:
@@ -192,7 +207,8 @@ class GenParams:
 
 @dataclass(frozen=True)
 class Topology:
-    """Immutable undirected graph: node count (check_node_count) plus QoS links.
+    """Immutable undirected graph: node count (check_node_count) plus QoS
+    links, a tuple or list of QosLinks (no subclass), else ValueError.
 
     Links are stored sorted by (a, b). `adjacency[x]` maps node x's
     neighbour ids, ascending, to the links joining them, built once and
@@ -213,7 +229,13 @@ class Topology:
 
     def __post_init__(self):
         check_node_count(self.n)
-        links = tuple(sorted(self.links, key=attrgetter("a", "b")))
+        links = self.links
+        # one C-level pass over the types: every generated topology passes here
+        if not (isinstance(links, (tuple, list))
+                and set(map(type, links)) <= {QosLink}):
+            raise ValueError(
+                f"links must be a tuple or list of QosLinks, got {links!r}")
+        links = tuple(sorted(links, key=attrgetter("a", "b")))
         object.__setattr__(self, "links", links)
         adj: list[dict[int, QosLink]] = [{} for _ in range(self.n)]
         for link in links:
@@ -480,7 +502,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
        fails QosLink's checks so raises its ValueError.
 
     In all that is n(n-1)/2 + 4*len(links) draws, the count run_comparison
-    skips when it replays a topology.
+    skips before it draws queries, on a generated or a replayed topology.
 
     Steps 1 and 2 call next_u64 once per draw. Steps 3 and 4 know their
     draw counts up front, (n-1)(n-2)/2 and then 4 per link, and take them

@@ -94,7 +94,8 @@ def test_config_bounds_query_count():
     # every query is a report row; an unbounded count would fill memory
     assert ExperimentConfig(query_count=MAX_QUERIES).query_count == 10**6
     for count in (MAX_QUERIES + 1, 2**64):
-        with pytest.raises(ValueError, match="query_count must lie in 0..1000000"):
+        with pytest.raises(ValueError,
+                           match="query_count must be an integer in 0..1000000"):
             ExperimentConfig(query_count=count)
 
 
@@ -122,7 +123,7 @@ def test_config_rejects_bools(field, value):
 def test_config_rejects_bad_infinity_metric(bad):
     # checked with the other fields, before any topology is generated
     with pytest.raises(ValueError,
-                       match=r"infinity_metric must be an integer >= 2, got "):
+                       match=r"infinity_metric must be an integer in 2..1024, got "):
         ExperimentConfig(n=1024, infinity_metric=bad)
 
 

@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from fitroute import (ExperimentConfig, GenParams, RouteRequest, Topology,
-                      Weights, generate_topology)
+from fitroute import (ExperimentConfig, GenParams, QosLink, RouteRequest,
+                      Topology, Weights, generate_topology)
 from fitroute.dv import converge, extract_path, fail_link_and_trace
+from fitroute.experiment import report_to_json, run_comparison
 from fitroute.fitness import build_spanning_tree
 from fitroute.topology import (MAX_NODES, SplitMix64, bfs_hops,
                                feasible_subgraph, generate_topology_rng,
@@ -27,10 +28,14 @@ W = Weights()
 COUNTS = (True, 2.5, 4.0, "4", None, -1, 0, MAX_NODES + 1)
 IDS = (True, False, 1.5, 2.0, "1", None, -1, T.n)  # -1 and n: just outside
 NON_INT_IDS = (True, 1.5, 2.0, "1", None)  # a request has no n to bound by
-DEMANDS = (True, "5", None, -1.0, math.nan, math.inf)
+HUGE = 10**400  # a real no float holds: it compares below math.inf
+DEMANDS = (True, "5", None, -1.0, math.nan, math.inf, HUGE)
 NOT_CONFIGS = (None, "x", (1.0, 1.0, 1.0))
 QUERIES = (5, None, (), (0,), (0, 1, 2), {0: 1})  # no (src, dst) pair
 QUERY_LISTS = (5, 1.5, True, "01", {(0, 1)}, {0: 1})  # no tuple or list
+LINK = QosLink(0, 1, 10.0, 1.0, 0.0, 0.0)
+LINK_LISTS = (None, ((0, 1),), (LINK, (1, 2)), [LINK, None], {LINK},
+              range(2), "01")
 
 # (entry point, call, bad values, what the message must start with)
 ENTRIES = [
@@ -88,6 +93,14 @@ ENTRIES = [
     ("ExperimentConfig.explicit_queries.container",
      lambda v: ExperimentConfig(n=T.n, explicit_queries=v),
      QUERY_LISTS, "explicit_queries"),
+    ("Topology.links", lambda v: Topology(3, v), LINK_LISTS, "links"),
+    ("GenParams.edge_prob", lambda v: GenParams(edge_prob=v), (HUGE,),
+     "generator parameters"),
+    ("GenParams.bandwidth_range", lambda v: GenParams(bandwidth_range=(1, v)),
+     (HUGE,), "generator parameters"),
+    ("Weights", lambda v: Weights(v, 1, 1), (HUGE,), "weights"),
+    ("QosLink", lambda v: QosLink(0, 1, v, 1.0, 0.0, 0.0), (HUGE,),
+     "link attributes"),
 ]
 
 
@@ -120,6 +133,26 @@ def test_explicit_queries_set_the_query_count():
                            explicit_queries=((0, 3), (1, 2), (3, 0)))
     assert cfg.query_count == 3
     assert ExperimentConfig(n=4, explicit_queries=()).query_count == 0
+
+
+def test_equal_configs_render_equal_reports():
+    # ints pass the checks but are kept as floats, so a config equal to
+    # its all-float twin, and hashing the same, echoes the same JSON
+    given = ExperimentConfig(n=8, seed=1, query_count=2, demand=5,
+                             weights=Weights(1, 1, 1),
+                             gen=GenParams(bandwidth_range=(1, 100)))
+    twin = ExperimentConfig(n=8, seed=1, query_count=2, demand=5.0,
+                            weights=Weights(1.0, 1.0, 1.0),
+                            gen=GenParams(bandwidth_range=(1.0, 100.0)))
+    assert given == twin and hash(given) == hash(twin)
+    assert report_to_json(run_comparison(given)) == report_to_json(
+        run_comparison(twin))
+    # a list range is kept as a tuple: the params stay hashable
+    as_list = GenParams(edge_prob=Fraction(1, 4), bandwidth_range=[1.0, 2.0])
+    as_tuple = GenParams(edge_prob=0.25, bandwidth_range=(1.0, 2.0))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert as_list.bandwidth_range == (1.0, 2.0)
+    assert type(as_list.edge_prob) is float
 
 
 def test_explicit_queries_are_kept_as_a_tuple_of_pairs():
@@ -161,6 +194,9 @@ NUMBER_TABLE = [
     (math.nan, False, True),
     (math.inf, False, True),
     (-math.inf, False, True),
+    (HUGE, True, False),  # float(HUGE) overflows
+    (-HUGE, True, False),
+    (Fraction(HUGE), False, False),
 ]
 
 
