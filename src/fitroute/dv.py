@@ -57,7 +57,8 @@ class DvState:
     reach[v] when v's metric toward d is below infinity_metric. That metric
     is read off the planes: bit d of planes[j][v] is its bit j (see metric);
     outside reach[v] the planes' bits mean nothing. near follows from
-    topology; the exchange never changes it.
+    topology; the exchange never changes it. rounds counts the exchange
+    rounds that changed the state since init_tables, which sets it to 0.
     """
 
     topology: Topology
@@ -65,6 +66,7 @@ class DvState:
     reach: tuple[int, ...]
     planes: tuple[tuple[int, ...], ...]
     infinity_metric: int
+    rounds: int
 
     def metric(self, v: int, d: int) -> int:
         """The hop metric from v to d, capped: infinity_metric when v has
@@ -107,21 +109,22 @@ def init_tables(t: Topology, infinity_metric: int = 16) -> DvState:
     everyone = (1 << t.n) - 1
     planes = ((tuple(everyone ^ 1 << v for v in range(t.n)),)
               + ((0,) * t.n,) * ((infinity_metric - 1).bit_length() - 1))
-    return DvState(t, near, near, planes, infinity_metric)
+    return DvState(t, near, near, planes, infinity_metric, 0)
 
 
-def exchange_round(s: DvState, rnd: int) -> tuple[DvState, bool]:
-    """Round rnd of the synchronous exchange on s, the state after rounds
-    1..rnd-1 from init_tables: every node ORs its neighbours' reach into its
-    own, gaining the destinations at metric rnd + 1. Returns the new state
-    and whether any vector changed; a round whose metric would reach
-    infinity changes nothing.
+def exchange_round(s: DvState) -> tuple[DvState, bool]:
+    """The next round of the synchronous exchange on s, round rnd =
+    s.rounds + 1, its number read off the state itself: every node ORs its
+    neighbours' reach into its own, gaining the destinations at metric
+    rnd + 1. Returns the new state, whose rounds is rnd, and whether any
+    vector changed; a round that changes nothing, as one whose metric would
+    reach infinity, returns s itself.
 
     Outside the old reach the planes step from metric rnd to rnd + 1: the
     bit that turns on, rnd + 1's lowest set bit, is set there, and the bits
     below it, which turn off, are cleared.
     """
-    metric = rnd + 1
+    metric = s.rounds + 2
     if metric >= s.infinity_metric:
         return s, False
     old = s.reach
@@ -136,20 +139,20 @@ def exchange_round(s: DvState, rnd: int) -> tuple[DvState, bool]:
     for j in range(on):
         planes[j] = tuple(map(and_, planes[j], old))
     return DvState(s.topology, s.near, reach, tuple(planes),
-                   s.infinity_metric), True
+                   s.infinity_metric, s.rounds + 1), True
 
 
 def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     """The fixed point that exchange rounds reach from
     init_tables(t, infinity_metric), and the number of rounds that changed
-    anything. Rounds stop at the first that changes nothing, or once the
-    next metric would reach infinity_metric."""
+    anything, s.rounds. Rounds stop at the first that changes nothing, or
+    once the next metric would reach infinity_metric."""
     s = init_tables(t, infinity_metric)
-    for rnd in range(1, infinity_metric - 1):
-        s, changed = exchange_round(s, rnd)
+    for _ in range(infinity_metric - 2):
+        s, changed = exchange_round(s)
         if not changed:
-            return s, rnd - 1
-    return s, infinity_metric - 2
+            break
+    return s, s.rounds
 
 
 def extract_path(s: DvState, src: int, dst: int) -> list[int] | None:

@@ -42,6 +42,7 @@ from .topology import (
     check_node_count,
     check_seed,
     generate_topology_rng,
+    generation_draws,
     is_int,
     is_node,
     topology_fingerprint,
@@ -70,9 +71,10 @@ class ExperimentConfig:
     by the shared checks of fitroute.topology and fitroute.fitness.
     explicit_queries is None or a tuple or list of (src, dst) pairs, kept
     as a tuple of tuples so that the config stays hashable; explicit
-    queries set query_count to their number. demand is kept as a float, as
-    GenParams and Weights keep theirs, so equal configs render equal
-    reports."""
+    queries set query_count to their number. demand is kept as
+    check_demand's float, as GenParams and Weights keep theirs, so equal
+    configs render equal reports, and each row routes as a RouteRequest of
+    that demand does."""
 
     n: int = 16
     seed: int = 0
@@ -102,8 +104,7 @@ class ExperimentConfig:
         if not (is_int(self.query_count) and 0 <= self.query_count <= MAX_QUERIES):
             raise ValueError(f"query_count must be an integer in 0..{MAX_QUERIES}, "
                              f"got {self.query_count!r}")
-        check_demand(self.demand)
-        object.__setattr__(self, "demand", float(self.demand))
+        object.__setattr__(self, "demand", check_demand(self.demand))
         check_gen_params(self.gen, "gen")
         check_weights(self.weights)
         dv_engine.check_infinity(self.infinity_metric)
@@ -145,11 +146,6 @@ class Summary:
     unreachable: int
     violations: tuple[Violation, ...]
 
-    @property
-    def total(self) -> int:
-        return (self.ff_wins + self.ties + self.ff_longer
-                + self.refusals + self.unreachable)
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -179,7 +175,7 @@ def run_comparison(cfg: ExperimentConfig,
     The topology is generated from cfg unless an explicit one is supplied
     (replay mode). Either way the random queries come from cfg.seed's stream
     skipped past the draws generating the topology takes
-    (generate_topology_rng), so a written topology replayed with its seed
+    (generation_draws), so a written topology replayed with its seed
     draws the generated run's queries. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, with one search from its source over the
@@ -200,7 +196,7 @@ def run_comparison(cfg: ExperimentConfig,
         queries = list(cfg.explicit_queries)
     else:
         rng = SplitMix64(cfg.seed)
-        rng.skip(cfg.n * (cfg.n - 1) // 2 + 4 * len(t.links))
+        rng.skip(generation_draws(t))
         queries = _draw_queries(cfg, rng)
 
     state, _ = dv_engine.converge(t, cfg.infinity_metric)

@@ -76,6 +76,10 @@ def check_weights(w) -> None:
 
 @dataclass(frozen=True)
 class RouteRequest:
+    """One route request, checked on construction (else ValueError). The
+    demand is kept as check_demand's float, the value a compare row at that
+    demand routes on too."""
+
     src: int
     dst: int
     demand: float = 5.0  # Mbps the route must carry on every link
@@ -84,7 +88,7 @@ class RouteRequest:
     def __post_init__(self):
         if not (is_int(self.src) and is_int(self.dst)):
             raise ValueError(f"src and dst must be ints, got {self.src!r}, {self.dst!r}")
-        check_demand(self.demand)
+        object.__setattr__(self, "demand", check_demand(self.demand))
         check_weights(self.weights)
 
 

@@ -79,10 +79,14 @@ def check_node(v, n: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer node id in [0, {n}), got {v!r}")
 
 
-def check_demand(demand) -> None:
-    """A demand is a finite number >= 0, not a bool, else ValueError."""
+def check_demand(demand) -> float:
+    """A demand is a finite number >= 0, not a bool, else ValueError.
+    Returns it as a float, the value every gate compares with the links'
+    float bandwidths: an int such as 2**53 + 1 reads as the float it rounds
+    to, in a request and in a compare alike."""
     if not (is_number(demand) and 0 <= demand < math.inf):
         raise ValueError(f"demand must be a finite number >= 0, got {demand!r}")
+    return float(demand)
 
 
 class SplitMix64:
@@ -124,9 +128,11 @@ class SplitMix64:
 class QosLink:
     """One undirected link. Endpoints are normalized so that a < b; the four
     attributes are numbers within float range (is_number), bools excluded,
-    kept as given: an int attribute equals its float, and format_topology
-    writes the two alike. Generated links are built from checked columns
-    without this constructor (_generated_links)."""
+    stored as floats and checked as stored: an int attribute such as
+    2**53 + 1 becomes the float it rounds to, so the link equals its
+    format_topology round trip. These are the only bounds on a link
+    attribute; GenParams and _generated_links check theirs through this
+    constructor."""
 
     a: int
     b: int
@@ -147,10 +153,15 @@ class QosLink:
             object.__setattr__(self, "b", b)
         if a < 0:
             raise ValueError(f"negative node id {a}")
-        bw, delay, jitter, loss = self.bandwidth, self.delay, self.jitter, self.loss
-        if not all(map(is_number, (bw, delay, jitter, loss))):
+        bw, delay, jitter, loss = attrs = (self.bandwidth, self.delay,
+                                           self.jitter, self.loss)
+        if not all(map(is_number, attrs)):
             raise ValueError("link attributes must be numbers within float range, "
-                             f"not bools: {(bw, delay, jitter, loss)!r}")
+                             f"not bools: {attrs!r}")
+        if not type(bw) is type(delay) is type(jitter) is type(loss) is float:
+            bw, delay, jitter, loss = floats = tuple(map(float, attrs))
+            for name, x in zip(("bandwidth", "delay", "jitter", "loss"), floats):
+                object.__setattr__(self, name, x)
         if not 0 < bw < math.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
         if not (0 <= delay < math.inf and 0 <= jitter < math.inf):
@@ -167,7 +178,9 @@ class QosLink:
 class GenParams:
     """Attribute distributions for the random generator (uniform per range).
     Any real numbers within float range, bools excluded, are accepted and
-    stored as floats, each range as a (min, max) tuple of two."""
+    stored as floats, each range as a (min, max) tuple of two with min <=
+    max. The ranges' minima, and then their maxima, must make a valid
+    QosLink, whose checks they raise."""
 
     edge_prob: float = 0.15
     bandwidth_range: tuple[float, float] = (1.0, 100.0)
@@ -189,20 +202,15 @@ class GenParams:
         # stored, and checked, as floats: equal params then hash alike and
         # echo alike in a report, and a list range is kept as a tuple
         object.__setattr__(self, "edge_prob", float(self.edge_prob))
-        for name in names:
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         for name in names:
-            lo, hi = getattr(self, name)
-            if not -math.inf < lo <= hi < math.inf:
-                raise ValueError(f"{name} needs finite min <= max: ({lo}, {hi})")
-        if self.bandwidth_range[0] <= 0:
-            raise ValueError("bandwidth_range must be positive")
-        if self.delay_range[0] < 0 or self.jitter_range[0] < 0:
-            raise ValueError("delay_range and jitter_range must be non-negative")
-        if not (0.0 <= self.loss_range[0] and self.loss_range[1] < 1.0):
-            raise ValueError("loss_range must lie within [0, 1)")
+            lo, hi = pair = tuple(map(float, getattr(self, name)))
+            object.__setattr__(self, name, pair)
+            if not lo <= hi:
+                raise ValueError(f"{name} needs min <= max: ({lo}, {hi})")
+        for ends in zip(*(getattr(self, name) for name in names)):
+            QosLink(0, 1, *ends)
 
 
 @dataclass(frozen=True)
@@ -280,7 +288,7 @@ class Topology:
         demand (check_demand): bit b of gate[a] is set when {a, b} is such a
         link. Built in one pass over the links and not memoised: a compare
         routes every row at one demand, so it builds one gate per run."""
-        check_demand(demand)
+        demand = check_demand(demand)
         gate = [0] * self.n
         for link in self.links:
             if link.bandwidth >= demand:
@@ -293,8 +301,7 @@ class Topology:
         """gate(demand)'s masks read off bandwidth_index one node at a time
         (check_demand): a request's search reads a few dozen nodes' masks,
         far fewer than a gate of every node would cost to build."""
-        check_demand(demand)
-        return IndexedGate(self.bandwidth_index, -demand)
+        return IndexedGate(self.bandwidth_index, -check_demand(demand))
 
 
 class IndexedGate:
@@ -422,22 +429,24 @@ _LINK_SLOTS = tuple(getattr(QosLink, name).__set__ for name in QosLink.__slots__
 
 def _generated_links(a, b, bandwidth, delay, jitter, loss) -> tuple[QosLink, ...]:
     """QosLink(*fields) for each row of the six columns (a and b may be
-    iterators), built by setting the slots column by column, with one min
-    or max per column in place of the per-link checks of
+    iterators), built by setting the slots column by column, with one check
+    of the columns' maxima, as a QosLink, in place of the per-link checks of
     QosLink.__post_init__. It takes the generator's columns alone: a < b
     ints and float attributes, each lo + u*(hi - lo) with u = draw / 2^64
-    and lo, hi from a checked GenParams. That keeps every attribute >= its
-    lo (so bandwidth > 0 and delay, jitter and loss >= 0) and never NaN. It
-    does not keep one <= hi: u reads 1.0 for the top 1024 draws, and
-    lo + (hi - lo) can round above hi, so loss can reach 1.0 and an
-    attribute near the float maximum infinity. Those are the checks made
-    here; if one fails, the checked constructor rebuilds the links and
-    raises the first bad one's error.
+    and lo, hi from a GenParams. That keeps every attribute >= its lo,
+    which GenParams checked as a QosLink, and never NaN, so no minimum can
+    fail. It does not keep one <= hi: u reads 1.0 for the top 1024 draws,
+    and lo + (hi - lo) can round above hi, so loss can reach 1.0 and an
+    attribute near the float maximum infinity. Each bound is on one
+    attribute, so the maxima pass exactly when every link does; if they
+    fail, the checked constructor rebuilds the links and raises the first
+    bad one's error.
     """
-    if bandwidth and not (0 < min(bandwidth) and max(bandwidth) < math.inf
-                          and max(delay) < math.inf and max(jitter) < math.inf
-                          and max(loss) < 1):
-        return tuple(map(QosLink, a, b, bandwidth, delay, jitter, loss))
+    if bandwidth:
+        try:
+            QosLink(0, 1, max(bandwidth), max(delay), max(jitter), max(loss))
+        except ValueError:
+            return tuple(map(QosLink, a, b, bandwidth, delay, jitter, loss))
     links = tuple(map(object.__new__, repeat(QosLink, len(bandwidth))))
     for set_slot, column in zip(_LINK_SLOTS, (a, b, bandwidth, delay, jitter, loss)):
         deque(map(set_slot, links, column), maxlen=0)
@@ -501,7 +510,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
        attribute can equal its max or, by an ulp, pass it: a link that
        fails QosLink's checks so raises its ValueError.
 
-    In all that is n(n-1)/2 + 4*len(links) draws, the count run_comparison
+    In all that is generation_draws(t) draws, the count run_comparison
     skips before it draws queries, on a generated or a replayed topology.
 
     Steps 1 and 2 call next_u64 once per draw. Steps 3 and 4 know their
@@ -533,6 +542,12 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     return Topology(n, links)
 
 
+def generation_draws(t: Topology) -> int:
+    """The draws generate_topology_rng takes to generate t: n(n-1)/2 for
+    the permutation and the pairs, then 4 per link."""
+    return t.n * (t.n - 1) // 2 + 4 * len(t.links)
+
+
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
                       seed: int = 0) -> Topology:
     """Generate a connected random topology from a bare seed, an int in
@@ -543,7 +558,7 @@ def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
 
 def feasible_subgraph(t: Topology, demand: float) -> Topology:
     """Topology restricted to links with bandwidth >= demand (check_demand)."""
-    check_demand(demand)
+    demand = check_demand(demand)
     return Topology(t.n, tuple(l for l in t.links if l.bandwidth >= demand))
 
 
@@ -577,15 +592,15 @@ def bfs_hops(t: Topology, src: int) -> dict[int, int]:
 def format_topology(t: Topology) -> str:
     """Canonical text form: `n=<count>` then one `a b bw delay jitter loss`
     line per link, ascending (a, b), each attribute written as the `repr` of
-    its float, the shortest decimal that reads back as the same float. So
-    parse_topology(format_topology(t)) == t, and equal topologies (an int
-    attribute equals its float) have one text. This is the replay/debug
-    file format and the fingerprint input.
+    the float QosLink stores, the shortest decimal that reads back as the
+    same float. So parse_topology(format_topology(t)) == t, and equal
+    topologies have one text. This is the replay/debug file format and the
+    fingerprint input.
     """
     lines = [f"n={t.n}"]
     for l in t.links:
-        lines.append(f"{l.a} {l.b} {float(l.bandwidth)!r} {float(l.delay)!r} "
-                     f"{float(l.jitter)!r} {float(l.loss)!r}")
+        lines.append(f"{l.a} {l.b} {l.bandwidth!r} {l.delay!r} "
+                     f"{l.jitter!r} {l.loss!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -60,7 +60,7 @@ def check_against_full_table(t, k):
     while True:
         assert metrics(s) == table
         table_next, table_changed = reference_exchange_round(t, table, k)
-        s_next, changed = exchange_round(s, rounds + 1)
+        s_next, changed = exchange_round(s)
         assert changed == table_changed
         if not changed:
             break
@@ -120,7 +120,7 @@ def test_engine_rejects_non_integer_infinity(infinity):
 
 def test_exchange_round_single_relaxation():
     s = init_tables(line_topology(3), 16)
-    s2, changed = exchange_round(s, 1)
+    s2, changed = exchange_round(s)
     assert changed
     assert s2.metric(0, 2) == 2
     # metric 2 turns plane 1's bit on and plane 0's off outside the old reach
@@ -129,16 +129,39 @@ def test_exchange_round_single_relaxation():
 
 def test_exchange_round_fixed_point_reports_unchanged():
     s = converged_line()
-    s2, changed = exchange_round(s, 2)
+    s2, changed = exchange_round(s)
     assert not changed
     assert s2 == s
 
 
+def test_exchange_round_reads_its_round_off_the_state():
+    # each round adds the ring one metric further out; a caller could once
+    # pass round 3 to a fresh state and get metric 4 for a 2-hop node
+    t = line_topology(6)
+    s = init_tables(t, 16)
+    for rnd in range(1, 5):
+        s, changed = exchange_round(s)
+        assert changed and s.rounds == rnd
+        assert s.metric(0, rnd + 1) == rnd + 1
+        assert s.metric(0, rnd + 2) == 16
+    assert exchange_round(s) == (s, False)
+    assert metrics(s) == metrics(converge(t)[0])
+
+
+@pytest.mark.parametrize("t, infinity", [
+    (Topology(1, ()), 16), (line_topology(2), 2), (line_topology(6), 16),
+    (line_topology(6), 4), (line_topology(40), 16)])
+def test_converge_returns_the_rounds_its_state_counts(t, infinity):
+    s, rounds = converge(t, infinity)
+    # a line's farthest node is n - 1 hops out, reached in round n - 2
+    assert s.rounds == rounds == min(max(t.n - 2, 0), infinity - 2)
+
+
 def test_exchange_round_at_the_cap_changes_nothing():
     # infinity 3: metric 2 is the last below it, so round 2 would reach 3
-    s, changed = exchange_round(init_tables(line_topology(5), 3), 1)
+    s, changed = exchange_round(init_tables(line_topology(5), 3))
     assert changed and s.metric(0, 2) == 2
-    assert exchange_round(s, 2) == (s, False)
+    assert exchange_round(s) == (s, False)
 
 
 def test_next_hop_tie_breaks_to_smallest_neighbor():

@@ -146,6 +146,21 @@ def test_replay_topology_must_match_node_count():
         run_comparison(ExperimentConfig(n=5), line_topology(3))
 
 
+def test_a_compare_row_and_a_request_read_a_demand_alike():
+    # 2**53 + 1 reads as the float 2.0**53, which the link carries: every
+    # gate compares check_demand's float, so both engines route the pair
+    t = Topology(2, (QosLink(0, 1, float(2**53), 1.0, 0.0, 0.0),))
+    demand = 2**53 + 1
+    req = RouteRequest(0, 1, demand)
+    assert type(req.demand) is float and req.demand == 2.0**53
+    assert t.gate(demand) == [0b10, 0b01]
+    assert [t.indexed_gate(demand)[v] for v in range(2)] == [0b10, 0b01]
+    cfg = ExperimentConfig(n=2, explicit_queries=((0, 1),), demand=demand)
+    row = run_comparison(cfg, t).rows[0]
+    assert isinstance(row.ff, Route)
+    assert row.ff == select_route(t, req)
+
+
 @pytest.mark.parametrize("n, edge_prob", [
     (1, 0.15), (2, 0.0), (12, 0.0), (12, 1.0), (40, 0.016), (40, 0.15)])
 def test_replay_draws_the_generated_queries(n, edge_prob):
@@ -213,7 +228,9 @@ def test_summary_counts_partition_rows(seed):
     cfg = ExperimentConfig(n=24, seed=seed, query_count=40,
                            gen=GenParams(bandwidth_range=(1.0, 8.0)))
     report = run_comparison(cfg)
-    assert report.summary.total == len(report.rows)
+    s = report.summary
+    assert (s.ff_wins + s.ties + s.ff_longer + s.refusals
+            + s.unreachable) == len(report.rows)
     assert report.summary.violations == ()
 
 

@@ -7,7 +7,8 @@ from itertools import chain
 import pytest
 from hypothesis import given, strategies as st
 
-from fitroute import GenParams, QosLink, Topology, generate_topology
+from fitroute import (GenParams, QosLink, Route, RouteRequest, Topology,
+                      generate_topology, select_route)
 from fitroute.topology import (
     _BATCH,
     SplitMix64,
@@ -18,6 +19,7 @@ from fitroute.topology import (
     feasible_subgraph,
     format_topology,
     generate_topology_rng,
+    generation_draws,
     parse_topology,
     remove_link,
     topology_fingerprint,
@@ -299,14 +301,16 @@ def test_generate_accepts_both_ends_of_u64():
 
 
 @pytest.mark.parametrize("n, edge_prob, seed", [
-    (1, 0.15, 0), (2, 0.15, 5), (17, 0.15, 3), (40, 0.05, 11), (64, 0.9, 7)])
+    (1, 0.15, 0), (2, 0.15, 5), (17, 0.15, 3), (40, 0.05, 11), (64, 0.9, 7),
+    (1, 0.0, 1), (1, 1.0, 2), (2, 0.0, 3), (2, 1.0, 4), (40, 0.0, 5),
+    (40, 1.0, 6), (128, 0.15, 1)])
 def test_generation_consumes_the_draws_replay_skips(n, edge_prob, seed):
-    # run_comparison skips n(n-1)/2 + 4*len(links) draws when it replays a
-    # topology, so generation must consume exactly that many
+    # run_comparison skips generation_draws(t) draws before it draws its
+    # queries, so generation must consume exactly that many
     rng = SplitMix64(seed)
     t = generate_topology_rng(n, GenParams(edge_prob=edge_prob), rng)
     skipped = SplitMix64(seed)
-    skipped.skip(n * (n - 1) // 2 + 4 * len(t.links))
+    skipped.skip(generation_draws(t))
     assert rng.state == skipped.state
 
 
@@ -587,6 +591,22 @@ def test_format_writes_int_attributes_as_floats():
     assert as_ints == as_floats
     assert format_topology(as_ints) == format_topology(as_floats) == (
         "n=2\n0 1 10.0 1.0 0.0 0.0\n")
+
+
+def test_an_int_attribute_no_float_equals_survives_the_round_trip():
+    # 2**53 + 1 has no float of its own: the link stores 2.0**53, the
+    # value its text writes, so the replay equals it and routes alike
+    t = Topology(2, (QosLink(0, 1, 2**53 + 1, 1, 0, 0),))
+    replayed = parse_topology(format_topology(t))
+    assert replayed == t
+    assert topology_fingerprint(replayed) == topology_fingerprint(t)
+    link = t.links[0]
+    assert link.bandwidth == 2.0**53
+    assert all(type(x) is float
+               for x in (link.bandwidth, link.delay, link.jitter, link.loss))
+    req = RouteRequest(0, 1, 2**53 + 1)
+    assert isinstance(select_route(t, req), Route)
+    assert select_route(replayed, req) == select_route(t, req)
 
 
 def test_fingerprint_is_b2sum_of_the_text():
