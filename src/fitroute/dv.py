@@ -145,13 +145,11 @@ def exchange_round(s: DvState) -> tuple[DvState, bool]:
 def converge(t: Topology, infinity_metric: int = 16) -> tuple[DvState, int]:
     """The fixed point that exchange rounds reach from
     init_tables(t, infinity_metric), and the number of rounds that changed
-    anything, s.rounds. Rounds stop at the first that changes nothing, or
-    once the next metric would reach infinity_metric."""
-    s = init_tables(t, infinity_metric)
-    for _ in range(infinity_metric - 2):
+    anything, s.rounds. Rounds stop at the first that changes nothing, as
+    exchange_round reports one whose metric would reach infinity_metric."""
+    s, changed = init_tables(t, infinity_metric), True
+    while changed:
         s, changed = exchange_round(s)
-        if not changed:
-            break
     return s, s.rounds
 
 

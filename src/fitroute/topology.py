@@ -158,6 +158,8 @@ class QosLink:
         if not all(map(is_number, attrs)):
             raise ValueError("link attributes must be numbers within float range, "
                              f"not bools: {attrs!r}")
+        # a parsed link's attributes are already floats; converting and
+        # setting them anyway takes a QosLink from 3 to 5 us
         if not type(bw) is type(delay) is type(jitter) is type(loss) is float:
             bw, delay, jitter, loss = floats = tuple(map(float, attrs))
             for name, x in zip(("bandwidth", "delay", "jitter", "loss"), floats):

@@ -98,17 +98,6 @@ ENTRIES = [
      "generator parameters"),
     ("GenParams.bandwidth_range", lambda v: GenParams(bandwidth_range=(1, v)),
      (HUGE,), "generator parameters"),
-    # a range's ends are checked as a QosLink, whose messages they raise
-    ("GenParams.bandwidth_range.ends", lambda v: GenParams(bandwidth_range=v),
-     ((0, 10), (1, math.inf)), "bandwidth"),
-    ("GenParams.delay_range", lambda v: GenParams(delay_range=v), ((-1, 2),),
-     "delay and jitter"),
-    ("GenParams.jitter_range", lambda v: GenParams(jitter_range=v),
-     ((math.nan, 1),), "jitter_range"),
-    ("GenParams.loss_range", lambda v: GenParams(loss_range=v), ((0, 1.0),),
-     "loss"),
-    ("GenParams.min_above_max", lambda v: GenParams(bandwidth_range=v),
-     ((5, 1),), "bandwidth_range"),
     ("Weights", lambda v: Weights(v, 1, 1), (HUGE,), "weights"),
     ("QosLink", lambda v: QosLink(0, 1, v, 1.0, 0.0, 0.0), (HUGE,),
      "link attributes"),

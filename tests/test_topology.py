@@ -174,14 +174,19 @@ def test_link_rejects_non_int_endpoints(a, b):
 
 
 def test_gen_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="edge_prob must lie in"):
         GenParams(edge_prob=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bandwidth_range needs min <= max"):
         GenParams(bandwidth_range=(10.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"jitter_range needs min <= max"):
+        GenParams(jitter_range=(math.nan, 1.0))
+    # a range's ends are checked as a QosLink, whose messages they raise
+    with pytest.raises(ValueError, match=r"loss must lie in \[0, 1\)"):
         GenParams(loss_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
         GenParams(bandwidth_range=(0.0, 10.0))
+    with pytest.raises(ValueError, match="delay and jitter must be finite"):
+        GenParams(delay_range=(-1.0, 2.0))
     with pytest.raises(ValueError, match="bools"):  # a report would echo `true`
         GenParams(edge_prob=True)
     for name in ("bandwidth_range", "delay_range", "jitter_range", "loss_range"):
