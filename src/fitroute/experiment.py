@@ -3,9 +3,12 @@
 One experiment generates a seeded topology, converges the distance-vector
 engine once, answers every query with both engines on that identical
 instance, and re-checks each row against independent BFS oracles. The
-oracles' BFS is the module's own, bitset hop layers over neighbour bitsets
-of the full and the bandwidth-pruned graph up to the last queried dst,
-sharing no code with the engines. Everything downstream of the config is
+oracles are the module's own code over neighbour lists built from the
+links, sharing no code with the engines: one multi-source BFS grows the hop
+layers of every queried source in lockstep over the bandwidth-pruned graph,
+each component up to its last queried dst, and component labels of the
+full graph, built only on a run with a refused or unreachable row, tell a
+refusal from an unreachable dst. Everything downstream of the config is
 deterministic, so reports are golden-file testable byte for byte. The JSON
 report is the stdlib's json.dumps(indent=2) layout byte for byte, written
 from a row template; the tests and CI check it against the stdlib encoder.
@@ -13,11 +16,13 @@ from a row template; the tests and CI check it against the stdlib encoder.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
+from operator import and_, or_
 
 from . import dv as dv_engine
 from .fitness import (
@@ -235,8 +240,10 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
     """One pass over a path: why it is not a simple src->dst walk (None when
     it is), and its steps (u, v, bandwidth) that are not links (bandwidth
     None) or carry less than the demand. A path holding an id that is not a
-    node id of t (is_node: 5.0 equals 5) has no steps."""
-    if not all(is_node(v, t.n) for v in path):
+    node id of t (is_node: 5.0 equals 5) has no steps. A path of exact ints
+    is range-checked by min and max; any other path by is_node per id."""
+    if not (set(map(type, path)) == {int} and 0 <= min(path)
+            and max(path) < t.n or all(is_node(v, t.n) for v in path)):
         return (f"{_path_text(path)} holds an id that is not an int in "
                 f"[0, {t.n})", [])
     reason = None
@@ -256,48 +263,81 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
     return reason, short
 
 
-def _oracle_masks(t: Topology, demand: float) -> tuple[list[int], list[int]]:
-    """Neighbour bitsets of t and of its links that carry demand, built in
-    one pass over t.links: bit b of masks[a] is set when {a, b} is a link."""
-    full = [0] * t.n
-    feasible = [0] * t.n
+def _neighbours(t: Topology, demand: float) -> list[list[int]]:
+    """Each node's neighbours over the links of t that carry demand, built in
+    one pass over t.links. Every link has bandwidth > 0, so demand 0 keeps
+    the full graph."""
+    nbrs: list[list[int]] = [[] for _ in range(t.n)]
     for link in t.links:
-        a_bit, b_bit = 1 << link.a, 1 << link.b
-        full[link.a] |= b_bit
-        full[link.b] |= a_bit
         if link.bandwidth >= demand:
-            feasible[link.a] |= b_bit
-            feasible[link.b] |= a_bit
-    return full, feasible
+            nbrs[link.a].append(link.b)
+            nbrs[link.b].append(link.a)
+    return nbrs
 
 
-def _oracle_layers(masks: list[int], src: int, dsts: int) -> list[int]:
-    """Bitset hop layers from src over _oracle_masks bitsets: layer h is the
-    OR of layer h - 1's masks less every node already reached. Stops once
-    every node of the bitset dsts is reached, or at an empty layer. The
-    claim oracle's own BFS, kept apart from the engines it checks."""
-    seen = layer = 1 << src
-    layers = [layer]
-    while dsts & ~seen:
-        reach = 0
-        while layer:
-            u = layer.bit_length() - 1
-            layer ^= 1 << u
-            reach |= masks[u]
-        layer = reach & ~seen
-        if not layer:
-            break
-        seen |= layer
-        layers.append(layer)
-    return layers
+def _labels(nbrs: list[list[int]]) -> list[int]:
+    """Each node's component label over _neighbours lists: the smallest node
+    id in its component."""
+    labels = [-1] * len(nbrs)
+    for s in range(len(nbrs)):
+        if labels[s] < 0:
+            labels[s] = s
+            stack = [s]
+            while stack:
+                for u in nbrs[stack.pop()]:
+                    if labels[u] < 0:
+                        labels[u] = s
+                        stack.append(u)
+    return labels
 
 
-def _layer_of(layers: list[int], v: int) -> int | None:
-    """The index of the layer that holds v, None when none does."""
-    for h, layer in enumerate(layers):
-        if layer >> v & 1:
-            return h
-    return None
+def _hop_layers(nbrs: list[list[int]],
+                pairs: set[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Multi-source BFS over _neighbours lists, growing the hop layers of
+    every source of pairs in lockstep, one round per hop. Returns each node
+    v's bitset after every round its component (_labels) ran: bit s of
+    reach[v][h] is set when v lies within h hops of source s, so s's layer
+    h is the nodes whose bit s is new at h. Each component that holds both
+    ends of a (src, dst) pair runs its own rounds, in which every node takes
+    the OR of its neighbours' bitsets, and stops at the round that reaches
+    the last such dst; a node of any other component keeps the one entry 0.
+    The claim oracle's own BFS, kept apart from the engines it checks."""
+    n = len(nbrs)
+    labels = _labels(nbrs)
+    sources = [0] * n  # per component label: its sources that query in it
+    wanted = [0] * n  # bit s of wanted[v]: (s, v) is a pair in one component
+    for src, dst in pairs:
+        if labels[src] == labels[dst]:
+            sources[labels[src]] |= 1 << src
+            wanted[dst] |= 1 << src
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        if sources[labels[v]]:
+            members.setdefault(labels[v], []).append(v)
+    reach = [(0,)] * n
+    for label, nodes in members.items():
+        index = {v: i for i, v in enumerate(nodes)}
+        local = [list(map(index.__getitem__, nbrs[v])) for v in nodes]
+        wants = [wanted[v] for v in nodes]
+        masks = [1 << v & sources[label] for v in nodes]
+        rounds = [masks]
+        while list(map(and_, wants, masks)) != wants:
+            old = masks
+            masks = [reduce(or_, map(old.__getitem__, near), own)
+                     for near, own in zip(local, old)]
+            rounds.append(masks)
+        for v, column in zip(nodes, zip(*rounds)):
+            reach[v] = column
+    return reach
+
+
+def _hops(reach: list[tuple[int, ...]], src: int, dst: int) -> int | None:
+    """dst's hop count from src off _hop_layers, None when the pass did not
+    reach it: the first round whose bitset at dst holds bit src."""
+    column = reach[dst]
+    if not column[-1] >> src & 1:
+        return None
+    return bisect_left(column, 1, key=lambda mask: mask >> src & 1)
 
 
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
@@ -305,43 +345,45 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
 
     A row whose src or dst is not a node id of t (is_node) is flagged
     (simple_path) and checked no further. Every other row gets one expected
-    outcome from the oracle's own BFS (_oracle_layers) over neighbour
-    bitsets of t and of its links that carry the demand (_oracle_masks):
-    `route` when the pruned graph reaches dst, `no_bandwidth` when only the
-    full one does, else `unreachable`. Each BFS runs at most once per source
-    and graph and stops at the layer of the last dst queried from that
-    source. (refusal) the fitness status must equal it. Each path is walked
-    once: (bandwidth) every fitness-route link carries the demand;
-    (simple_path) both paths are simple and consistent with the query;
-    (min_hop) fitness hop counts equal BFS on the pruned graph;
-    (dominance) when the DV path is a simple src->dst walk that carries the
-    demand, the fitness route exists and uses no more hops. Returns
-    structured violations, empty when every claim holds.
+    outcome from the oracle's own code, which reads only t.links: one
+    multi-source BFS (_hop_layers) grows the hop layers of every queried
+    source in lockstep over the links that carry the demand, until each
+    source has reached every queried dst in its component. `route` when it
+    reaches dst; otherwise component labels of the full graph (_labels),
+    built once and only then, give `no_bandwidth` when src and dst share a
+    component, else `unreachable`. (refusal) the fitness status must equal
+    it. Each path is walked once: (bandwidth) every fitness-route link
+    carries the demand; (simple_path) both paths are simple and consistent
+    with the query; (min_hop) fitness hop counts equal BFS on the pruned
+    graph; (dominance) when the DV path is a simple src->dst walk that
+    carries the demand, the fitness route exists and uses no more hops.
+    Returns structured violations, empty when every claim holds.
     """
     demand = report.config.demand
-    full_masks, feas_masks = _oracle_masks(t, demand)
-    dsts = [0] * t.n
-    for row in report.rows:
-        if is_node(row.src, t.n) and is_node(row.dst, t.n):
-            dsts[row.src] |= 1 << row.dst
-    full = functools.cache(lambda src: _oracle_layers(full_masks, src, dsts[src]))
-    feas = functools.cache(lambda src: _oracle_layers(feas_masks, src, dsts[src]))
+    rows = report.rows
+    valid = [is_node(row.src, t.n) and is_node(row.dst, t.n) for row in rows]
+    reach = _hop_layers(_neighbours(t, demand), {
+        (row.src, row.dst) for row, ok in zip(rows, valid) if ok})
+    full = None
     violations = []
 
     def flag(i: int, claim: str, detail: str):
         violations.append(Violation(i, claim, detail))
 
-    for i, row in enumerate(report.rows):
-        if not (is_node(row.src, t.n) and is_node(row.dst, t.n)):
+    for i, row in enumerate(rows):
+        if not valid[i]:
             flag(i, CLAIM_SIMPLE_PATH, f"query {row.src!r}->{row.dst!r} "
                  f"holds an id that is not an int in [0, {t.n})")
             continue
         ff = row.ff
-        oracle = _layer_of(feas(row.src), row.dst)
-        expected = (Route.status if oracle is not None
-                    else NoSufficientBandwidth.status
-                    if _layer_of(full(row.src), row.dst) is not None
-                    else Unreachable.status)
+        oracle = _hops(reach, row.src, row.dst)
+        if oracle is not None:
+            expected = Route.status
+        else:
+            full = full or _labels(_neighbours(t, 0.0))
+            expected = (NoSufficientBandwidth.status
+                        if full[row.src] == full[row.dst]
+                        else Unreachable.status)
         if isinstance(ff, Route):
             reason, short = _walk(ff.path, t, row.src, row.dst, demand)
             for u, v, bandwidth in short:

@@ -607,7 +607,8 @@ def format_topology(t: Topology) -> str:
 
 
 def parse_topology(text: str) -> Topology:
-    """Inverse of format_topology. Raises ValueError on malformed input."""
+    """Inverse of format_topology. Raises ValueError on malformed input, and
+    on more link lines than n(n - 1)/2 before it converts any of them."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("topology file must start with 'n=<count>'")
@@ -616,6 +617,10 @@ def parse_topology(text: str) -> Topology:
     except ValueError:
         raise ValueError(f"bad node count line: {lines[0]!r}") from None
     check_node_count(n)
+    most = n * (n - 1) // 2
+    if len(lines) - 1 > most:
+        raise ValueError(f"{len(lines) - 1} link lines, but n={n} holds at "
+                         f"most {most} links")
     links = []
     for ln in lines[1:]:
         parts = ln.split()

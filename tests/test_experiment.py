@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -327,77 +326,95 @@ def test_rows_equal_full_tree_reference_on_self_queries():
                for row in report.rows[:t.n])
 
 
-def hops_off_layers(layers):
-    """{node: index of the oracle layer that holds it}."""
-    return {v: h for h, layer in enumerate(layers)
-            for v in range(layer.bit_length()) if layer >> v & 1}
+def oracle_hops(reach, src):
+    """{node: hop count from src} off the oracle's lockstep pass: the index of
+    the first round whose bitset at the node holds bit src."""
+    return {v: min(h for h, mask in enumerate(column) if mask >> src & 1)
+            for v, column in enumerate(reach) if column[-1] >> src & 1}
 
 
-def test_oracle_runs_one_bfs_per_source_and_graph(monkeypatch):
-    # the pruned graph's BFS runs once per source; the full graph's once per
-    # source with a refused or unreachable row; none grows past the layer of
-    # its source's farthest queried dst, unless some dst is out of its reach
-    calls = []
-    real = experiment._oracle_layers
+def test_oracle_runs_one_pass_and_labels_the_full_graph_only_on_refusals(
+        monkeypatch):
+    # one lockstep pass per verify_claims; the full graph is labelled only on
+    # a run with a refused or unreachable row, and then once; each component
+    # stops at the round of its farthest queried pair, so some sources stop
+    # before their pruned BFS would end
+    passes, labelled = [], []
+    real_pass, real_labels = experiment._hop_layers, experiment._labels
 
-    def counting(masks, src, dsts):
-        layers = real(masks, src, dsts)
-        calls.append((masks, src, dsts, layers))
-        return layers
+    def counting_pass(nbrs, pairs):
+        reach = real_pass(nbrs, pairs)
+        passes.append((pairs, reach))
+        return reach
 
-    monkeypatch.setattr(experiment, "_oracle_layers", counting)
+    def counting_labels(nbrs):
+        labelled.append(nbrs)
+        return real_labels(nbrs)
+
+    monkeypatch.setattr(experiment, "_hop_layers", counting_pass)
+    monkeypatch.setattr(experiment, "_labels", counting_labels)
+    clean = run_comparison(ExperimentConfig(n=64, seed=1, query_count=1000))
+    assert clean.summary.refusals == clean.summary.unreachable == 0
+    assert len(passes) == len(labelled) == 1  # the pruned graph's labels
+    passes.clear()
+    labelled.clear()
     cfg = ExperimentConfig(n=64, seed=1, query_count=1000,
                            gen=GenParams(bandwidth_range=(1.0, 8.0)))
     report = run_comparison(cfg)
     assert report.summary.refusals > 0 and report.summary.violations == ()
-    sources = {row.src for row in report.rows}
-    refused = {row.src for row in report.rows if row.ff.status != "route"}
-    runs = [(id(masks), src) for masks, src, _, _ in calls]
-    assert len(runs) == len(set(runs)) == len(sources) + len(refused)
-    per_graph = sorted(Counter(graph for graph, _ in runs).values())
-    assert per_graph == [len(refused), len(sources)]
     t = generate_topology(cfg.n, cfg.gen, cfg.seed)
-    full, _ = experiment._oracle_masks(t, cfg.demand)
+    assert labelled == [experiment._neighbours(t, cfg.demand),
+                        experiment._neighbours(t, 0.0)]
+    [(pairs, reach)] = passes
+    assert pairs == {(row.src, row.dst) for row in report.rows}
     pruned = feasible_subgraph(t, cfg.demand)
-    stopped_early = 0
-    for masks, src, dsts, layers in calls:
-        queried = {row.dst for row in report.rows if row.src == src}
-        assert dsts == sum(1 << dst for dst in queried)
-        hops = bfs_hops(t if masks == full else pruned, src)
-        if queried <= hops.keys():
-            assert len(layers) - 1 == max(hops[dst] for dst in queried)
-            stopped_early += len(layers) - 1 < max(hops.values())
-        else:
-            assert hops_off_layers(layers) == hops
+    hops = {src: bfs_hops(pruned, src) for src, _ in pairs}
+    for v in range(t.n):
+        assert len(reach[v]) - 1 == max(
+            (hops[src][dst] for src, dst in pairs
+             if v in hops[src] and dst in hops[src]), default=0)
+    stopped_early = sum(len(reach[src]) - 1 < max(hops[src].values())
+                        for src in hops)
     assert stopped_early > 0
 
 
 @given(st.one_of(drawn_topologies(), cut_topologies()), st.data())
 def test_oracle_bfs_equals_bfs_hops(t, data):
-    # the oracle's bitset layers against the adjacency-list BFS on the full
-    # and the pruned topology, from every source and for dst sets that are
-    # empty, hold src, are drawn (often across components) or hold every node
+    # the lockstep pass and the component labels against the adjacency-list
+    # BFS on the full and the pruned topology, for every source at once, with
+    # dst sets per source that are empty, hold src, are drawn (often across
+    # components) or hold every node
     demands = st.floats(0.0, 12.0)
     if t.links:  # a demand equal to a link's bandwidth pins the >= boundary
         demands |= st.sampled_from([link.bandwidth for link in t.links])
     demand = data.draw(demands)
-    full, feasible = experiment._oracle_masks(t, demand)
-    pruned = feasible_subgraph(t, demand)
-    for src in range(t.n):
-        drawn = data.draw(st.sets(st.integers(0, t.n - 1)))
-        for dsts in (set(), {src}, drawn, set(range(t.n))):
-            for masks, graph in ((full, t), (feasible, pruned)):
-                expected = bfs_hops(graph, src)
-                layers = experiment._oracle_layers(
-                    masks, src, sum(1 << v for v in dsts))
-                got = hops_off_layers(layers)
-                if dsts <= expected.keys():  # stops at the farthest dst
-                    assert got == {v: h for v, h in expected.items()
-                                   if h < len(layers)}
-                    assert len(layers) - 1 == max(
-                        (expected[v] for v in dsts), default=0)
-                else:  # runs to the end of src's component
-                    assert got == expected
+    drawn = [data.draw(st.sets(st.integers(0, t.n - 1))) for _ in range(t.n)]
+    for graph_demand, graph in ((0.0, t), (demand, feasible_subgraph(t, demand))):
+        nbrs = experiment._neighbours(t, graph_demand)
+        labels = experiment._labels(nbrs)
+        expected = [bfs_hops(graph, src) for src in range(t.n)]
+        for src in range(t.n):
+            assert {v for v in range(t.n)
+                    if labels[v] == labels[src]} == expected[src].keys()
+        for dsts in ([set()] * t.n, [{src} for src in range(t.n)], drawn,
+                     [set(range(t.n))] * t.n):
+            pairs = {(src, dst) for src in range(t.n) for dst in dsts[src]}
+            reach = experiment._hop_layers(nbrs, pairs)
+            for src in range(t.n):
+                got = oracle_hops(reach, src)
+                farthest = max((expected[src][dst] for dst in dsts[src]
+                                if dst in expected[src]), default=-1)
+                # every layer up to the farthest reachable queried dst, and
+                # no node in a wrong layer past it
+                assert got.items() <= expected[src].items()
+                assert {v: h for v, h in expected[src].items()
+                        if h <= farthest}.items() <= got.items()
+                for dst in dsts[src]:
+                    assert experiment._hops(reach, src, dst) == expected[src].get(dst)
+            for v in range(t.n):  # a component stops at its farthest pair
+                assert len(reach[v]) - 1 == max(
+                    (expected[src][dst] for src, dst in pairs
+                     if v in expected[src] and dst in expected[src]), default=0)
 
 
 # --- verify_claims fault injection ---
@@ -493,7 +510,8 @@ def test_detects_empty_dv_path():
 
 
 @pytest.mark.parametrize("path", [(0.0, 1, 2), (0, 1, 2.0), (0, 1.0, 2),
-                                  (0, True, 2), (0, 9, 2), (0, -1, 2)])
+                                  (0, True, 2), (0, 9, 2), (0, -1, 2),
+                                  (0, True, 5.0)])
 @pytest.mark.parametrize("engine", ["dv", "ff"])
 def test_detects_forged_node_ids(path, engine):
     # 2.0 == 2 would pass the endpoint check and the link lookup, so every id
@@ -512,7 +530,7 @@ def test_detects_forged_node_ids(path, engine):
 @pytest.mark.parametrize("node", [4, -1, 1.0, True])
 @pytest.mark.parametrize("end", ["src", "dst"])
 def test_detects_forged_query_ids(node, end):
-    # 4 and 1.0 would index past the oracle's masks, -1 would shift by a
+    # 4 and 1.0 would index past the oracle's lists, -1 would shift by a
     # negative count and True would pass as node 1: the row is flagged and
     # checked no further, and the other row still verifies
     report, t = refusal_report()

@@ -581,6 +581,17 @@ def test_parse_bounds_node_count_before_allocating():
     assert parse_topology("n=1024\n").n == 1024
 
 
+def test_parse_bounds_link_lines_before_converting():
+    # a third line no link of 2 nodes can be: rejected by count, the bad
+    # field of its last line never read
+    text = "n=2\n" + "0 1 1.0 1.0 0.0 0.0\n" * 2 + "0 1 x 1.0 0.0 0.0\n"
+    with pytest.raises(ValueError, match=r"^3 link lines, but n=2 holds at "
+                                         r"most 1 links$"):
+        parse_topology(text)
+    assert len(parse_topology("n=3\n0 1 1.0 1.0 0.0 0.0\n0 2 1.0 1.0 0.0 0.0\n"
+                              "1 2 1.0 1.0 0.0 0.0\n").links) == 3
+
+
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_format_is_exact_and_fingerprint_is_its_blake2b(t):
     text = format_topology(t)
