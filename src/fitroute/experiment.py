@@ -4,12 +4,12 @@ One experiment generates a seeded topology, converges the distance-vector
 engine once, answers every query with both engines on that identical
 instance, and re-checks each row against independent BFS oracles. The
 oracles are the module's own code over neighbour lists built from the
-links, sharing no code with the engines: one multi-source BFS grows the hop
-layers of every queried source in lockstep over the bandwidth-pruned graph,
-each component up to its last queried dst, and component labels of the
-full graph, built only on a run with a refused or unreachable row, tell a
-refusal from an unreachable dst. Everything downstream of the config is
-deterministic, so reports are golden-file testable byte for byte. The JSON
+links, sharing no code with the engines: one multi-source BFS advances
+every queried source in lockstep over the bandwidth-pruned graph, each up
+to its last queried dst, and component labels of the full graph, built
+only on a run with a refused or unreachable row, tell a refusal from an
+unreachable dst. Everything downstream of the config is deterministic, so
+reports are golden-file testable byte for byte. The JSON
 report is the stdlib's json.dumps(indent=2) layout byte for byte, written
 from a row template; the tests and CI check it against the stdlib encoder.
 """
@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
-from operator import and_, or_
 
 from . import dv as dv_engine
 from .fitness import (
@@ -291,53 +288,53 @@ def _labels(nbrs: list[list[int]]) -> list[int]:
     return labels
 
 
-def _hop_layers(nbrs: list[list[int]],
-                pairs: set[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Multi-source BFS over _neighbours lists, growing the hop layers of
-    every source of pairs in lockstep, one round per hop. Returns each node
-    v's bitset after every round its component (_labels) ran: bit s of
-    reach[v][h] is set when v lies within h hops of source s, so s's layer
-    h is the nodes whose bit s is new at h. Each component that holds both
-    ends of a (src, dst) pair runs its own rounds, in which every node takes
-    the OR of its neighbours' bitsets, and stops at the round that reaches
-    the last such dst; a node of any other component keeps the one entry 0.
-    The claim oracle's own BFS, kept apart from the engines it checks."""
-    n = len(nbrs)
+def _pair_hops(nbrs: list[list[int]],
+               pairs: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Multi-source BFS over _neighbours lists (Then et al., PVLDB 8(4),
+    2014): the hop count of every (src, dst) pair whose ends share a
+    component (_labels). All sources advance one hop per round: each node
+    holds a bitset of the sources that reached it in the last round (bit s),
+    which it ORs into its neighbours', less the sources each has already
+    seen. A source drops out once it has reached every dst it queries in
+    its component, so a dst in another component never makes its source
+    run to the end. The claim oracle's own BFS, kept apart from the engines
+    it checks."""
     labels = _labels(nbrs)
-    sources = [0] * n  # per component label: its sources that query in it
-    wanted = [0] * n  # bit s of wanted[v]: (s, v) is a pair in one component
+    left = [0] * len(nbrs)  # bit s of left[v]: (s, v) is a pair not yet reached
+    todo: dict[int, int] = {}  # per source: its pairs not yet reached
     for src, dst in pairs:
         if labels[src] == labels[dst]:
-            sources[labels[src]] |= 1 << src
-            wanted[dst] |= 1 << src
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        if sources[labels[v]]:
-            members.setdefault(labels[v], []).append(v)
-    reach = [(0,)] * n
-    for label, nodes in members.items():
-        index = {v: i for i, v in enumerate(nodes)}
-        local = [list(map(index.__getitem__, nbrs[v])) for v in nodes]
-        wants = [wanted[v] for v in nodes]
-        masks = [1 << v & sources[label] for v in nodes]
-        rounds = [masks]
-        while list(map(and_, wants, masks)) != wants:
-            old = masks
-            masks = [reduce(or_, map(old.__getitem__, near), own)
-                     for near, own in zip(local, old)]
-            rounds.append(masks)
-        for v, column in zip(nodes, zip(*rounds)):
-            reach[v] = column
-    return reach
-
-
-def _hops(reach: list[tuple[int, ...]], src: int, dst: int) -> int | None:
-    """dst's hop count from src off _hop_layers, None when the pass did not
-    reach it: the first round whose bitset at dst holds bit src."""
-    column = reach[dst]
-    if not column[-1] >> src & 1:
-        return None
-    return bisect_left(column, 1, key=lambda mask: mask >> src & 1)
+            left[dst] |= 1 << src
+            todo[src] = todo.get(src, 0) + 1
+    alive = sum(1 << src for src in todo)
+    seen = [0] * len(nbrs)
+    reached = {src: 1 << src for src in todo}  # per node: sources arriving
+    hops = {}
+    h = 0
+    while reached:
+        visit = {}
+        for v, bits in reached.items():
+            bits &= ~seen[v]
+            if bits:
+                seen[v] |= bits
+                visit[v] = bits
+                got = bits & left[v]
+                left[v] ^= got
+                while got:
+                    s = got.bit_length() - 1
+                    got ^= 1 << s
+                    hops[s, v] = h
+                    todo[s] -= 1
+                    if not todo[s]:
+                        alive ^= 1 << s
+        h += 1
+        reached = {}
+        for v, bits in visit.items():
+            bits &= alive
+            if bits:
+                for u in nbrs[v]:
+                    reached[u] = reached.get(u, 0) | bits
+    return hops
 
 
 def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...]:
@@ -346,10 +343,10 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
     A row whose src or dst is not a node id of t (is_node) is flagged
     (simple_path) and checked no further. Every other row gets one expected
     outcome from the oracle's own code, which reads only t.links: one
-    multi-source BFS (_hop_layers) grows the hop layers of every queried
-    source in lockstep over the links that carry the demand, until each
-    source has reached every queried dst in its component. `route` when it
-    reaches dst; otherwise component labels of the full graph (_labels),
+    multi-source BFS (_pair_hops) advances every queried source in
+    lockstep over the links that carry the demand, each until it has
+    reached every dst it queries in its component. `route` when it reaches
+    dst; otherwise component labels of the full graph (_labels),
     built once and only then, give `no_bandwidth` when src and dst share a
     component, else `unreachable`. (refusal) the fitness status must equal
     it. Each path is walked once: (bandwidth) every fitness-route link
@@ -362,7 +359,7 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
     demand = report.config.demand
     rows = report.rows
     valid = [is_node(row.src, t.n) and is_node(row.dst, t.n) for row in rows]
-    reach = _hop_layers(_neighbours(t, demand), {
+    pruned = _pair_hops(_neighbours(t, demand), {
         (row.src, row.dst) for row, ok in zip(rows, valid) if ok})
     full = None
     violations = []
@@ -376,7 +373,7 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
                  f"holds an id that is not an int in [0, {t.n})")
             continue
         ff = row.ff
-        oracle = _hops(reach, row.src, row.dst)
+        oracle = pruned.get((row.src, row.dst))
         if oracle is not None:
             expected = Route.status
         else:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -326,32 +327,57 @@ def test_rows_equal_full_tree_reference_on_self_queries():
                for row in report.rows[:t.n])
 
 
-def oracle_hops(reach, src):
-    """{node: hop count from src} off the oracle's lockstep pass: the index of
-    the first round whose bitset at the node holds bit src."""
-    return {v: min(h for h, mask in enumerate(column) if mask >> src & 1)
-            for v, column in enumerate(reach) if column[-1] >> src & 1}
+class ReadCounter(list):
+    """Neighbour lists that record every node whose list is read."""
+
+    def __init__(self, nbrs):
+        super().__init__(nbrs)
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return super().__getitem__(v)
+
+
+def farthest_pairs(hops, pairs):
+    """{src: the hop count of its farthest pair in its component} for every
+    src with such a pair; hops[s] is bfs_hops from s."""
+    farthest = {}
+    for src, dst in pairs:
+        if dst in hops[src]:
+            farthest[src] = max(farthest.get(src, 0), hops[src][dst])
+    return farthest
+
+
+def pass_reads(hops, pairs):
+    """The nodes whose neighbour lists one _pair_hops call reads, counted:
+    _labels reads every node once, and the pass expands v once per round h
+    at which v is h hops from some source that still runs, one with a pair
+    more than h hops away in its component. hops[s] is bfs_hops from s."""
+    expanded = {(h, v) for src, far in farthest_pairs(hops, pairs).items()
+                for v, h in hops[src].items() if h < far}
+    return Counter(range(len(hops))) + Counter(v for _, v in expanded)
 
 
 def test_oracle_runs_one_pass_and_labels_the_full_graph_only_on_refusals(
         monkeypatch):
     # one lockstep pass per verify_claims; the full graph is labelled only on
-    # a run with a refused or unreachable row, and then once; each component
-    # stops at the round of its farthest queried pair, so some sources stop
-    # before their pruned BFS would end
+    # a run with a refused or unreachable row, and then once; each source
+    # stops at its farthest queried pair, so some stop before their pruned
+    # BFS would end
     passes, labelled = [], []
-    real_pass, real_labels = experiment._hop_layers, experiment._labels
+    real_pass, real_labels = experiment._pair_hops, experiment._labels
 
     def counting_pass(nbrs, pairs):
-        reach = real_pass(nbrs, pairs)
-        passes.append((pairs, reach))
-        return reach
+        nbrs = ReadCounter(nbrs)
+        passes.append((pairs, nbrs))
+        return real_pass(nbrs, pairs)
 
     def counting_labels(nbrs):
         labelled.append(nbrs)
         return real_labels(nbrs)
 
-    monkeypatch.setattr(experiment, "_hop_layers", counting_pass)
+    monkeypatch.setattr(experiment, "_pair_hops", counting_pass)
     monkeypatch.setattr(experiment, "_labels", counting_labels)
     clean = run_comparison(ExperimentConfig(n=64, seed=1, query_count=1000))
     assert clean.summary.refusals == clean.summary.unreachable == 0
@@ -365,16 +391,13 @@ def test_oracle_runs_one_pass_and_labels_the_full_graph_only_on_refusals(
     t = generate_topology(cfg.n, cfg.gen, cfg.seed)
     assert labelled == [experiment._neighbours(t, cfg.demand),
                         experiment._neighbours(t, 0.0)]
-    [(pairs, reach)] = passes
+    [(pairs, nbrs)] = passes
     assert pairs == {(row.src, row.dst) for row in report.rows}
     pruned = feasible_subgraph(t, cfg.demand)
-    hops = {src: bfs_hops(pruned, src) for src, _ in pairs}
-    for v in range(t.n):
-        assert len(reach[v]) - 1 == max(
-            (hops[src][dst] for src, dst in pairs
-             if v in hops[src] and dst in hops[src]), default=0)
-    stopped_early = sum(len(reach[src]) - 1 < max(hops[src].values())
-                        for src in hops)
+    hops = [bfs_hops(pruned, v) for v in range(t.n)]
+    assert Counter(nbrs.reads) == pass_reads(hops, pairs)
+    stopped_early = sum(far < max(hops[src].values())
+                        for src, far in farthest_pairs(hops, pairs).items())
     assert stopped_early > 0
 
 
@@ -390,8 +413,7 @@ def test_oracle_bfs_equals_bfs_hops(t, data):
     demand = data.draw(demands)
     drawn = [data.draw(st.sets(st.integers(0, t.n - 1))) for _ in range(t.n)]
     for graph_demand, graph in ((0.0, t), (demand, feasible_subgraph(t, demand))):
-        nbrs = experiment._neighbours(t, graph_demand)
-        labels = experiment._labels(nbrs)
+        labels = experiment._labels(experiment._neighbours(t, graph_demand))
         expected = [bfs_hops(graph, src) for src in range(t.n)]
         for src in range(t.n):
             assert {v for v in range(t.n)
@@ -399,22 +421,13 @@ def test_oracle_bfs_equals_bfs_hops(t, data):
         for dsts in ([set()] * t.n, [{src} for src in range(t.n)], drawn,
                      [set(range(t.n))] * t.n):
             pairs = {(src, dst) for src in range(t.n) for dst in dsts[src]}
-            reach = experiment._hop_layers(nbrs, pairs)
-            for src in range(t.n):
-                got = oracle_hops(reach, src)
-                farthest = max((expected[src][dst] for dst in dsts[src]
-                                if dst in expected[src]), default=-1)
-                # every layer up to the farthest reachable queried dst, and
-                # no node in a wrong layer past it
-                assert got.items() <= expected[src].items()
-                assert {v: h for v, h in expected[src].items()
-                        if h <= farthest}.items() <= got.items()
-                for dst in dsts[src]:
-                    assert experiment._hops(reach, src, dst) == expected[src].get(dst)
-            for v in range(t.n):  # a component stops at its farthest pair
-                assert len(reach[v]) - 1 == max(
-                    (expected[src][dst] for src, dst in pairs
-                     if v in expected[src] and dst in expected[src]), default=0)
+            nbrs = ReadCounter(experiment._neighbours(t, graph_demand))
+            # every reachable pair's hop count, so every layer when dsts
+            # hold every node, and each source stops at its farthest pair
+            assert experiment._pair_hops(nbrs, pairs) == {
+                (src, dst): expected[src][dst] for src, dst in pairs
+                if dst in expected[src]}
+            assert Counter(nbrs.reads) == pass_reads(expected, pairs)
 
 
 # --- verify_claims fault injection ---
