@@ -220,15 +220,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# the options whose values are pairs (A:B, SRC:DST), ranges (MIN:MAX) or
+# weights (WD,WJ,WL), none of them a number argparse would take as a value
+_PAIR_FLAGS = ("--fail", "--query", "--bw", "--delay", "--jitter", "--loss",
+               "--weights")
+
+
 def _attach_pair_values(argv: list[str]) -> list[str]:
-    """`--fail -1:1` as `--fail=-1:1`, and so for --query and their
-    abbreviations: argparse reads a token that starts with '-' and is not a
-    number as an option, so a pair whose first id is negative would not
-    reach the node checks."""
+    """`--fail -1:1` as `--fail=-1:1`, and so for every _PAIR_FLAGS option
+    and its abbreviations: argparse reads a token that starts with '-' and
+    is not a number as an option, so a pair, range or weights value whose
+    first number is negative would not reach the checks that reject it."""
     out = []
     for token in argv:
         if (out and len(out[-1]) > 2
-                and any(flag.startswith(out[-1]) for flag in ("--fail", "--query"))
+                and any(flag.startswith(out[-1]) for flag in _PAIR_FLAGS)
                 and token[:1] == "-" and token[1:2].isdigit()):
             out[-1] += "=" + token
         else:

@@ -182,9 +182,11 @@ def run_comparison(cfg: ExperimentConfig,
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, with one search from its source over the
     links that carry the demand for its destination's min-hop paths, every
-    search reading one gate built for cfg.demand (Topology.gate);
-    classify_outcome tells refusals from unreachable rows by the topology's
-    memoised connectivity labels. The summary's violation list is filled by
+    search reading one gate built for cfg.demand (Topology.gate) and the
+    hop layers the searches before it grew from its endpoints (Gate.layers),
+    each node's dropped after the last row that names it; classify_outcome
+    tells refusals from unreachable rows by the topology's memoised
+    connectivity labels. The summary's violation list is filled by
     verify_claims and is empty unless an engine misbehaved.
     """
     if topology is None:
@@ -204,13 +206,19 @@ def run_comparison(cfg: ExperimentConfig,
     state, _ = dv_engine.converge(t, cfg.infinity_metric)
 
     gate = t.gate(cfg.demand)
+    last = {}  # per node: the last row that names it
+    for i, (src, dst) in enumerate(queries):
+        last[src] = last[dst] = i
     rows = []
-    for src, dst in queries:
+    for i, (src, dst) in enumerate(queries):
         dv_path = dv_engine.extract_path(state, src, dst)
         ff = classify_outcome(
             t, build_spanning_tree(t, src, cfg.weights, gate, dst))
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path), ff))
+        for v in (src, dst):  # no later row reads v's layers
+            if last[v] == i:
+                gate.layers.pop(v, None)
 
     wins = ties = longer = refusals = unreachable = 0
     for row in rows:

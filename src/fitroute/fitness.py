@@ -3,8 +3,8 @@
 Bandwidth is a hard constraint, not a cost term: the search never crosses a
 link that cannot carry the requested demand, which is what gives the engine
 its bandwidth guarantee. The search reads that gate as one neighbour bitset
-per node, gate[v] (v's neighbours over the links that carry the demand), so
-no pruned topology is built: a compare builds one gate per run
+per node, gate.masks[v] (v's neighbours over the links that carry the
+demand), so no pruned topology is built: a compare builds one gate per run
 (Topology.gate), a request reads its masks off the topology's bandwidth index
 (Topology.indexed_gate). The remaining QoS attributes (delay, jitter, loss)
 are folded into an additive edge cost, and paths minimise the lexicographic
@@ -17,12 +17,19 @@ its predecessor pointers form a tree, which makes routing loops structurally
 impossible. Every route, of one request or of a compare row, comes from one
 search: it is built for one destination and costs only the nodes on that
 destination's min-hop gated paths, found by bitset hop layers (bitmap
-frontiers, Beamer, Asanovic & Patterson, SC 2012) grown from both the root
+frontiers, Beamer, Asanovic & Patterson, SC 2012) stepped from both the root
 and the destination until they meet (bidirectional search, Pohl,
-Machine Intelligence 6, 1971). Those nodes get the labels and parents a
-search of the root's whole gated component would give them; the tests keep
-such a full search as their reference. The topology's component labels,
-computed once, tell a refusal from an unreachable verdict.
+Machine Intelligence 6, 1971). A gate keeps the layers its searches grow
+from each node (Gate.layers). A compare's rows name each node many times
+(about 8 times for 1000 rows on 256 nodes), so its searches grow a node's
+layers once and later rows step through them, the work a multi-source BFS
+shares across the searches of one graph (Then et al., PVLDB 8(4), 2014).
+A side whose next layer is grown steps first, and each new layer is tested
+against the other side's current layer alone. Those nodes get the labels
+and parents a search of the root's whole gated component would give them,
+whatever layers the gate held; the tests keep such a full search as their
+reference. The topology's component labels, computed once, tell a refusal
+from an unreachable verdict.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -36,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import QosLink, Topology, check_demand, check_node, is_int, is_number
+from .topology import Gate, QosLink, Topology, check_demand, check_node, is_int, is_number
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
@@ -170,24 +177,24 @@ class SpanningTree:
         return path
 
 
-def _reach(gate, bits: int) -> int:
+def _reach(masks, bits: int) -> int:
     """The gated neighbours of the nodes in `bits`: the OR of their masks."""
     reach = 0
     while bits:
         u = bits.bit_length() - 1
         bits ^= 1 << u
-        reach |= gate[u]
+        reach |= masks[u]
     return reach
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights, gate,
+def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
                         dst: int) -> SpanningTree:
     """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
     hop layer at a time.
 
-    Only the links of `gate` are crossed: gate[v] is v's neighbour bitset
-    over the links with bandwidth >= the demand, as t.gate(demand) or
-    t.indexed_gate(demand) gives it, which check the demand (demand 0
+    Only the links of `gate` are crossed: gate.masks[v] is v's neighbour
+    bitset over the links with bandwidth >= the demand, as t.gate(demand)
+    or t.indexed_gate(demand) gives it, which check the demand (demand 0
     crosses every link, as on a topology pruned beforehand). Hops compare
     first, so a node's hop count is its breadth-first layer: a node first
     reached from layer k joins layer k+1 under the neighbour u in layer k
@@ -195,16 +202,25 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate,
     smaller id. root and dst must pass check_node and w check_weights, else
     ValueError.
 
-    Meet: bitset hop layers grow from root and from dst (bidirectional
-    search, Pohl 1971, over bitmap frontiers, Beamer et al. 2012), each
-    step on the side whose last layer has fewer nodes (root on a tie), each
-    layer the OR of the last one's gate masks less the nodes that side has
-    seen. The first new layer that touches the other side's seen set meets
-    it in `meet`: the nodes of dst's min-hop paths at that hop count, which
-    lie in both sides' last layers. A side that runs
-    dry first refuses. Walk: from `meet`, each kept layer is the gated
-    neighbours of the one before it, within root's layers towards root and
-    within dst's towards dst; these are the nodes on dst's min-hop paths.
+    Meet: bitset hop layers step from root and from dst, one layer a step
+    (bidirectional search, Pohl 1971, over bitmap frontiers, Beamer et al.
+    2012). They are gate.layers[root] and gate.layers[dst]: a step reads
+    the side's next layer where an earlier search over the gate grew it,
+    else grows it and keeps it there. A side whose next layer is grown
+    steps first; else the side whose current layer has fewer nodes, root
+    on a tie. A side's new layer is tested against the other side's
+    current layer alone, which is exact: with root's side at layer i and
+    dst's at layer j, each step adds one to i + j, no layer of one side
+    overlaps one of the other while i + j is below the hop distance, and
+    once it reaches it the two current layers overlap in the nodes of
+    dst's min-hop paths i hops from root. They form `meet`. A side that
+    runs dry first refuses.
+
+    Walk: from `meet`, each kept layer is the gated neighbours of the one
+    before it, within root's layers towards root and within dst's towards
+    dst, both starting from meet's neighbours; these are the nodes on dst's
+    min-hop paths, whichever i and j the sides met at.
+
     Cost: layer by layer from root, each kept node weighs all its gated
     neighbours in the kept layer before, reading each link off its
     t.adjacency map, as a search of the whole gated component would, so it
@@ -215,24 +231,42 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate,
     check_node(root, t.n, "root")
     check_node(dst, t.n, "dst")
     check_weights(w)
-    layers = ([1 << root], [1 << dst])  # hop layers from root and from dst
-    seen = [1 << root, 1 << dst]
-    meet = seen[0] & seen[1]
+    masks, store = gate.masks, gate.layers
+    out = store.setdefault(root, [1 << root])  # hop layers from root
+    back = store.setdefault(dst, [1 << dst])  # and from dst
+    i = j = 0  # each side's current layer
+    meet = out[0] & back[0]
     while not meet:
-        side = layers[0][-1].bit_count() > layers[1][-1].bit_count()
-        frontier = _reach(gate, layers[side][-1]) & ~seen[side]
+        grown = len(out) > i + 1
+        if grown == (len(back) > j + 1):
+            step_root = out[i].bit_count() <= back[j].bit_count()
+        else:
+            step_root = grown
+        if step_root:
+            i += 1
+            layers, k, other = out, i, back[j]
+        else:
+            j += 1
+            layers, k, other = back, j, out[i]
+        if len(layers) == k:
+            # grow layer k: every neighbour of layer k - 1 lies in layer
+            # k - 2, k - 1 or k, so an undirected BFS needs no seen set
+            last = layers[-1]
+            layers.append(_reach(masks, last)
+                          & ~(last | layers[-2] if k > 1 else last))
+        frontier = layers[k]
         if not frontier:
             return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
-        layers[side].append(frontier)
-        seen[side] |= frontier
-        meet = frontier & seen[not side]
-    # kept[h]: the nodes h hops from root on dst's min-hop paths
-    kept = [meet]
-    for layer in reversed(layers[0][:-1]):
-        kept.append(_reach(gate, kept[-1]) & layer)
-    kept.reverse()
-    for layer in reversed(layers[1][:-1]):
-        kept.append(_reach(gate, kept[-1]) & layer)
+        meet = frontier & other
+    # kept[h]: the nodes h hops from root on dst's min-hop paths, each side's
+    # layers narrowed to them from meet outwards; layer 0 of either side
+    # holds its own node alone
+    kept = out[:i] + [meet] + back[:j][::-1]
+    near = _reach(masks, meet) if i > 1 or j > 1 else 0
+    for h in range(i - 1, 0, -1):
+        kept[h] &= near if h == i - 1 else _reach(masks, kept[h + 1])
+    for h in range(i + 1, i + j):
+        kept[h] &= near if h == i + 1 else _reach(masks, kept[h - 1])
     label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
     parent: dict[int, int] = {}
     relaxations = 0
@@ -244,7 +278,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate,
             v = low.bit_length() - 1
             layer ^= low
             links = adjacency[v]
-            bits = gate[v] & before
+            bits = masks[v] & before
             best = None
             # lowest bit first: u ascending, so strict < keeps the smaller u
             # on a tie

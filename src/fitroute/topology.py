@@ -226,10 +226,12 @@ class Topology:
     from the links (a, x), then b > x from the links (x, b). `components`
     (which tells a refusal from an unreachable verdict) and `bandwidth_index`
     are memoised on first read, outside the compared fields. The route
-    search reads a gate, each node's neighbour bitset at one demand:
-    `gate(demand)` builds one for a whole compare run, and
-    `indexed_gate(demand)` reads a request's masks off `bandwidth_index`,
-    which serves select_route alone.
+    search reads a Gate, each node's neighbour bitset at one demand plus
+    the hop layers the searches over it have grown from each node, which
+    the searches of one gate share: `gate(demand)` builds one for a whole
+    compare run, and `indexed_gate(demand)` one for a request, whose masks
+    are read off `bandwidth_index`, which serves select_route alone. Each
+    gate starts with no layers.
     """
 
     n: int
@@ -285,31 +287,53 @@ class Topology:
                       tuple(accumulate((bit for _, bit in row), or_, initial=0)))
                      for row in rows)
 
-    def gate(self, demand: float) -> list[int]:
-        """Each node's neighbour bitset over the links with bandwidth >=
-        demand (check_demand): bit b of gate[a] is set when {a, b} is such a
-        link. Built in one pass over the links and not memoised: a compare
-        routes every row at one demand, so it builds one gate per run."""
+    def gate(self, demand: float) -> Gate:
+        """A Gate whose masks list each node's neighbour bitset over the
+        links with bandwidth >= demand (check_demand): bit b of masks[a] is
+        set when {a, b} is such a link. Built in one pass over the links and
+        not memoised: a compare routes every row at one demand, so it builds
+        one gate per run, whose searches share the hop layers they grow."""
         demand = check_demand(demand)
-        gate = [0] * self.n
+        masks = [0] * self.n
         for link in self.links:
             if link.bandwidth >= demand:
                 a, b = link.a, link.b
-                gate[a] |= 1 << b
-                gate[b] |= 1 << a
-        return gate
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return Gate(masks)
 
-    def indexed_gate(self, demand: float) -> IndexedGate:
-        """gate(demand)'s masks read off bandwidth_index one node at a time
-        (check_demand): a request's search reads a few dozen nodes' masks,
-        far fewer than a gate of every node would cost to build."""
-        return IndexedGate(self.bandwidth_index, -check_demand(demand))
+    def indexed_gate(self, demand: float) -> Gate:
+        """A Gate over gate(demand)'s masks read off bandwidth_index one node
+        at a time (IndexedMasks, check_demand): a request's search reads a
+        few dozen nodes' masks, far fewer than a list of every node's would
+        cost to build."""
+        return Gate(IndexedMasks(self.bandwidth_index, -check_demand(demand)))
 
 
-class IndexedGate:
-    """A gate over Topology.bandwidth_index at one demand: self[v] is node
-    v's neighbour bitset over its links with bandwidth >= demand, the
-    masks[bisect_right(keys, -demand)] of v's (keys, masks)."""
+class Gate:
+    """The links that carry one demand, as the route search reads them.
+
+    masks[v] is node v's neighbour bitset over those links: a list from
+    Topology.gate, an IndexedMasks from Topology.indexed_gate. layers[v],
+    once a search over the gate has reached from v, is [1 << v, L1, L2,
+    ...], Lk holding the nodes k gated hops from v; a last Lk of 0 means
+    v's gated component is exhausted. build_spanning_tree reads and extends
+    these lists, so the searches of one gate grow each node's layers once.
+    They depend on the masks alone, so they serve any search over the gate,
+    from v or towards v. A gate starts with none."""
+
+    __slots__ = ("masks", "layers")
+
+    def __init__(self, masks):
+        self.masks = masks
+        self.layers: dict[int, list[int]] = {}
+
+
+class IndexedMasks:
+    """Topology.gate's masks at one demand, read off Topology.bandwidth_index
+    one node at a time: self[v] is node v's neighbour bitset over its links
+    with bandwidth >= demand, the masks[bisect_right(keys, -demand)] of v's
+    (keys, masks)."""
 
     __slots__ = ("index", "key")
 

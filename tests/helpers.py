@@ -150,6 +150,11 @@ def reference_trace(t: Topology, a: int, b: int, probe: int, dest: int,
     raise AssertionError(f"no stop rule within {len(entries)} rounds")
 
 
+class IntSubclass(int):
+    """An int subclass: is_int and is_node take it, the exact-int fast
+    paths do not."""
+
+
 def line_topology(n: int, bandwidth: float = 10.0, delay: float = 1.0,
                   jitter: float = 0.0, loss: float = 0.0) -> Topology:
     """Chain 0-1-...-(n-1) with uniform attributes."""

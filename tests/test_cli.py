@@ -375,6 +375,34 @@ def test_demo_rejects_negative_link_end_as_two_tokens(capsys, flag):
     assert "-1:1 is not a link of the topology" in err
 
 
+RANGE_CASES = [
+    ("--bw", "-5:10", "bandwidth must be finite and > 0, got -5.0"),
+    ("--b", "-5:10", "bandwidth must be finite and > 0, got -5.0"),
+    ("--delay", "-2:3", "delay and jitter must be finite and non-negative"),
+    ("--jitter", "-1:0", "delay and jitter must be finite and non-negative"),
+    ("--jit", "-1:0", "delay and jitter must be finite and non-negative"),
+    ("--loss", "-0.5:0", "loss must lie in [0, 1), got -0.5"),
+]
+WEIGHTS_CASES = [
+    ("--weights", "-1,1,1", "weights must be finite and non-negative"),
+    ("--wei", "-1,1,1", "weights must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message",
+                         [("compare", *case) for case in RANGE_CASES + WEIGHTS_CASES]
+                         + [("gen-topology", *case) for case in RANGE_CASES])
+def test_negative_range_and_weights_as_two_tokens(capsys, command, flag,
+                                                  value, message):
+    # argparse alone reads a bare "-5:10" or "-1,1,1" as an option, and
+    # exits with "expected one argument" before any range check runs
+    code, out, err = run(capsys, command, "--nodes", "4", flag, value)
+    assert (code, out) == (2, "")
+    assert f"fitroute: error: {message}" in err
+    assert run(capsys, command, "--nodes", "4", f"{flag}={value}") == (
+        code, out, err)
+
+
 def test_demo_rejects_bad_probe(capsys):
     code, _, err = run(capsys, "demo-count-to-infinity", "--probe", "9")
     assert code == 2

@@ -36,9 +36,9 @@ from fitroute.experiment import (
 from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
 from fitroute.topology import bfs_hops, feasible_subgraph
 
-from helpers import (check_rows_against_full_trees, cut_topologies,
-                     drawn_topologies, line_topology, report_json_reference,
-                     triangle_topology)
+from helpers import (IntSubclass, check_rows_against_full_trees,
+                     cut_topologies, drawn_topologies, line_topology,
+                     report_json_reference, triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -153,8 +153,8 @@ def test_a_compare_row_and_a_request_read_a_demand_alike():
     demand = 2**53 + 1
     req = RouteRequest(0, 1, demand)
     assert type(req.demand) is float and req.demand == 2.0**53
-    assert t.gate(demand) == [0b10, 0b01]
-    assert [t.indexed_gate(demand)[v] for v in range(2)] == [0b10, 0b01]
+    assert t.gate(demand).masks == [0b10, 0b01]
+    assert [t.indexed_gate(demand).masks[v] for v in range(2)] == [0b10, 0b01]
     cfg = ExperimentConfig(n=2, explicit_queries=((0, 1),), demand=demand)
     row = run_comparison(cfg, t).rows[0]
     assert isinstance(row.ff, Route)
@@ -180,6 +180,37 @@ def test_compare_builds_no_bandwidth_index(edge_prob, demand):
     report = run_comparison(cfg, t)
     assert "bandwidth_index" not in vars(t)
     assert report.summary.violations == ()
+
+
+def test_compare_drops_each_node_layers_after_its_last_row(monkeypatch):
+    # before row i the run's gate keeps the layers of the nodes that an
+    # earlier row and row i or a later one name, and none once every row
+    # is routed
+    gates, stored = [], []
+    build_gate, search = Topology.gate, experiment.build_spanning_tree
+
+    def capture(self, demand):
+        gates.append(build_gate(self, demand))
+        return gates[-1]
+
+    def recording(t, root, w, gate, dst):
+        stored.append(set(gate.layers))
+        return search(t, root, w, gate, dst)
+
+    monkeypatch.setattr(Topology, "gate", capture)
+    monkeypatch.setattr(experiment, "build_spanning_tree", recording)
+    cfg = ExperimentConfig(n=40, seed=3, gen=GenParams(edge_prob=0.05),
+                           query_count=200, demand=50.0)
+    report = run_comparison(cfg)
+    assert report.summary.refusals > 0 and report.summary.violations == ()
+    [gate] = gates
+    assert gate.layers == {}
+    queries = [(row.src, row.dst) for row in report.rows]
+    assert len(stored) == len(queries)
+    for i, kept in enumerate(stored):
+        named_before = {v for pair in queries[:i] for v in pair}
+        named_after = {v for pair in queries[i:] for v in pair}
+        assert kept == named_before & named_after
 
 
 # --- run_comparison ---
@@ -538,6 +569,17 @@ def test_detects_forged_node_ids(path, engine):
     violations = verify_claims(bad, t)
     assert {(v.row, v.claim) for v in violations} == {(0, CLAIM_SIMPLE_PATH)}
     assert "not an int in [0, 4)" in violations[0].detail
+
+
+def test_accepts_int_subclass_node_ids():
+    # is_node takes an int subclass: a path of them skips the exact-int
+    # min/max check and passes is_node id by id, so a valid route verifies
+    report, t = refusal_report()
+    path = tuple(map(IntSubclass, report.rows[0].ff.path))
+    assert set(map(type, path)) == {IntSubclass} and path == (0, 1, 2)
+    ok = tamper(report, 0, dv_path=path,
+                ff=dataclasses.replace(report.rows[0].ff, path=path))
+    assert verify_claims(ok, t) == ()
 
 
 @pytest.mark.parametrize("node", [4, -1, 1.0, True])

@@ -653,6 +653,74 @@ def test_trees_over_a_gate_equal_trees_over_the_index(data):
     assert over_list == over_view  # relaxations, root and dst too
 
 
+# --- the hop layers a gate keeps for its searches ---
+
+
+def sparse_topologies():
+    """Generated sparse topologies of up to 40 nodes, deep enough for long
+    layer lists; thin links below the demand split them at random."""
+    return st.builds(
+        generate_topology, st.integers(2, 40),
+        st.just(GenParams(edge_prob=0.05, bandwidth_range=(1.0, 10.0))),
+        st.integers(0, 2**16))
+
+
+@given(st.data())
+def test_searches_over_a_shared_gate_equal_searches_over_fresh_ones(data):
+    # whatever layers the searches before it left in the gate, a search
+    # gives the tree a fresh gate gives, dict order and relaxations too:
+    # repeated and reversed pairs step through grown layers, src == dst
+    # meets at once and refused pairs end on an exhausted side
+    t = data.draw(st.one_of(drawn_topologies(), cut_topologies(),
+                            grid_topologies(), sparse_topologies()))
+    demand = data.draw(st.sampled_from(boundary_demands(t)))
+    w = data.draw(st.sampled_from(WEIGHT_CHOICES))
+    nodes = st.integers(0, t.n - 1)
+    pairs = data.draw(st.lists(st.tuples(nodes, nodes), min_size=1,
+                               max_size=8))
+    v = data.draw(nodes)
+    pairs = data.draw(st.permutations(
+        pairs + [(dst, src) for src, dst in pairs] + pairs + [(v, v)]))
+    shared = t.gate(demand)
+    for src, dst in pairs:
+        tree = build_spanning_tree(t, src, w, shared, dst)
+        fresh = build_spanning_tree(t, src, w, t.gate(demand), dst)
+        assert list(tree.label.items()) == list(fresh.label.items())
+        assert list(tree.parent.items()) == list(fresh.parent.items())
+        assert tree == fresh
+        full = full_gated_tree(t, src, w, demand)
+        assert classify_outcome(t, tree) == full_tree_outcome(t, full, dst)
+
+
+def test_a_repeated_search_over_a_warm_gate_grows_no_layer():
+    # a search leaves both ends' layers grown up to where the sides met or
+    # one ran dry: the same search, and the reversed one, step through them
+    # alone and give the trees fresh gates give. Demands 0 and 5 route
+    # every pair, up to 5 hops long; demand 9 refuses the three whose ends
+    # differ
+    t = generate_topology(60, GenParams(edge_prob=0.05,
+                                        bandwidth_range=(1.0, 10.0)), 4)
+    pairs = ((0, 59), (7, 7), (3, 41), (12, 30))
+    warm = []  # per demand: the gate, its layers and the expected trees
+    for demand in (0.0, 5.0, 9.0):
+        gate = t.gate(demand)
+        for src, dst in pairs:
+            build_spanning_tree(t, src, UNIT, gate, dst)
+        grown = {v: list(layers) for v, layers in gate.layers.items()}
+        warm.append((gate, grown, [
+            build_spanning_tree(t, src, UNIT, t.gate(demand), dst)
+            for pair in pairs for src, dst in (pair, pair[::-1])]))
+    trees = [tree for _, _, expected in warm for tree in expected]
+    assert max(tree.label[tree.dst][0] for tree in trees
+               if tree.dst in tree.label) == 5
+    assert sum(tree.dst not in tree.label for tree in trees) == 6
+    for gate, grown, expected in warm:
+        for tree in expected:
+            assert build_spanning_tree(t, tree.root, UNIT, gate,
+                                       tree.dst) == tree
+        assert gate.layers == grown
+
+
 # --- component labels ---
 
 

@@ -19,7 +19,7 @@ from fitroute.topology import (MAX_NODES, SplitMix64, bfs_hops,
                                feasible_subgraph, generate_topology_rng,
                                is_int, is_number, parse_topology)
 
-from helpers import line_topology
+from helpers import IntSubclass, line_topology
 
 T = line_topology(4)
 STATE, _ = converge(T)
@@ -169,10 +169,6 @@ def test_explicit_queries_are_kept_as_a_tuple_of_pairs():
     for queries in (iter([(0, 1)]), ((0, 1) for _ in range(1))):
         with pytest.raises(ValueError, match="^explicit_queries "):
             ExperimentConfig(n=4, explicit_queries=queries)
-
-
-class IntSubclass(int):
-    pass
 
 
 class FloatSubclass(float):

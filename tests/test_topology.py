@@ -689,7 +689,7 @@ def test_gates_read_as_the_index(t, data):
     # the mask the index holds at that demand, on both sides of every step
     demands = boundary_demands(t)
     for demand in data.draw(st.lists(st.sampled_from(demands), min_size=1)):
-        gate, view = t.gate(demand), t.indexed_gate(demand)
+        gate, view = t.gate(demand).masks, t.indexed_gate(demand).masks
         assert len(gate) == t.n
         for node, (keys, masks) in enumerate(t.bandwidth_index):
             read = masks[bisect_right(keys, -demand)]
@@ -704,4 +704,4 @@ def test_bandwidth_index_on_a_triangle():
     assert masks == (0, 0b010, 0b110)
     gate = {d: masks[bisect_right(keys, -d)] for d in (0.0, 2.5, 2.6, 10.0, 11.0)}
     assert gate == {0.0: 0b110, 2.5: 0b110, 2.6: 0b010, 10.0: 0b010, 11.0: 0}
-    assert t.gate(2.6) == [0b010, 0b101, 0b010]  # links 0-1 (10) and 1-2 (5)
+    assert t.gate(2.6).masks == [0b010, 0b101, 0b010]  # links 0-1 (10) and 1-2 (5)
