@@ -43,6 +43,7 @@ from .topology import (
     check_node,
     check_node_count,
     check_seed,
+    draw_stream,
     generate_topology_rng,
     generation_draws,
     is_int,
@@ -159,13 +160,21 @@ class ComparisonReport:
 
 def _draw_queries(cfg: ExperimentConfig, rng: SplitMix64) -> list[tuple[int, int]]:
     """Random (src, dst) pairs from the experiment's RNG stream, src != dst
-    whenever the topology has more than one node."""
+    whenever the topology has more than one node: src is the next draw mod
+    n, and dst the one after it, redrawn while it equals src.
+
+    The draws come off packed lanes (draw_stream), whose first read is the
+    2 * query_count draws the queries take when none is redrawn. So rng is
+    left past the last read begun, not past the last draw used; nothing
+    draws after it.
+    """
+    n = cfg.n
+    nodes = map(n.__rmod__, draw_stream(rng, 2 * cfg.query_count))
     queries = []
     for _ in range(cfg.query_count):
-        src = rng.next_below(cfg.n)
-        dst = rng.next_below(cfg.n)
-        while cfg.n > 1 and dst == src:
-            dst = rng.next_below(cfg.n)
+        src, dst = next(nodes), next(nodes)
+        while dst == src and n > 1:
+            dst = next(nodes)
         queries.append((src, dst))
     return queries
 
@@ -178,7 +187,9 @@ def run_comparison(cfg: ExperimentConfig,
     (replay mode). Either way the random queries come from cfg.seed's stream
     skipped past the draws generating the topology takes
     (generation_draws), so a written topology replayed with its seed
-    draws the generated run's queries. The distance-vector engine
+    draws the generated run's queries. Generation and the queries
+    (draw_stream) both read that stream a batch of packed lanes at a time,
+    equal to one next_u64 call per draw. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, with one search from its source over the
     links that carry the demand for its destination's min-hop paths, every

@@ -100,7 +100,9 @@ class SplitMix64:
 
     All arithmetic mod 2^64. Chosen because it is trivial to reimplement
     identically in any language, which keeps generated topologies
-    reproducible across platforms.
+    reproducible across platforms. Draw k depends only on seed + k*gamma,
+    so generation and the query stream compute their draws in batches of
+    packed lanes (_mixed); next_u64 is the scalar definition they equal.
     """
 
     __slots__ = ("state",)
@@ -118,10 +120,6 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
-
-    def next_below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound) via modulo (bound << 2^64)."""
-        return self.next_u64() % bound
 
 
 @dataclass(frozen=True, slots=True)
@@ -355,8 +353,8 @@ def check_gen_params(params, name: str) -> None:
         raise ValueError(f"{name} must be a GenParams, got {params!r}")
 
 
-# Draws per batch of the generator's packed SplitMix64 (_mix): a batch is
-# one int of 128 * _BATCH bits, 16 KiB, however many draws a topology takes.
+# Draws per batch of the packed SplitMix64 lanes (_mixed): a batch is one
+# int of 128 * _BATCH bits, 16 KiB, however many draws a reader takes.
 # 2048 or 4096 lanes drew no faster, and their lane constants and batches
 # raised the benchmark's route-stream peak RSS by 0.06-0.2 MB.
 _BATCH = 1024
@@ -369,50 +367,61 @@ def _broadcast(value: int, m: int) -> int:
 
 _STEPS = int.from_bytes(b"".join(((i + 1) * _GAMMA & _MASK64).to_bytes(16, "little")
                                  for i in range(_BATCH)), "little")
+_STRIDE = _broadcast(_BATCH * _GAMMA & _MASK64, _BATCH)
 _LOW64 = _broadcast(_MASK64, _BATCH)
 
 
-def _batches(rng: SplitMix64, count: int) -> list[tuple[int, int]]:
-    """(state, m) for each batch of rng's next `count` draws, _BATCH at a
-    time: the batch's draws are the m next_u64 calls made from state. rng
-    advances past all of them at once, as skip(count)."""
-    state = rng.state
-    rng.skip(count)
-    return [((state + start * _GAMMA) & _MASK64, min(_BATCH, count - start))
-            for start in range(0, count, _BATCH)]
+def _mixed(rng: SplitMix64, count: int):
+    """rng's next `count` draws, equal to `count` next_u64 calls, as a
+    (z, m) per batch of _BATCH: z holds width = min(count, _BATCH) lanes,
+    draw i of the batch in bits 0-63 of the 128-bit slot at bit 128 * i,
+    and the batch's draws are its first m lanes, all width of them but in
+    a last, partial batch. rng advances past all `count` draws at once, as
+    skip(count), when the first batch is read.
 
-
-def _mix(state: int, m: int) -> int:
-    """The m <= _BATCH draws that m next_u64 calls make from `state`, as
-    lanes of one int: draw i in bits 0-63 of the 128-bit slot at bit 128 * i.
-
-    Lane i starts as state + (i+1)*gamma, the state of draw i+1, and runs
-    the mixer's steps with all lanes in one int. A lane's 64 bits sit in a
-    128-bit slot, so a product of two 64-bit factors never carries into the
-    next lane, and a right shift moves the next lane's low bits only into
-    the slot's upper half, which the mask clears before every multiply. The
-    last xor-shift is left unmasked: it moves the next lane's low 31 bits
-    into each slot's bits 97-127, so bits 64-96 of every slot stay 0.
+    The one lane stepper of every batched draw. It broadcasts rng's state
+    once: lane i starts as state + (i+1)*gamma, the state of draw i+1. A
+    batch's lanes step to the next batch's by adding _BATCH*gamma mod 2^64
+    to every slot, masked to 64 bits: both terms are below 2^64, so the sum
+    stays below 2^65 and no carry crosses into the next 128-bit slot. Each
+    batch runs the mixer's steps with all lanes in one int. A product of
+    two 64-bit factors never carries into the next lane either, and a right
+    shift moves the next lane's low bits only into the slot's upper half,
+    which the mask clears before every multiply. The last xor-shift is left
+    unmasked: it moves the next lane's low 31 bits into each slot's bits
+    97-127, so bits 64-96 of every slot stay 0.
     """
-    low = _LOW64 >> 128 * (_BATCH - m)
-    z = (_STEPS + _broadcast(state, m)) & low
-    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
-    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-    return z ^ (z >> 31)
-
-
-def _low_words(z: int, m: int) -> memoryview:
-    """The draws of _mix(state, m), the slots' low 64-bit words, read in
-    place off z's bytes as native words: every other word, lane 0 first."""
-    words = memoryview(z.to_bytes(16 * m, sys.byteorder)).cast("Q")
-    return words[::2] if sys.byteorder == "little" else words[::-2]
+    width = min(count, _BATCH)
+    low = _LOW64 >> 128 * (_BATCH - width)
+    lanes = (_STEPS + _broadcast(rng.state, width)) & low
+    rng.skip(count)
+    for start in range(0, count, _BATCH):
+        z = ((lanes ^ (lanes >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        yield z ^ (z >> 31), min(_BATCH, count - start)
+        lanes = (lanes + _STRIDE) & low
 
 
 def _draws(rng: SplitMix64, count: int):
     """rng's next `count` draws, equal to `count` next_u64 calls, as one
-    memoryview of ints per batch of _BATCH, each computed as it is read.
-    rng advances past all of them at once, as skip(count)."""
-    return (_low_words(_mix(state, m), m) for state, m in _batches(rng, count))
+    memoryview of ints per batch of _mixed, each computed as it is read:
+    the first m slots' low 64-bit words, read in place off the lanes'
+    bytes as native words, every other word, lane 0 first. rng advances as
+    in _mixed."""
+    width = min(count, _BATCH)
+    for z, m in _mixed(rng, count):
+        words = memoryview(z.to_bytes(16 * width, sys.byteorder)).cast("Q")
+        yield words[:2 * m:2] if sys.byteorder == "little" else words[::-2][:m]
+
+
+def draw_stream(rng: SplitMix64, count: int):
+    """rng's draws as one endless iterator of ints, equal to next_u64 calls:
+    the next `count` from one _draws read, then _BATCH more per read as the
+    reader goes on. rng advances past each read as its first batch is
+    computed, so it is left past the last read begun, not the last draw
+    used."""
+    reads = map(_draws, repeat(rng), chain((count,), repeat(_BATCH)))
+    return chain.from_iterable(chain.from_iterable(reads))
 
 
 _LINKED = bytes.maketrans(b"\0\1", b"\1\0")  # a clear bit 64 links the pair
@@ -424,16 +433,16 @@ def _link_flags(rng: SplitMix64, count: int, threshold: int) -> bytes:
     [z < threshold for z in _draws(rng, count)], and rng advances the same.
 
     No draw becomes an int of its own: 2^64 - threshold, added to every
-    slot of a batch, sets a slot's bit 64 exactly when its draw is >=
-    threshold. The sum stays below 2^65 and so inside the slot's clear bits
-    64-96 (_mix). Bit 64 is bit 0 of the slot's byte 8, read for all slots
-    at once as one bytes slice, and 0 and 1 swap in one translate.
+    slot of a batch of _mixed, sets a slot's bit 64 exactly when its draw
+    is >= threshold. The sum stays below 2^65 and so inside the slot's
+    clear bits 64-96, with no carry into the next slot. Bit 64 is bit 0 of
+    the slot's byte 8, read for a batch's first m slots at once as one
+    bytes slice, and 0 and 1 swap in one translate.
     """
     width = min(count, _BATCH)
     addend = _broadcast((1 << 64) - threshold, width)
-    return b"".join(
-        (_mix(state, m) + addend).to_bytes(16 * width, "little")[8:16 * m:16]
-        for state, m in _batches(rng, count)).translate(_LINKED)
+    return b"".join((z + addend).to_bytes(16 * width, "little")[8:16 * m:16]
+                    for z, m in _mixed(rng, count)).translate(_LINKED)
 
 
 def _link_threshold(edge_prob: float) -> int:
@@ -539,11 +548,12 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     In all that is generation_draws(t) draws, the count run_comparison
     skips before it draws queries, on a generated or a replayed topology.
 
-    Steps 1 and 2 call next_u64 once per draw. Steps 3 and 4 know their
-    draw counts up front, (n-1)(n-2)/2 and then 4 per link, and take them
-    from packed batches of lanes (_mix): SplitMix64 draw k depends only on
-    seed + k*gamma mod 2^64, so a batch computes the very draws those calls
-    would return, in order, and leaves rng where they would. Step 3 tests
+    Steps 1, 3 and 4 know their draw counts up front: n-1, (n-1)(n-2)/2,
+    then 4 per link. Each takes its draws from packed lanes that one
+    stepper moves a batch at a time (_mixed): SplitMix64 draw k depends only on
+    seed + k*gamma mod 2^64, so a batch computes the very draws next_u64
+    calls would return, in order, and leaves rng where they would. Step 1
+    takes its n-1 draws as one batch (n <= MAX_NODES <= _BATCH). Step 3 tests
     draw < _link_threshold(edge_prob), equal to the float test, inside the
     packed lanes (_link_flags), one flag byte per pair, and runs row by
     row, a ascending, so links come out sorted (_linked_rows). Step 4
@@ -555,8 +565,8 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     check_gen_params(params, "params")
 
     perm = list(range(n))
-    for i in range(1, n):
-        j = rng.next_below(i + 1)
+    for i, z in enumerate(chain.from_iterable(_draws(rng, n - 1)), 1):
+        j = z % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
     rows = _linked_rows(perm, _link_flags(rng, (n - 1) * (n - 2) // 2,

@@ -31,7 +31,7 @@ def reference_topology_rng(n: int, params: GenParams,
 
     perm = list(range(n))
     for i in range(1, n):
-        j = rng.next_below(i + 1)
+        j = rng.next_u64() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
 
     chain = {(min(u, v), max(u, v)) for u, v in zip(perm, perm[1:])}
@@ -43,6 +43,22 @@ def reference_topology_rng(n: int, params: GenParams,
         QosLink(a, b, *(lo + rng.next_u64() / 2**64 * (hi - lo)
                         for lo, hi in ranges))
         for a, b in pairs))
+
+
+def reference_queries(cfg: ExperimentConfig,
+                      rng: SplitMix64) -> list[tuple[int, int]]:
+    """_draw_queries' pinned procedure with one scalar next_u64 call per
+    draw: src = next_u64() % n, then dst the same, redrawn while dst == src
+    and n > 1. The reference the batched query stream must equal."""
+    n = cfg.n
+    queries = []
+    for _ in range(cfg.query_count):
+        src = rng.next_u64() % n
+        dst = rng.next_u64() % n
+        while dst == src and n > 1:
+            dst = rng.next_u64() % n
+        queries.append((src, dst))
+    return queries
 
 
 def splitmix64_unmix(z: int) -> int:

@@ -28,17 +28,19 @@ from fitroute.experiment import (
     REFUSAL_TEXT,
     PLOT_HEADER,
     Violation,
+    _draw_queries,
     emit_plot_series,
     render_table,
     report_to_json,
     verify_claims,
 )
 from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
-from fitroute.topology import bfs_hops, feasible_subgraph
+from fitroute.topology import SplitMix64, bfs_hops, feasible_subgraph
 
 from helpers import (IntSubclass, check_rows_against_full_trees,
                      cut_topologies, drawn_topologies, line_topology,
-                     report_json_reference, triangle_topology)
+                     reference_queries, report_json_reference,
+                     triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -168,6 +170,16 @@ def test_replay_draws_the_generated_queries(n, edge_prob):
     cfg = ExperimentConfig(n=n, seed=3, gen=gen, query_count=60)
     replayed = run_comparison(cfg, generate_topology(n, gen, seed=3))
     assert replayed.rows == run_comparison(cfg).rows
+
+
+@given(st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, 1024)),
+       st.one_of(st.sampled_from((0, 1, 511, 512, 513, 1500)), st.integers(0, 3000)),
+       st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1)))
+def test_draw_queries_equal_the_scalar_reference(n, query_count, seed):
+    # n = 2 redraws about half its dsts, so its stream runs past the first
+    # read of 2 * query_count draws at uneven points
+    cfg = ExperimentConfig(n=n, seed=seed, query_count=query_count)
+    assert _draw_queries(cfg, SplitMix64(seed)) == reference_queries(cfg, SplitMix64(seed))
 
 
 @pytest.mark.parametrize("edge_prob, demand", [(0.15, 5.0), (0.15, 50.0),

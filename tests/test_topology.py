@@ -76,7 +76,8 @@ def test_next_float_in_unit_interval():
     assert (2**64 - 1025) / 2**64 < 1.0 == (2**64 - 1024) / 2**64
 
 
-@given(SEEDS, st.one_of(st.sampled_from((0, 1, _BATCH - 1, _BATCH, _BATCH + 1)),
+@given(SEEDS, st.one_of(st.sampled_from((0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                         3 * _BATCH + 5, 5 * _BATCH)),
                         st.integers(0, 2 * _BATCH + 3)))
 def test_batched_draws_equal_next_u64(seed, count):
     rng, ref, skipped = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
