@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from numbers import Real
-from operator import attrgetter, or_
+from operator import attrgetter, lt, or_
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -129,8 +129,10 @@ class QosLink:
     stored as floats and checked as stored: an int attribute such as
     2**53 + 1 becomes the float it rounds to, so the link equals its
     format_topology round trip. These are the only bounds on a link
-    attribute; GenParams and _generated_links check theirs through this
-    constructor."""
+    attribute. Each bound is an interval, so a link whose attributes lie
+    between two valid links' passes: GenParams checks its ranges' ends
+    through this constructor, and parse_topology its columns' minima and
+    maxima, and both then build their links unchecked (_links)."""
 
     a: int
     b: int
@@ -151,17 +153,13 @@ class QosLink:
             object.__setattr__(self, "b", b)
         if a < 0:
             raise ValueError(f"negative node id {a}")
-        bw, delay, jitter, loss = attrs = (self.bandwidth, self.delay,
-                                           self.jitter, self.loss)
+        attrs = (self.bandwidth, self.delay, self.jitter, self.loss)
         if not all(map(is_number, attrs)):
             raise ValueError("link attributes must be numbers within float range, "
                              f"not bools: {attrs!r}")
-        # a parsed link's attributes are already floats; converting and
-        # setting them anyway takes a QosLink from 3 to 5 us
-        if not type(bw) is type(delay) is type(jitter) is type(loss) is float:
-            bw, delay, jitter, loss = floats = tuple(map(float, attrs))
-            for name, x in zip(("bandwidth", "delay", "jitter", "loss"), floats):
-                object.__setattr__(self, name, x)
+        bw, delay, jitter, loss = floats = tuple(map(float, attrs))
+        for name, x in zip(("bandwidth", "delay", "jitter", "loss"), floats):
+            object.__setattr__(self, name, x)
         if not 0 < bw < math.inf:
             raise ValueError(f"bandwidth must be finite and > 0, got {bw}")
         if not (0 <= delay < math.inf and 0 <= jitter < math.inf):
@@ -179,8 +177,12 @@ class GenParams:
     """Attribute distributions for the random generator (uniform per range).
     Any real numbers within float range, bools excluded, are accepted and
     stored as floats, each range as a (min, max) tuple of two with min <=
-    max. The ranges' minima, and then their maxima, must make a valid
-    QosLink, whose checks they raise."""
+    max. The ranges' minima, then their maxima, then their lo + (hi - lo)
+    ends must each make a valid QosLink, whose checks they raise. The last
+    is the largest attribute lo + draw / 2^64 * (hi - lo) can be: the
+    quotient is at most 1.0, and float rounding is monotone, so every
+    generated attribute lies between two valid ends. For n >= 2 a GenParams
+    is thus accepted exactly when every seed generates."""
 
     edge_prob: float = 0.15
     bandwidth_range: tuple[float, float] = (1.0, 100.0)
@@ -209,7 +211,8 @@ class GenParams:
             object.__setattr__(self, name, pair)
             if not lo <= hi:
                 raise ValueError(f"{name} needs min <= max: ({lo}, {hi})")
-        for ends in zip(*(getattr(self, name) for name in names)):
+        ranges = [getattr(self, name) for name in names]
+        for ends in (*zip(*ranges), [lo + (hi - lo) for lo, hi in ranges]):
             QosLink(0, 1, *ends)
 
 
@@ -462,28 +465,15 @@ def _link_threshold(edge_prob: float) -> int:
 _LINK_SLOTS = tuple(getattr(QosLink, name).__set__ for name in QosLink.__slots__)
 
 
-def _generated_links(a, b, bandwidth, delay, jitter, loss) -> tuple[QosLink, ...]:
-    """QosLink(*fields) for each row of the six columns (a and b may be
-    iterators), built by setting the slots column by column, with one check
-    of the columns' maxima, as a QosLink, in place of the per-link checks of
-    QosLink.__post_init__. It takes the generator's columns alone: a < b
-    ints and float attributes, each lo + u*(hi - lo) with u = draw / 2^64
-    and lo, hi from a GenParams. That keeps every attribute >= its lo,
-    which GenParams checked as a QosLink, and never NaN, so no minimum can
-    fail. It does not keep one <= hi: u reads 1.0 for the top 1024 draws,
-    and lo + (hi - lo) can round above hi, so loss can reach 1.0 and an
-    attribute near the float maximum infinity. Each bound is on one
-    attribute, so the maxima pass exactly when every link does; if they
-    fail, the checked constructor rebuilds the links and raises the first
-    bad one's error.
-    """
-    if bandwidth:
-        try:
-            QosLink(0, 1, max(bandwidth), max(delay), max(jitter), max(loss))
-        except ValueError:
-            return tuple(map(QosLink, a, b, bandwidth, delay, jitter, loss))
-    links = tuple(map(object.__new__, repeat(QosLink, len(bandwidth))))
-    for set_slot, column in zip(_LINK_SLOTS, (a, b, bandwidth, delay, jitter, loss)):
+def _links(a, b, *attrs) -> tuple[QosLink, ...]:
+    """QosLink(*fields) for each row of the six columns a, b, bandwidth,
+    delay, jitter and loss (a and b may be iterators), built by setting the
+    slots column by column, with none of QosLink.__post_init__'s checks.
+    So a caller passes only rows it has proved valid: a < b ints and float
+    attributes within QosLink's bounds. Generation proves them in
+    GenParams, replay with one check per column (parse_topology)."""
+    links = tuple(map(object.__new__, repeat(QosLink, len(attrs[0]))))
+    for set_slot, column in zip(_LINK_SLOTS, (a, b, *attrs)):
         deque(map(set_slot, links, column), maxlen=0)
     return links
 
@@ -542,8 +532,9 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     4. Visit links in ascending (a, b) order and draw bandwidth, delay,
        jitter, loss for each, in that order, as min + (draw/2^64)*(max-min).
        The top 1024 draws read exactly 1.0, and the sum can round up, so an
-       attribute can equal its max or, by an ulp, pass it: a link that
-       fails QosLink's checks so raises its ValueError.
+       attribute can equal its max or, by an ulp, pass it. It never passes
+       min + (max-min), which GenParams checked as a QosLink with the
+       minima, so every link it makes is valid.
 
     In all that is generation_draws(t) draws, the count run_comparison
     skips before it draws queries, on a generated or a replayed topology.
@@ -559,7 +550,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     row, a ascending, so links come out sorted (_linked_rows). Step 4
     keeps the float arithmetic above, operation for operation, one
     attribute column at a time (_attribute_columns), and the links are
-    built from the columns (_generated_links).
+    built from the columns unchecked (_links).
     """
     check_node_count(n)
     check_gen_params(params, "params")
@@ -571,7 +562,7 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
 
     rows = _linked_rows(perm, _link_flags(rng, (n - 1) * (n - 2) // 2,
                                           _link_threshold(params.edge_prob)))
-    links = _generated_links(
+    links = _links(
         chain.from_iterable(map(repeat, range(n), map(len, rows))),
         chain.from_iterable(rows),
         *_attribute_columns(rng, sum(map(len, rows)), params))
@@ -640,9 +631,27 @@ def format_topology(t: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Link lines parse_topology splits and converts at a time. Splitting all of
+# a dense 1024-node file's at once kept every field's str alive together,
+# and more than doubled the parse's peak memory (34 to 82 MB traced).
+_CHUNK = 1024
+
+
 def parse_topology(text: str) -> Topology:
     """Inverse of format_topology. Raises ValueError on malformed input, and
-    on more link lines than n(n - 1)/2 before it converts any of them."""
+    on more link lines than n(n - 1)/2 before it converts any of them.
+
+    It splits the link lines _CHUNK at a time, checks that each has 6
+    fields, and converts the chunk's columns with one map each. So of
+    several bad lines the error can name a later one than the first: a
+    chunk's field counts are checked before its conversions, which run
+    column by column. One check per column follows: every a < b, min(a)
+    >= 0, no NaN (valid attributes are never negative, so their sum is
+    not NaN and >= 0), and the attribute minima and maxima each a valid
+    QosLink. QosLink's bounds are intervals, so these pass exactly when
+    every row makes a valid link with a < b, and _links builds them
+    unchecked. Else, or with no links, the checked constructor builds each
+    row: it swaps a reversed pair and raises the first bad row's error."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("topology file must start with 'n=<count>'")
@@ -655,15 +664,22 @@ def parse_topology(text: str) -> Topology:
     if len(lines) - 1 > most:
         raise ValueError(f"{len(lines) - 1} link lines, but n={n} holds at "
                          f"most {most} links")
-    links = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 6:
-            raise ValueError(f"bad link line (want 6 fields): {ln!r}")
-        a, b = int(parts[0]), int(parts[1])
-        bw, delay, jitter, loss = (float(p) for p in parts[2:])
-        links.append(QosLink(a, b, bw, delay, jitter, loss))
-    return Topology(n, tuple(links))
+    a, b, *attrs = columns = [[], [], [], [], [], []]
+    for start in range(1, len(lines), _CHUNK):
+        rows = list(map(str.split, lines[start:start + _CHUNK]))
+        for ln, row in zip(lines[start:], rows):
+            if len(row) != 6:
+                raise ValueError(f"bad link line (want 6 fields): {ln!r}")
+        for column, kind, fields in zip(columns, (int, int) + (float,) * 4, zip(*rows)):
+            column += map(kind, fields)
+    try:
+        QosLink(0, 1, *map(min, attrs))
+        QosLink(0, 1, *map(max, attrs))
+        valid = all(map(lt, a, b)) and min(a) >= 0 and sum(map(sum, attrs)) >= 0
+    except ValueError:  # min() of no links raises too
+        valid = False
+    links = _links(a, b, *attrs) if valid else tuple(map(QosLink, a, b, *attrs))
+    return Topology(n, links)
 
 
 def topology_fingerprint(t: Topology) -> int:

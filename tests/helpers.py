@@ -17,7 +17,8 @@ from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
 from fitroute.dv import converge, extract_path
 from fitroute.experiment import ComparisonReport
 from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
-from fitroute.topology import SplitMix64, bfs_hops, remove_link
+from fitroute.topology import (SplitMix64, bfs_hops, check_node_count,
+                               remove_link)
 
 
 def reference_topology_rng(n: int, params: GenParams,
@@ -43,6 +44,34 @@ def reference_topology_rng(n: int, params: GenParams,
         QosLink(a, b, *(lo + rng.next_u64() / 2**64 * (hi - lo)
                         for lo, hi in ranges))
         for a, b in pairs))
+
+
+def reference_parse(text: str) -> Topology:
+    """parse_topology's per-line form: each link line split and converted
+    on its own, and each link built through QosLink's checks, in line
+    order. The reference the column-wise parse must equal, in the topology
+    it returns and in raising ValueError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("n="):
+        raise ValueError("topology file must start with 'n=<count>'")
+    try:
+        n = int(lines[0][2:])
+    except ValueError:
+        raise ValueError(f"bad node count line: {lines[0]!r}") from None
+    check_node_count(n)
+    most = n * (n - 1) // 2
+    if len(lines) - 1 > most:
+        raise ValueError(f"{len(lines) - 1} link lines, but n={n} holds at "
+                         f"most {most} links")
+    links = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 6:
+            raise ValueError(f"bad link line (want 6 fields): {ln!r}")
+        a, b = int(parts[0]), int(parts[1])
+        bw, delay, jitter, loss = (float(p) for p in parts[2:])
+        links.append(QosLink(a, b, bw, delay, jitter, loss))
+    return Topology(n, tuple(links))
 
 
 def reference_queries(cfg: ExperimentConfig,

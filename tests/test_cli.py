@@ -367,6 +367,18 @@ def test_demo_rejects_negative_link_end(capsys):
     assert "-1:1 is not a link of the topology" in err
 
 
+@pytest.mark.parametrize("command", [["compare", "--queries", "3"],
+                                     ["gen-topology", "--nodes", "5"]])
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_loss_range_whose_top_draw_reads_1_exits_2_at_any_seed(capsys, command, seed):
+    # lo + (hi - lo) rounds up to 1.0, the loss the top 1024 draws give:
+    # the range is refused whatever the seed draws
+    code, out, err = run(capsys, *command, "--seed", seed,
+                         "--loss", "0.381887309488307:0.9999999999999999")
+    assert (code, out) == (2, "")
+    assert "fitroute: error: loss must lie in [0, 1), got 1.0" in err
+
+
 @pytest.mark.parametrize("flag", ["--fail", "--fai"])
 def test_demo_rejects_negative_link_end_as_two_tokens(capsys, flag):
     # argparse alone reads a bare "-1:1" as an option and never parses it

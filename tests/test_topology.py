@@ -27,8 +27,8 @@ from fitroute.topology import (
 
 from helpers import (boundary_demands, cut_topologies, drawn_topologies,
                      grid_topologies, is_connected, line_topology,
-                     reference_topology_rng, seed_drawing, splitmix64_unmix,
-                     triangle_topology)
+                     reference_parse, reference_topology_rng, seed_drawing,
+                     splitmix64_unmix, triangle_topology)
 
 SEEDS = st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1))
 
@@ -378,46 +378,61 @@ _LOSS_MAX = math.nextafter(1.0, 0.0)
 
 @st.composite
 def extreme_generations(draw):
-    """(n, params, seed) with ranges that reach the float extremes, such as
-    subnormal and near-maximal bounds and a loss max one ulp below 1. Half
-    the seeds are crafted so that one of the first link's four attribute
-    draws, the loss most often, is among the top 2048, which read 1.0 from
-    2^64 - 1024 up and just under 1.0 below."""
+    """(n, edge_prob, ranges, seed) with ranges that reach the float
+    extremes, such as subnormal and near-maximal bounds and a loss max one
+    ulp below 1, and now and then an end no link may have. Half the seeds
+    are crafted so that one of the first link's four attribute draws, the
+    loss most often, is among the top 2048, which read 1.0 from 2^64 - 1024
+    up and just under 1.0 below."""
     def pair(lo, hi, lows, highs):
         x = draw(st.one_of(st.sampled_from(lows), st.floats(lo, hi)))
         y = draw(st.one_of(st.sampled_from(highs), st.floats(x, hi)))
         return (x, max(x, y))
     big = (_FLOAT_MAX, math.nextafter(_FLOAT_MAX, 0.0), _FLOAT_MAX / 2)
-    params = GenParams(
-        edge_prob=draw(st.floats(0.0, 1.0)),
-        bandwidth_range=pair(5e-324, _FLOAT_MAX, (5e-324, 1e-310, 1.0), big),
-        delay_range=pair(0.0, _FLOAT_MAX, (0.0, 5e-324), big),
-        jitter_range=pair(0.0, _FLOAT_MAX, (0.0, 5e-324), big),
+    ranges = (
+        pair(5e-324, _FLOAT_MAX, (0.0, 5e-324, 1e-310, 1.0), big),
+        pair(0.0, _FLOAT_MAX, (0.0, 5e-324), (*big, math.inf)),
+        pair(0.0, _FLOAT_MAX, (0.0, 5e-324), big),
         # lo + (_LOSS_MAX - lo) rounds up to 1.0 for lo 0.3, not for 0 or 0.5
-        loss_range=pair(0.0, _LOSS_MAX, (0.0, 0.3, 0.381887309488307, 0.5),
-                        (_LOSS_MAX,)))
+        pair(0.0, _LOSS_MAX, (0.0, 0.3, 0.381887309488307, 0.5),
+             (_LOSS_MAX, 1.0)))
     n = draw(st.integers(1, 8))
     first = n - 1 + (n - 1) * (n - 2) // 2  # the draws before the first link's
     top = st.builds(seed_drawing,
                     st.one_of(st.sampled_from((2**64 - 1, 2**64 - 1024)),
                               st.integers(2**64 - 2048, 2**64 - 1)),
                     st.one_of(st.just(first + 4), st.integers(first + 1, first + 4)))
-    return n, params, draw(st.one_of(SEEDS, top))
+    return n, draw(st.floats(0.0, 1.0)), ranges, draw(st.one_of(SEEDS, top))
+
+
+def _valid_attribute(k, x):
+    """True when a link with x as its attribute k (bandwidth, delay, jitter,
+    loss) and valid others passes QosLink's checks."""
+    attrs = [1.0, 0.0, 0.0, 0.0]
+    attrs[k] = x
+    try:
+        QosLink(0, 1, *attrs)
+    except ValueError:
+        return False
+    return True
 
 
 @given(extreme_generations())
 def test_generated_links_pass_the_checked_constructor(case):
-    n, params, seed = case
-    # the generator sets its links' slots unchecked; the scalar reference
-    # builds every link through QosLink's checks, so either both raise the
-    # same error or every generated link is one the checks accept
-    try:
-        reference_topology_rng(n, params, SplitMix64(seed))
-    except ValueError as error:
-        with pytest.raises(ValueError) as raised:
-            generate_topology(n, params, seed)
-        assert str(raised.value) == str(error)
+    n, edge_prob, ranges, seed = case
+    # GenParams refuses exactly the ranges with an end no link may have:
+    # the minimum, the maximum, or lo + (hi - lo), the value the top 1024
+    # draws give. Every range it accepts then generates, from any seed,
+    # links the checked constructor accepts, equal to the scalar reference's
+    accepted = all(_valid_attribute(k, x) for k, (lo, hi) in enumerate(ranges)
+                   for x in (lo, hi, lo + (hi - lo)))
+    names = ("bandwidth_range", "delay_range", "jitter_range", "loss_range")
+    kwargs = dict(zip(names, ranges))
+    if not accepted:
+        with pytest.raises(ValueError):
+            GenParams(edge_prob, **kwargs)
         return
+    params = GenParams(edge_prob, **kwargs)
     for link in generate_topology(n, params, seed).links:
         fields = (link.a, link.b, link.bandwidth, link.delay, link.jitter, link.loss)
         assert QosLink(*fields) == link
@@ -426,18 +441,21 @@ def test_generated_links_pass_the_checked_constructor(case):
     _assert_same_generation(n, params, seed)
 
 
-@pytest.mark.parametrize("draw, rejected", [(2**64 - 1, True), (2**64 - 1024, True),
-                                            (2**64 - 1025, False)])
-def test_generation_rejects_a_loss_rounded_up_to_1(draw, rejected):
-    # two nodes: one permutation draw, no pair draws, then bandwidth, delay,
-    # jitter and loss, so the loss takes draw 5. From 2^64 - 1024 up a draw
-    # reads exactly 1.0, and lo + 1.0 * (hi - lo) rounds up to 1.0 here
-    seed = seed_drawing(draw, 5)
-    params = GenParams(loss_range=(0.381887309488307, _LOSS_MAX))
+@pytest.mark.parametrize("lo, rejected", [(0.0, False), (0.3, True),
+                                          (0.381887309488307, True), (0.5, False)])
+def test_generation_rejects_a_loss_rounded_up_to_1(lo, rejected):
+    # from 2^64 - 1024 up a draw reads exactly 1.0, and the loss is then
+    # lo + (hi - lo): for lo 0.3 and 0.381887309488307 that rounds up to
+    # 1.0, so GenParams refuses the range before any seed draws it. Two
+    # nodes take one permutation draw, no pair draws, then bandwidth,
+    # delay, jitter and loss, so the loss takes draw 5
     if rejected:
         with pytest.raises(ValueError, match=r"loss must lie in \[0, 1\), got 1\.0"):
-            generate_topology(2, params, seed)
-    else:
+            GenParams(loss_range=(lo, _LOSS_MAX))
+        return
+    params = GenParams(loss_range=(lo, _LOSS_MAX))
+    for draw in (2**64 - 1, 2**64 - 1024):
+        seed = seed_drawing(draw, 5)
         assert generate_topology(2, params, seed).links[0].loss < 1.0
         _assert_same_generation(2, params, seed)
 
@@ -591,6 +609,95 @@ def test_parse_bounds_link_lines_before_converting():
         parse_topology(text)
     assert len(parse_topology("n=3\n0 1 1.0 1.0 0.0 0.0\n0 2 1.0 1.0 0.0 0.0\n"
                               "1 2 1.0 1.0 0.0 0.0\n").links) == 3
+
+
+_ODD_FIELDS = ("nan", "inf", "-inf", "1e309", "-0.0", "0x1", "-1", "-3")
+
+
+@st.composite
+def mutated_topology_texts(draw):
+    """A formatted generated topology of up to 12 nodes, or of 80 at
+    edge_prob 0.5, whose 1500-odd link lines span two chunks of the parse,
+    its link lines mutated up to three times: ids swapped, a field set to
+    one no valid link has or to an odd spelling of one, a field dropped or
+    added, or a line duplicated."""
+    n, edge_prob = draw(st.one_of(st.tuples(st.integers(1, 12), st.floats(0.0, 1.0)),
+                                  st.just((80, 0.5))))
+    params = GenParams(edge_prob=edge_prob)
+    lines = format_topology(generate_topology(n, params, draw(SEEDS))).splitlines()
+    for _ in range(draw(st.integers(0, 3)) if len(lines) > 1 else 0):
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split()
+        kind = draw(st.sampled_from(("swap", "set", "drop", "add", "repeat")))
+        if kind == "swap":
+            fields[0], fields[1] = fields[1], fields[0]
+        elif kind == "set":
+            k = draw(st.integers(0, len(fields) - 1))
+            fields[k] = draw(st.sampled_from(_ODD_FIELDS))
+        elif kind == "drop":
+            del fields[draw(st.integers(0, len(fields) - 1))]
+        elif kind == "add":
+            fields.insert(draw(st.integers(0, len(fields))), "1.0")
+        else:
+            lines.insert(i, lines[i])
+        if kind != "repeat":
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def random_topology_texts(draw):
+    """An `n=` line and up to 8 lines of up to 7 fields, each a small id, an
+    attribute or an odd field."""
+    field = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(
+        ("0.0", "0.5", "1.0", "10.0", "2", "x", "") + _ODD_FIELDS))
+    lines = draw(st.lists(st.lists(field, max_size=7).map(" ".join), max_size=8))
+    return "\n".join([f"n={draw(st.integers(0, 6))}", *lines])
+
+
+def _assert_parses_as_reference(text):
+    # the column checks and the unchecked links they allow must accept
+    # exactly the texts the per-line checked constructor accepts, and
+    # build the same links, each float as it was read (repr)
+    try:
+        expected = reference_parse(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_topology(text)
+        return
+    t = parse_topology(text)
+    assert t == expected
+    assert format_topology(t) == format_topology(expected)
+
+
+@given(st.one_of(mutated_topology_texts(), random_topology_texts(), st.text()))
+def test_parse_equals_the_per_line_reference(text):
+    _assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize("text", ["n=1\n", "n=5\n"])
+def test_parse_equals_the_per_line_reference_with_no_links(text):
+    _assert_parses_as_reference(text)
+
+
+# 1654 link lines, over two chunks of the parse; (78, 79) is the last
+_TWO_CHUNKS = format_topology(generate_topology(80, GenParams(edge_prob=0.5), 0))
+
+
+@pytest.mark.parametrize("head, a, b", [
+    ("n=3\n0 1 1.0 1.0 0.0 0.0\n", 0, 2),
+    (_TWO_CHUNKS[:_TWO_CHUNKS.index("\n78 79 ") + 1], 78, 79),
+], ids=["after a valid row", "last row of the second chunk"])
+@pytest.mark.parametrize("row", [
+    # each bad value a column's min and max can both pass, or only one
+    # of them catches, and a reversed pair, which is swapped
+    "-1 {b} 1.0 1.0 0.0 0.0", "{a} {b} 1.0 1.0 nan 0.0", "{a} {b} nan 1.0 0.0 0.0",
+    "{a} {b} 1.0 inf 0.0 0.0", "{a} {b} 1.0 1.0 0.0 1e309", "{a} {b} 1.0 1.0 0.0 1.0",
+    "{a} {b} 0.0 1.0 0.0 0.0", "{a} {b} 1.0 -0.5 0.0 0.0", "{a} {b} 1.0 -0.0 0.0 0.0",
+    "{b} {a} 1.0 1.0 0.0 0.0", "{b} {b} 1.0 1.0 0.0 0.0", "{a} {b} 1.0 1.0 0.0",
+])
+def test_parse_equals_the_per_line_reference_on_each_column_check(head, a, b, row):
+    _assert_parses_as_reference(head + row.format(a=a, b=b) + "\n")
 
 
 @given(st.one_of(drawn_topologies(), cut_topologies()))
