@@ -24,7 +24,7 @@ from .experiment import (
     report_to_json,
     run_comparison,
 )
-from .fitness import RouteRequest, Weights, select_route
+from .fitness import DEFAULT_WEIGHTS, Weights, route
 from .topology import (
     GenParams,
     QosLink,
@@ -206,8 +206,12 @@ def _cmd_demo(args) -> int:
     a, b = _parse_node_pair(args.fail)
     trace = fail_link_and_trace(t, a, b, args.probe, args.dest,
                                 infinity_metric=args.infinity)
-    outcome = select_route(trace.topology,
-                           RouteRequest(args.probe, args.dest, 0.0))
+    # one request at demand 0: a gate over every link costs one pass over
+    # the links, far less than the bandwidth index select_route bisects;
+    # the trace has checked the probe and dest
+    failed = trace.topology
+    outcome = route(failed, args.probe, DEFAULT_WEIGHTS, failed.gate(0.0),
+                    args.dest)
     text = (format_trace(trace)
             + f"# fitness estimation after the failure: {outcome.status}\n")
     _emit(text, args.out)

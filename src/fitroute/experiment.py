@@ -29,9 +29,8 @@ from .fitness import (
     RouteOutcome,
     Unreachable,
     Weights,
-    build_spanning_tree,
     check_weights,
-    classify_outcome,
+    route,
 )
 from .topology import (
     DEFAULT_GEN_PARAMS,
@@ -51,6 +50,7 @@ from .topology import (
     topology_fingerprint,
 )
 # unused here; kept importable because the benchmark's tracer wraps these names
+from .fitness import build_spanning_tree, classify_outcome  # noqa: F401
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
 # the most random queries one run draws: every query is a report row, so an
@@ -191,14 +191,17 @@ def run_comparison(cfg: ExperimentConfig,
     (draw_stream) both read that stream a batch of packed lanes at a time,
     equal to one next_u64 call per draw. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
-    each row as select_route does, with one search from its source over the
-    links that carry the demand for its destination's min-hop paths, every
-    search reading one gate built for cfg.demand (Topology.gate) and the
-    hop layers the searches before it grew from its endpoints (Gate.layers),
-    each node's dropped after the last row that names it; classify_outcome
-    tells refusals from unreachable rows by the topology's memoised
-    connectivity labels. The summary's violation list is filled by
-    verify_claims and is empty unless an engine misbehaved.
+    each row as select_route does, through fitness.route: one search from
+    its source over the links that carry the demand for its destination's
+    min-hop paths, with no tree built. Every search reads one gate built
+    for cfg.demand (Topology.gate) and the hop layers the searches before
+    it grew from its endpoints (Gate.layers), each node's dropped after the
+    last row that names it; route tells refusals from unreachable rows by
+    the topology's memoised connectivity labels. cfg has checked the
+    queries, the demand and the weights, and a replayed topology must have
+    cfg.n nodes, so the rows are routed unchecked. The summary's violation
+    list is filled by verify_claims and is empty unless an engine
+    misbehaved.
     """
     if topology is None:
         topology = generate_topology_rng(cfg.n, cfg.gen, SplitMix64(cfg.seed))
@@ -220,13 +223,13 @@ def run_comparison(cfg: ExperimentConfig,
     last = {}  # per node: the last row that names it
     for i, (src, dst) in enumerate(queries):
         last[src] = last[dst] = i
+    weights = cfg.weights
     rows = []
     for i, (src, dst) in enumerate(queries):
         dv_path = dv_engine.extract_path(state, src, dst)
-        ff = classify_outcome(
-            t, build_spanning_tree(t, src, cfg.weights, gate, dst))
         rows.append(ComparisonRow(
-            src, dst, None if dv_path is None else tuple(dv_path), ff))
+            src, dst, None if dv_path is None else tuple(dv_path),
+            route(t, src, weights, gate, dst)))
         for v in (src, dst):  # no later row reads v's layers
             if last[v] == i:
                 gate.layers.pop(v, None)

@@ -14,7 +14,11 @@ costed when a node weighs it as a predecessor link, so a search costs only
 the links between the layers of its route.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a tree, which makes routing loops structurally
-impossible. Every route, of one request or of a compare row, comes from one
+impossible. A route needs only its destination's cost and parent chain, so
+`route` reads them straight off the search (a request through select_route,
+a compare row directly) and builds no tree; build_spanning_tree is the
+checked tree API over the same search, for the tests and for inspection.
+Every route, of one request or of a compare row, comes from one
 search: it is built for one destination and costs only the nodes on that
 destination's min-hop gated paths, found by bitset hop layers (bitmap
 frontiers, Beamer, Asanovic & Patterson, SC 2012) stepped from both the root
@@ -43,7 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import Gate, QosLink, Topology, check_demand, check_node, is_int, is_number
+from .topology import (Gate, IndexedMasks, QosLink, Topology, check_demand, check_node,
+                       is_int, is_number)
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
 
@@ -187,20 +192,14 @@ def _reach(masks, bits: int) -> int:
     return reach
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
-                        dst: int) -> SpanningTree:
-    """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
-    hop layer at a time.
-
-    Only the links of `gate` are crossed: gate.masks[v] is v's neighbour
-    bitset over the links with bandwidth >= the demand, as t.gate(demand)
-    or t.indexed_gate(demand) gives it, which check the demand (demand 0
-    crosses every link, as on a topology pruned beforehand). Hops compare
-    first, so a node's hop count is its breadth-first layer: a node first
-    reached from layer k joins layer k+1 under the neighbour u in layer k
-    with the smallest (cost_u + edge_cost, u), ties thus going to the
-    smaller id. root and dst must pass check_node and w check_weights, else
-    ValueError.
+def _search(t: Topology, root: int, w: Weights, gate: Gate,
+            dst: int) -> tuple[list[int], dict[int, float], dict[int, int]]:
+    """The search that build_spanning_tree and route share, unchecked: root
+    and dst must be node ids of t, w a Weights and gate a Gate of t's.
+    Returns (kept, cost, parent): kept[h] is the bitset of the labelled
+    nodes h hops from root, cost maps each labelled node to its path cost
+    and parent each but root to its predecessor, both in label order (hop
+    layer by hop layer, ids ascending). A refusal labels the root alone.
 
     Meet: bitset hop layers step from root and from dst, one layer a step
     (bidirectional search, Pohl 1971, over bitmap frontiers, Beamer et al.
@@ -224,13 +223,11 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
     Cost: layer by layer from root, each kept node weighs all its gated
     neighbours in the kept layer before, reading each link off its
     t.adjacency map, as a search of the whole gated component would, so it
-    gets the same label and parent. Each node is labelled once and each
-    link costed at most once, so the search is bounded whatever the
-    topology.
+    gets the same label and parent. Layer 1's only such neighbour is root,
+    so its nodes take root's link with no mask read. Each node is labelled
+    once and each link costed at most once, so the search is bounded
+    whatever the topology.
     """
-    check_node(root, t.n, "root")
-    check_node(dst, t.n, "dst")
-    check_weights(w)
     masks, store = gate.masks, gate.layers
     out = store.setdefault(root, [1 << root])  # hop layers from root
     back = store.setdefault(dst, [1 << dst])  # and from dst
@@ -256,7 +253,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
                           & ~(last | layers[-2] if k > 1 else last))
         frontier = layers[k]
         if not frontier:
-            return SpanningTree(root, dst, {}, {root: (0, 0.0)}, 0)
+            return [1 << root], {root: 0.0}, {}
         meet = frontier & other
     # kept[h]: the nodes h hops from root on dst's min-hop paths, each side's
     # layers narrowed to them from meet outwards; layer 0 of either side
@@ -267,11 +264,20 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
         kept[h] &= near if h == i - 1 else _reach(masks, kept[h + 1])
     for h in range(i + 1, i + j):
         kept[h] &= near if h == i + 1 else _reach(masks, kept[h - 1])
-    label: dict[int, tuple[int, float]] = {root: (0, 0.0)}
+    cost = {root: 0.0}
     parent: dict[int, int] = {}
-    relaxations = 0
     adjacency = t.adjacency
-    for hops in range(1, len(kept)):
+    layer = kept[1] if i + j else 0
+    links = adjacency[root]
+    while layer:
+        low = layer & -layer
+        v = low.bit_length() - 1
+        layer ^= low
+        # root's cost plus the link, as for any layer: a link whose
+        # attributes are all -0.0 costs -0.0, and its route 0.0
+        cost[v] = 0.0 + edge_cost(links[v], w)
+        parent[v] = root
+    for hops in range(2, len(kept)):
         before, layer = kept[hops - 1], kept[hops]
         while layer:
             low = layer & -layer
@@ -286,29 +292,105 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
                 low = bits & -bits
                 u = low.bit_length() - 1
                 bits ^= low
-                cost = label[u][1] + edge_cost(links[u], w)
-                if best is None or cost < best:
-                    best, pred = cost, u
-                relaxations += 1
-            label[v] = (hops, best)
+                c = cost[u] + edge_cost(links[u], w)
+                if best is None or c < best:
+                    best, pred = c, u
+            cost[v] = best
             parent[v] = pred
+    return kept, cost, parent
+
+
+def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
+                        dst: int) -> SpanningTree:
+    """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
+    hop layer at a time: the checked tree over the search route runs.
+
+    Only the links of `gate` are crossed: gate.masks[v] is v's neighbour
+    bitset over the links with bandwidth >= the demand, as t.gate(demand)
+    or t.indexed_gate(demand) gives it, which check the demand (demand 0
+    crosses every link, as on a topology pruned beforehand). Hops compare
+    first, so a node's hop count is its breadth-first layer: a node first
+    reached from layer k joins layer k+1 under the neighbour u in layer k
+    with the smallest (cost_u + edge_cost, u), ties thus going to the
+    smaller id. The search (_search) meets bitset hop layers stepped from
+    root and from dst, keeps the layers of dst's min-hop paths and costs
+    them; the tree's labels pair each kept node's layer with its cost, and
+    relaxations, the gated links between consecutive kept layers, is
+    counted off those layers and the gate. root and dst must pass
+    check_node and w check_weights, else ValueError.
+    """
+    check_node(root, t.n, "root")
+    check_node(dst, t.n, "dst")
+    check_weights(w)
+    kept, cost, parent = _search(t, root, w, gate, dst)
+    masks = gate.masks
+    label: dict[int, tuple[int, float]] = {}
+    relaxations = 0
+    before = 0
+    for hops, layer in enumerate(kept):
+        nodes = layer
+        while nodes:
+            low = nodes & -nodes
+            v = low.bit_length() - 1
+            nodes ^= low
+            label[v] = (hops, cost[v])
+            relaxations += (masks[v] & before).bit_count()
+        before = layer
     return SpanningTree(root, dst, parent, label, relaxations)
+
+
+def _outcome(t: Topology, root: int, dst: int, cost: float | None,
+             parent: dict[int, int]) -> RouteOutcome:
+    """dst's outcome after a search from root that gave dst `cost` (None
+    when it left dst unlabelled) and `parent` pointers: a Route along dst's
+    parents, else a refusal when t.components puts dst in root's
+    component, else Unreachable. ValueError when the cost overflows."""
+    if cost is None:
+        reachable = t.components[root] == t.components[dst]
+        return NO_SUFFICIENT_BANDWIDTH if reachable else UNREACHABLE
+    if not math.isfinite(cost):
+        raise ValueError(
+            f"route cost {root}->{dst} overflows to {cost}: the weights times "
+            f"the delay, jitter and loss ranges of the links exceed the float range")
+    path = [dst]
+    v = dst
+    while v != root:
+        v = parent[v]
+        path.append(v)
+    path.reverse()
+    return Route(tuple(path), len(path) - 1, cost, 1 / (1 + cost))
+
+
+def route(t: Topology, root: int, w: Weights, gate: Gate,
+          dst: int) -> RouteOutcome:
+    """The outcome for dst of one search from root over `gate`, the search
+    build_spanning_tree runs, with no tree built: a Route when the gate
+    lets root reach dst, NoSufficientBandwidth when t.components puts dst
+    in root's component, and Unreachable otherwise; ValueError when the
+    route's cost overflows. Unchecked, as its callers check their inputs
+    once: root and dst must be node ids of t and w a Weights."""
+    _, cost, parent = _search(t, root, w, gate, dst)
+    return _outcome(t, root, dst, cost.get(dst), parent)
 
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search from req.src over the links that carry
-    req.demand for req.dst's min-hop paths alone (build_spanning_tree, over
-    t.indexed_gate: the demand changes from request to request), then
-    classify the outcome on that tree.
+    req.demand for req.dst's min-hop paths alone (route, over a gate whose
+    masks are read off t.bandwidth_index: the demand changes from request
+    to request).
 
     Returns a Route when the destination is reached over such links,
     NoSufficientBandwidth when t.components puts it in the source's
     component, and Unreachable otherwise. Routing failures are outcomes;
-    only bad input raises ValueError.
+    only bad input raises ValueError: RouteRequest has checked the ids,
+    the demand and the weights, so only the ids' range is checked here.
     """
-    tree = build_spanning_tree(t, req.src, req.weights,
-                               t.indexed_gate(req.demand), req.dst)
-    return classify_outcome(t, tree)
+    src, dst, n = req.src, req.dst, t.n
+    if not (0 <= src < n and 0 <= dst < n):
+        raise ValueError(
+            f"src and dst must be node ids in [0, {n}), got {src!r}, {dst!r}")
+    return route(t, src, req.weights,
+                 Gate(IndexedMasks(t.bandwidth_index, -req.demand)), dst)
 
 
 def classify_outcome(t: Topology, tree: SpanningTree) -> RouteOutcome:
@@ -318,15 +400,9 @@ def classify_outcome(t: Topology, tree: SpanningTree) -> RouteOutcome:
 
     A labelled dst yields its tree path as a Route; an unlabelled one is
     refused when t.components puts it in the root's component, else it is
-    unreachable. ValueError when the path cost overflows.
+    unreachable. ValueError when the path cost overflows. route gives the
+    same outcome with no tree.
     """
-    dst = tree.dst
-    if dst in tree.label:
-        hops, cost = tree.label[dst]
-        if not math.isfinite(cost):
-            raise ValueError(
-                f"route cost {tree.root}->{dst} overflows to {cost}: the weights times "
-                f"the delay, jitter and loss ranges of the links exceed the float range")
-        return Route(tuple(tree.path_to(dst)), hops, cost, 1 / (1 + cost))
-    reachable = t.components[tree.root] == t.components[dst]
-    return NO_SUFFICIENT_BANDWIDTH if reachable else UNREACHABLE
+    label = tree.label.get(tree.dst)
+    return _outcome(t, tree.root, tree.dst,
+                    None if label is None else label[1], tree.parent)

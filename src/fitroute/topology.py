@@ -230,9 +230,10 @@ class Topology:
     search reads a Gate, each node's neighbour bitset at one demand plus
     the hop layers the searches over it have grown from each node, which
     the searches of one gate share: `gate(demand)` builds one for a whole
-    compare run, and `indexed_gate(demand)` one for a request, whose masks
-    are read off `bandwidth_index`, which serves select_route alone. Each
-    gate starts with no layers.
+    compare run (and the demo's one request, at demand 0), and
+    `indexed_gate(demand)` one whose masks are read off `bandwidth_index`,
+    the kind select_route builds for each request; the index serves
+    select_route alone. Each gate starts with no layers.
     """
 
     n: int
@@ -315,11 +316,12 @@ class Gate:
     """The links that carry one demand, as the route search reads them.
 
     masks[v] is node v's neighbour bitset over those links: a list from
-    Topology.gate, an IndexedMasks from Topology.indexed_gate. layers[v],
-    once a search over the gate has reached from v, is [1 << v, L1, L2,
-    ...], Lk holding the nodes k gated hops from v; a last Lk of 0 means
-    v's gated component is exhausted. build_spanning_tree reads and extends
-    these lists, so the searches of one gate grow each node's layers once.
+    Topology.gate, an IndexedMasks from Topology.indexed_gate or
+    select_route. layers[v], once a search over the gate has reached from
+    v, is [1 << v, L1, L2, ...], Lk holding the nodes k gated hops from v; a
+    last Lk of 0 means v's gated component is exhausted. The search (route
+    and build_spanning_tree run the same one) reads and extends these
+    lists, so the searches of one gate grow each node's layers once.
     They depend on the masks alone, so they serve any search over the gate,
     from v or towards v. A gate starts with none."""
 
@@ -648,10 +650,12 @@ def parse_topology(text: str) -> Topology:
     column by column. One check per column follows: every a < b, min(a)
     >= 0, no NaN (valid attributes are never negative, so their sum is
     not NaN and >= 0), and the attribute minima and maxima each a valid
-    QosLink. QosLink's bounds are intervals, so these pass exactly when
-    every row makes a valid link with a < b, and _links builds them
-    unchecked. Else, or with no links, the checked constructor builds each
-    row: it swaps a reversed pair and raises the first bad row's error."""
+    QosLink. When some a < b fails, the pair columns are swapped element-
+    wise into (min, max), as QosLink swaps a reversed pair, and checked
+    once more. QosLink's bounds are intervals, so these pass exactly when
+    every row makes a valid link, and _links builds them unchecked. Else,
+    or with no links, the checked constructor builds each row and raises
+    the first bad row's error."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("topology file must start with 'n=<count>'")
@@ -675,6 +679,8 @@ def parse_topology(text: str) -> Topology:
     try:
         QosLink(0, 1, *map(min, attrs))
         QosLink(0, 1, *map(max, attrs))
+        if not all(map(lt, a, b)):  # a reversed pair: swap every pair once
+            a, b = list(map(min, a, b)), list(map(max, a, b))
         valid = all(map(lt, a, b)) and min(a) >= 0 and sum(map(sum, attrs)) >= 0
     except ValueError:  # min() of no links raises too
         valid = False

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from fitroute import RouteRequest, select_route
 from fitroute.topology import format_topology, generate_topology, parse_topology
 from fitroute.cli import run_cli
+from fitroute.dv import fail_link_and_trace
 from fitroute.experiment import PLOT_HEADER
 
 
@@ -460,6 +462,37 @@ def test_demo_custom_topology(tmp_path, capsys):
                        "--probe", "0", "--dest", str(t.n - 1))
     assert code == 0
     assert out.startswith("round,metric\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--probe", "1"],
+    ["--topology", "GENERATED", "--fail", "FIRST", "--probe", "0", "--dest", "39"],
+])
+def test_demo_verdict_reads_no_bandwidth_index(tmp_path, capsys, monkeypatch, argv):
+    # the demo routes one demand-0 request over a gate of every link; the
+    # bandwidth index select_route bisects is never built, and the verdict
+    # is select_route's on the failed topology
+    path = tmp_path / "topo.txt"
+    run(capsys, "gen-topology", "--nodes", "40", "--seed", "3", "--out", str(path))
+    first = parse_topology(path.read_text()).links[0]
+    argv = [{"GENERATED": str(path), "FIRST": f"{first.a}:{first.b}"}.get(arg, arg)
+            for arg in argv]
+    traces = []
+
+    def keeping(t, a, b, probe, dest, **kwargs):
+        traces.append((fail_link_and_trace(t, a, b, probe, dest, **kwargs),
+                       probe, dest))
+        return traces[-1][0]
+
+    monkeypatch.setattr("fitroute.cli.fail_link_and_trace", keeping)
+    code, out, _ = run(capsys, "demo-count-to-infinity", *argv)
+    [(trace, probe, dest)] = traces
+    failed = trace.topology
+    assert code == 0 and "bandwidth_index" not in vars(failed)
+    expected = select_route(failed, RouteRequest(probe, dest, 0.0))
+    assert out.splitlines()[-1] == (
+        f"# fitness estimation after the failure: {expected.status}")
 
 
 # --- the whole grammar ---

@@ -199,7 +199,7 @@ def test_compare_drops_each_node_layers_after_its_last_row(monkeypatch):
     # earlier row and row i or a later one name, and none once every row
     # is routed
     gates, stored = [], []
-    build_gate, search = Topology.gate, experiment.build_spanning_tree
+    build_gate, search = Topology.gate, experiment.route
 
     def capture(self, demand):
         gates.append(build_gate(self, demand))
@@ -210,7 +210,7 @@ def test_compare_drops_each_node_layers_after_its_last_row(monkeypatch):
         return search(t, root, w, gate, dst)
 
     monkeypatch.setattr(Topology, "gate", capture)
-    monkeypatch.setattr(experiment, "build_spanning_tree", recording)
+    monkeypatch.setattr(experiment, "route", recording)
     cfg = ExperimentConfig(n=40, seed=3, gen=GenParams(edge_prob=0.05),
                            query_count=200, demand=50.0)
     report = run_comparison(cfg)

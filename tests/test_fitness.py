@@ -21,6 +21,7 @@ from fitroute.fitness import (
     build_spanning_tree,
     classify_outcome,
     edge_cost,
+    route,
 )
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
@@ -690,6 +691,54 @@ def test_searches_over_a_shared_gate_equal_searches_over_fresh_ones(data):
         assert tree == fresh
         full = full_gated_tree(t, src, w, demand)
         assert classify_outcome(t, tree) == full_tree_outcome(t, full, dst)
+
+
+@given(st.data())
+def test_route_equals_the_outcome_of_the_checked_tree(data):
+    # route runs the search build_spanning_tree wraps and reads dst's
+    # outcome off it with no tree: over either kind of gate, fresh or warmed
+    # by earlier searches, at every step of the gate (demand 0 and above
+    # every bandwidth among them), for src == dst, on split graphs and on
+    # grids whose min-hop paths tie; repr compares each cost's sign too
+    t = data.draw(st.one_of(drawn_topologies(), cut_topologies(),
+                            grid_topologies(), sparse_topologies()))
+    demand = data.draw(st.sampled_from(boundary_demands(t)))
+    w = data.draw(st.sampled_from(WEIGHT_CHOICES))
+    gate_of = data.draw(st.sampled_from((t.gate, t.indexed_gate)))
+    nodes = st.integers(0, t.n - 1)
+    warm = gate_of(demand)
+    for s, d in data.draw(st.lists(st.tuples(nodes, nodes), max_size=6)):
+        route(t, s, w, warm, d)
+    src = data.draw(nodes)
+    dst = data.draw(st.one_of(st.just(src), nodes))
+    expected = classify_outcome(
+        t, build_spanning_tree(t, src, w, gate_of(demand), dst))
+    for gate in (gate_of(demand), warm):
+        assert repr(route(t, src, w, gate, dst)) == repr(expected)
+    assert classify_outcome(t, build_spanning_tree(t, src, w, warm, dst)) == expected
+
+
+def test_route_and_the_tree_share_the_overflow_check():
+    # each link costs a finite 1e308; two of them sum past the float range
+    t = Topology(3, (QosLink(0, 1, 10.0, 1e308, 0.0, 0.0),
+                     QosLink(1, 2, 10.0, 1e308, 0.0, 0.0)))
+    for gate_of in (t.gate, t.indexed_gate):
+        assert route(t, 0, UNIT, gate_of(5.0), 1).cost == 1e308
+        with pytest.raises(ValueError, match="route cost 0->2 overflows to inf"):
+            route(t, 0, UNIT, gate_of(5.0), 2)
+        with pytest.raises(ValueError, match="route cost 0->2 overflows to inf"):
+            classify_outcome(t, build_spanning_tree(t, 0, UNIT, gate_of(5.0), 2))
+
+
+def test_a_link_of_negative_zeros_costs_a_route_of_zero():
+    # every attribute -0.0 gives an edge cost of -0.0; a route adds it to
+    # the root's 0.0, at the first hop as at any other
+    t = Topology(3, (QosLink(0, 1, 10.0, -0.0, -0.0, -0.0),
+                     QosLink(1, 2, 10.0, -0.0, -0.0, -0.0)))
+    assert repr(edge_cost(t.links[0], UNIT)) == "-0.0"
+    for dst in (1, 2):
+        out = route(t, 0, UNIT, t.gate(0.0), dst)
+        assert repr(out.cost) == "0.0" and out.hops == dst
 
 
 def test_a_repeated_search_over_a_warm_gate_grows_no_layer():

@@ -700,6 +700,32 @@ def test_parse_equals_the_per_line_reference_on_each_column_check(head, a, b, ro
     _assert_parses_as_reference(head + row.format(a=a, b=b) + "\n")
 
 
+@pytest.mark.parametrize("reversed_lines", [[1], [1, 900, -1]],
+                         ids=["first line", "in both chunks"])
+def test_parse_swaps_reversed_pairs_without_checking_each_line(monkeypatch,
+                                                               reversed_lines):
+    # the pair columns are swapped into (min, max) and checked once more, so
+    # only the two checks of the attribute minima and maxima build a
+    # checked QosLink, and the file parses as its canonical form does
+    lines = _TWO_CHUNKS.splitlines()
+    for i in reversed_lines:
+        a, b, *attrs = lines[i].split()
+        lines[i] = " ".join([b, a, *attrs])
+    text = "\n".join(lines) + "\n"
+    canonical = parse_topology(_TWO_CHUNKS)
+    checks = []
+    post_init = QosLink.__post_init__
+
+    def counting(link):
+        checks.append(link)
+        post_init(link)
+
+    monkeypatch.setattr(QosLink, "__post_init__", counting)
+    t = parse_topology(text)
+    assert len(checks) == 2
+    assert t == canonical and format_topology(t) == _TWO_CHUNKS
+
+
 @given(st.one_of(drawn_topologies(), cut_topologies()))
 def test_format_is_exact_and_fingerprint_is_its_blake2b(t):
     text = format_topology(t)
