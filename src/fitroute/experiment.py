@@ -271,26 +271,26 @@ def _walk(path: tuple[int, ...], t: Topology, src: int, dst: int,
     elif len(set(path)) != len(path):
         reason = f"{_path_text(path)} repeats a node"
     short = []
-    adjacency = t.adjacency  # ids passed is_node: link_between would recheck
+    adjacency, bandwidth = t.adjacency, t.bandwidth  # ids passed is_node
     for u, v in zip(path, path[1:]):
-        link = adjacency[u].get(v)
-        if link is None:
+        k = adjacency[u].get(v)
+        if k is None:
             reason = reason or f"step {u}-{v} is not a link"
             short.append((u, v, None))
-        elif link.bandwidth < demand:
-            short.append((u, v, link.bandwidth))
+        elif bandwidth[k] < demand:
+            short.append((u, v, bandwidth[k]))
     return reason, short
 
 
 def _neighbours(t: Topology, demand: float) -> list[list[int]]:
     """Each node's neighbours over the links of t that carry demand, built in
-    one pass over t.links. Every link has bandwidth > 0, so demand 0 keeps
-    the full graph."""
+    one pass over t's a, b and bandwidth columns. Every link has bandwidth
+    > 0, so demand 0 keeps the full graph."""
     nbrs: list[list[int]] = [[] for _ in range(t.n)]
-    for link in t.links:
-        if link.bandwidth >= demand:
-            nbrs[link.a].append(link.b)
-            nbrs[link.b].append(link.a)
+    for a, b, bandwidth in zip(t.a, t.b, t.bandwidth):
+        if bandwidth >= demand:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
     return nbrs
 
 
@@ -364,7 +364,7 @@ def verify_claims(report: ComparisonReport, t: Topology) -> tuple[Violation, ...
 
     A row whose src or dst is not a node id of t (is_node) is flagged
     (simple_path) and checked no further. Every other row gets one expected
-    outcome from the oracle's own code, which reads only t.links: one
+    outcome from the oracle's own code, which reads only t's link columns: one
     multi-source BFS (_pair_hops) advances every queried source in
     lockstep over the links that carry the demand, each until it has
     reached every dst it queries in its component. `route` when it reaches

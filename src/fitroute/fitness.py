@@ -5,13 +5,13 @@ link that cannot carry the requested demand, which is what gives the engine
 its bandwidth guarantee. The search reads that gate as one neighbour bitset
 per node, gate.masks[v] (v's neighbours over the links that carry the
 demand), so no pruned topology is built: a compare builds one gate per run
-(Topology.gate), a request reads its masks off the topology's bandwidth index
-(Topology.indexed_gate). The remaining QoS attributes (delay, jitter, loss)
-are folded into an additive edge cost, and paths minimise the lexicographic
-label (hops, cost). The search expands one hop layer at a time, each newly
-reached node taking its cheapest predecessor in the layer before; a link is
-costed when a node weighs it as a predecessor link, so a search costs only
-the links between the layers of its route.
+(Topology.gate), and select_route builds a request's gate over the
+topology's bandwidth index (IndexedMasks). The remaining QoS attributes
+(delay, jitter, loss) are folded into an additive edge cost, and paths
+minimise the lexicographic label (hops, cost). The search expands one hop
+layer at a time, each newly reached node taking its cheapest predecessor in
+the layer before; a link is costed when a node weighs it as a predecessor
+link, so a search costs only the links between the layers of its route.
 Every node is labelled once, so the search ends after at most n labels, and
 its predecessor pointers form a tree, which makes routing loops structurally
 impossible. A route needs only its destination's cost and parent chain, so
@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import (Gate, IndexedMasks, QosLink, Topology, check_demand, check_node,
+from .topology import (Gate, IndexedMasks, Topology, check_demand, check_node,
                        is_int, is_number)
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
@@ -136,16 +136,16 @@ NO_SUFFICIENT_BANDWIDTH = NoSufficientBandwidth()
 UNREACHABLE = Unreachable()
 
 
-def edge_cost(link: QosLink, w: Weights) -> float:
-    """w.delay*delay + w.jitter*jitter + w.loss*(-ln(1-loss)).
+def edge_cost(delay: float, jitter: float, loss: float, w: Weights) -> float:
+    """w.delay*delay + w.jitter*jitter + w.loss*(-ln(1-loss)), a link's cost.
 
     Bandwidth is deliberately absent: it gates which links a search may
     cross, never traded off against the other attributes. QosLink keeps loss
     below 1. The search calls it once per predecessor link it weighs.
     """
-    return (w.delay * link.delay
-            + w.jitter * link.jitter
-            + w.loss * -math.log1p(-link.loss))
+    return (w.delay * delay
+            + w.jitter * jitter
+            + w.loss * -math.log1p(-loss))
 
 
 @dataclass(frozen=True)
@@ -221,12 +221,12 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
     min-hop paths, whichever i and j the sides met at.
 
     Cost: layer by layer from root, each kept node weighs all its gated
-    neighbours in the kept layer before, reading each link off its
-    t.adjacency map, as a search of the whole gated component would, so it
-    gets the same label and parent. Layer 1's only such neighbour is root,
-    so its nodes take root's link with no mask read. Each node is labelled
-    once and each link costed at most once, so the search is bounded
-    whatever the topology.
+    neighbours in the kept layer before, reading each link's index off its
+    t.adjacency map and its attributes off t's columns, as a search of the
+    whole gated component would, so it gets the same label and parent.
+    Layer 1's only such neighbour is root, so its nodes take root's link
+    with no mask read. Each node is labelled once and each link costed at
+    most once, so the search is bounded whatever the topology.
     """
     masks, store = gate.masks, gate.layers
     out = store.setdefault(root, [1 << root])  # hop layers from root
@@ -266,7 +266,7 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
         kept[h] &= near if h == i + 1 else _reach(masks, kept[h - 1])
     cost = {root: 0.0}
     parent: dict[int, int] = {}
-    adjacency = t.adjacency
+    adjacency, delay, jitter, loss = t.adjacency, t.delay, t.jitter, t.loss
     layer = kept[1] if i + j else 0
     links = adjacency[root]
     while layer:
@@ -275,7 +275,8 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
         layer ^= low
         # root's cost plus the link, as for any layer: a link whose
         # attributes are all -0.0 costs -0.0, and its route 0.0
-        cost[v] = 0.0 + edge_cost(links[v], w)
+        k = links[v]
+        cost[v] = 0.0 + edge_cost(delay[k], jitter[k], loss[k], w)
         parent[v] = root
     for hops in range(2, len(kept)):
         before, layer = kept[hops - 1], kept[hops]
@@ -292,7 +293,8 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
                 low = bits & -bits
                 u = low.bit_length() - 1
                 bits ^= low
-                c = cost[u] + edge_cost(links[u], w)
+                k = links[u]
+                c = cost[u] + edge_cost(delay[k], jitter[k], loss[k], w)
                 if best is None or c < best:
                     best, pred = c, u
             cost[v] = best

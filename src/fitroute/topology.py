@@ -15,11 +15,11 @@ import sys
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from numbers import Real
-from operator import attrgetter, lt, or_
+from operator import add, attrgetter, ge, lt, mul, or_
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's state increment
@@ -132,7 +132,7 @@ class QosLink:
     attribute. Each bound is an interval, so a link whose attributes lie
     between two valid links' passes: GenParams checks its ranges' ends
     through this constructor, and parse_topology its columns' minima and
-    maxima, and both then build their links unchecked (_links)."""
+    maxima, and both then store their columns unchecked."""
 
     a: int
     b: int
@@ -170,6 +170,9 @@ class QosLink:
     @property
     def pair(self) -> tuple[int, int]:
         return (self.a, self.b)
+
+
+_columns = attrgetter(*QosLink.__slots__)  # a Topology's six link columns
 
 
 @dataclass(frozen=True)
@@ -216,55 +219,69 @@ class GenParams:
             QosLink(0, 1, *ends)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Topology:
     """Immutable undirected graph: node count (check_node_count) plus QoS
     links, a tuple or list of QosLinks (no subclass), else ValueError.
 
-    Links are stored sorted by (a, b). `adjacency[x]` maps node x's
-    neighbour ids, ascending, to the links joining them, built once and
-    shared by every traversal and link lookup: x gets its neighbours a < x
-    from the links (a, x), then b > x from the links (x, b). `components`
-    (which tells a refusal from an unreachable verdict) and `bandwidth_index`
-    are memoised on first read, outside the compared fields. The route
-    search reads a Gate, each node's neighbour bitset at one demand plus
-    the hop layers the searches over it have grown from each node, which
-    the searches of one gate share: `gate(demand)` builds one for a whole
-    compare run (and the demo's one request, at demand 0), and
-    `indexed_gate(demand)` one whose masks are read off `bandwidth_index`,
-    the kind select_route builds for each request; the index serves
-    select_route alone. Each gate starts with no layers.
+    The links are stored as six columns in QosLink's field order, sorted by
+    (a, b): link k is (a[k], b[k], bandwidth[k], ...). Equality and hash
+    compare n and the columns. `adjacency[x]` maps node x's neighbour ids,
+    ascending, to the index of the link joining them: x gets its neighbours
+    a < x from the links (a, x), then b > x from the links (x, b). `links`,
+    `components` and `bandwidth_index` are memoised on first read, outside
+    the compared fields. The route search reads a Gate (gate, indexed_gate).
     """
 
     n: int
-    links: tuple[QosLink, ...]
-    adjacency: tuple[dict[int, QosLink], ...] = field(init=False, repr=False,
-                                                      compare=False)
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    bandwidth: tuple[float, ...]
+    delay: tuple[float, ...]
+    jitter: tuple[float, ...]
+    loss: tuple[float, ...]
 
-    def __post_init__(self):
-        check_node_count(self.n)
-        links = self.links
-        # one C-level pass over the types: every generated topology passes here
+    def __init__(self, n: int, links: tuple[QosLink, ...] | list[QosLink]):
+        check_node_count(n)
         if not (isinstance(links, (tuple, list))
                 and set(map(type, links)) <= {QosLink}):
-            raise ValueError(
-                f"links must be a tuple or list of QosLinks, got {links!r}")
-        links = tuple(sorted(links, key=attrgetter("a", "b")))
-        object.__setattr__(self, "links", links)
-        adj: list[dict[int, QosLink]] = [{} for _ in range(self.n)]
-        for link in links:
-            if link.b >= self.n:
-                raise ValueError(f"link {link.pair} endpoint outside [0, {self.n})")
-            if link.b in adj[link.a]:
-                raise ValueError(f"duplicate link {link.pair}")
-            adj[link.a][link.b] = link
-            adj[link.b][link.a] = link
-        object.__setattr__(self, "adjacency", tuple(adj))
+            raise ValueError(f"links must be a tuple or list of QosLinks, got {links!r}")
+        columns = (list(map(attrgetter(name), links)) for name in QosLink.__slots__)
+        vars(self).update(vars(Topology._from_columns(n, *columns)))
+
+    @classmethod
+    def _from_columns(cls, n: int, a: list, b: list, *attrs: list) -> Topology:
+        """The one store builder: the topology over six columns whose rows
+        make valid QosLinks, sorted by the rank a * n + b unless in order
+        already. ValueError for a b outside [0, n) or a pair twice."""
+        if b and max(b) >= n:
+            pair = min(p for p in zip(a, b) if p[1] >= n)
+            raise ValueError(f"link {pair} endpoint outside [0, {n})")
+        ranks = list(map(add, map(mul, a, repeat(n)), b))
+        if not all(map(lt, ranks, ranks[1:])):  # out of order, or a pair twice
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)
+            a, b, *attrs = ([column[k] for k in order] for column in (a, b, *attrs))
+            for pair, after in pairwise(zip(a, b)):
+                if pair == after:
+                    raise ValueError(f"duplicate link {pair}")
+        adj: list[dict[int, int]] = [{} for _ in range(n)]
+        for k, (x, y) in enumerate(zip(a, b)):
+            adj[x][y] = adj[y][x] = k
+        t = cls.__new__(cls)
+        vars(t).update(zip(("n", *QosLink.__slots__, "adjacency"),
+                           (n, *map(tuple, (a, b, *attrs, adj)))))
+        return t
+
+    @cached_property
+    def links(self) -> tuple[QosLink, ...]:
+        """The QosLinks, built checked on first read; no search reads them."""
+        return tuple(map(QosLink, *_columns(self)))
 
     def link_between(self, a: int, b: int) -> QosLink | None:
         """The link {a, b}, or None, also when a or b fails is_node."""
         n = self.n
-        return self.adjacency[a].get(b) if is_node(a, n) and is_node(b, n) else None
+        k = self.adjacency[a].get(b) if is_node(a, n) and is_node(b, n) else None
+        return None if k is None else self.links[k]
 
     @cached_property
     def components(self) -> tuple[int, ...]:
@@ -283,7 +300,8 @@ class Topology:
         b for neighbour b) of its first i links, so masks[bisect_right(keys,
         -demand)] holds its neighbours over links with bandwidth >= demand,
         which is what indexed_gate reads."""
-        rows = (sorted((-link.bandwidth, 1 << b) for b, link in links.items())
+        bandwidth = self.bandwidth
+        rows = (sorted((-bandwidth[k], 1 << b) for b, k in links.items())
                 for links in self.adjacency)
         return tuple((tuple(key for key, _ in row),
                       tuple(accumulate((bit for _, bit in row), or_, initial=0)))
@@ -297,9 +315,8 @@ class Topology:
         one gate per run, whose searches share the hop layers they grow."""
         demand = check_demand(demand)
         masks = [0] * self.n
-        for link in self.links:
-            if link.bandwidth >= demand:
-                a, b = link.a, link.b
+        for a, b, bandwidth in zip(self.a, self.b, self.bandwidth):
+            if bandwidth >= demand:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
         return Gate(masks)
@@ -464,22 +481,6 @@ def _link_threshold(edge_prob: float) -> int:
     return lo
 
 
-_LINK_SLOTS = tuple(getattr(QosLink, name).__set__ for name in QosLink.__slots__)
-
-
-def _links(a, b, *attrs) -> tuple[QosLink, ...]:
-    """QosLink(*fields) for each row of the six columns a, b, bandwidth,
-    delay, jitter and loss (a and b may be iterators), built by setting the
-    slots column by column, with none of QosLink.__post_init__'s checks.
-    So a caller passes only rows it has proved valid: a < b ints and float
-    attributes within QosLink's bounds. Generation proves them in
-    GenParams, replay with one check per column (parse_topology)."""
-    links = tuple(map(object.__new__, repeat(QosLink, len(attrs[0]))))
-    for set_slot, column in zip(_LINK_SLOTS, (a, b, *attrs)):
-        deque(map(set_slot, links, column), maxlen=0)
-    return links
-
-
 def _linked_rows(perm: list[int], flags: bytes) -> list[list[int]]:
     """Steps 2 and 3 of generate_topology_rng: rows[a] holds the b > a
     linked to a, ascending, the chain's links through perm and the drawn
@@ -551,8 +552,8 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
     packed lanes (_link_flags), one flag byte per pair, and runs row by
     row, a ascending, so links come out sorted (_linked_rows). Step 4
     keeps the float arithmetic above, operation for operation, one
-    attribute column at a time (_attribute_columns), and the links are
-    built from the columns unchecked (_links).
+    attribute column at a time (_attribute_columns), and the columns are
+    stored unchecked (Topology._from_columns).
     """
     check_node_count(n)
     check_gen_params(params, "params")
@@ -564,17 +565,15 @@ def generate_topology_rng(n: int, params: GenParams, rng: SplitMix64) -> Topolog
 
     rows = _linked_rows(perm, _link_flags(rng, (n - 1) * (n - 2) // 2,
                                           _link_threshold(params.edge_prob)))
-    links = _links(
-        chain.from_iterable(map(repeat, range(n), map(len, rows))),
-        chain.from_iterable(rows),
-        *_attribute_columns(rng, sum(map(len, rows)), params))
-    return Topology(n, links)
+    a = list(chain.from_iterable(map(repeat, range(n), map(len, rows))))
+    return Topology._from_columns(n, a, list(chain.from_iterable(rows)),
+                                  *_attribute_columns(rng, len(a), params))
 
 
 def generation_draws(t: Topology) -> int:
     """The draws generate_topology_rng takes to generate t: n(n-1)/2 for
     the permutation and the pairs, then 4 per link."""
-    return t.n * (t.n - 1) // 2 + 4 * len(t.links)
+    return t.n * (t.n - 1) // 2 + 4 * len(t.a)
 
 
 def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
@@ -588,16 +587,19 @@ def generate_topology(n: int, params: GenParams = DEFAULT_GEN_PARAMS,
 def feasible_subgraph(t: Topology, demand: float) -> Topology:
     """Topology restricted to links with bandwidth >= demand (check_demand)."""
     demand = check_demand(demand)
-    return Topology(t.n, tuple(l for l in t.links if l.bandwidth >= demand))
+    keep = list(map(ge, t.bandwidth, repeat(demand)))
+    return Topology._from_columns(t.n, *(list(compress(column, keep))
+                                         for column in _columns(t)))
 
 
 def remove_link(t: Topology, a: int, b: int) -> Topology:
     """Copy of `t` without the link {a, b}. A missing link, or a or b not a
     node id (is_node), is an error."""
-    gone = t.link_between(a, b)
-    if gone is None:
+    k = t.adjacency[a].get(b) if is_node(a, t.n) and is_node(b, t.n) else None
+    if k is None:
         raise ValueError(f"{a}:{b} is not a link of the topology")
-    return Topology(t.n, tuple(l for l in t.links if l is not gone))
+    return Topology._from_columns(t.n, *(column[:k] + column[k + 1:]
+                                         for column in _columns(t)))
 
 
 def bfs_hops(t: Topology, src: int) -> dict[int, int]:
@@ -626,11 +628,9 @@ def format_topology(t: Topology) -> str:
     topologies have one text. This is the replay/debug file format and the
     fingerprint input.
     """
-    lines = [f"n={t.n}"]
-    for l in t.links:
-        lines.append(f"{l.a} {l.b} {l.bandwidth!r} {l.delay!r} "
-                     f"{l.jitter!r} {l.loss!r}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{a} {b} {bw!r} {delay!r} {jitter!r} {loss!r}"
+             for a, b, bw, delay, jitter, loss in zip(*_columns(t))]
+    return "\n".join([f"n={t.n}", *lines]) + "\n"
 
 
 # Link lines parse_topology splits and converts at a time. Splitting all of
@@ -639,23 +639,32 @@ def format_topology(t: Topology) -> str:
 _CHUNK = 1024
 
 
+def _line_link(line: str) -> QosLink:
+    """The link one link line holds, built through QosLink's checks; else
+    ValueError naming the line. parse_topology's error path."""
+    fields = line.split()
+    if len(fields) != 6:
+        raise ValueError(f"bad link line (want 6 fields): {line!r}")
+    try:
+        return QosLink(*map(int, fields[:2]), *map(float, fields[2:]))
+    except ValueError as e:
+        raise ValueError(f"bad link line: {line!r}: {e}") from None
+
+
 def parse_topology(text: str) -> Topology:
     """Inverse of format_topology. Raises ValueError on malformed input, and
     on more link lines than n(n - 1)/2 before it converts any of them.
 
     It splits the link lines _CHUNK at a time, checks that each has 6
-    fields, and converts the chunk's columns with one map each. So of
-    several bad lines the error can name a later one than the first: a
-    chunk's field counts are checked before its conversions, which run
-    column by column. One check per column follows: every a < b, min(a)
-    >= 0, no NaN (valid attributes are never negative, so their sum is
-    not NaN and >= 0), and the attribute minima and maxima each a valid
-    QosLink. When some a < b fails, the pair columns are swapped element-
-    wise into (min, max), as QosLink swaps a reversed pair, and checked
-    once more. QosLink's bounds are intervals, so these pass exactly when
-    every row makes a valid link, and _links builds them unchecked. Else,
-    or with no links, the checked constructor builds each row and raises
-    the first bad row's error."""
+    fields, and converts the chunk's columns with one map each. One check
+    per column follows: every a < b, min(a) >= 0, no NaN (valid attributes
+    are never negative, so their sum is not NaN and >= 0), and the
+    attribute minima and maxima each a valid QosLink. When some a < b
+    fails, the pair columns are swapped element-wise into (min, max), as
+    QosLink swaps a reversed pair, and checked once more. QosLink's bounds
+    are intervals, so these pass exactly when every row makes a valid link,
+    and the columns are stored unchecked. Else, or with no links, each line
+    is built in file order by _line_link, which names the first bad one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("topology file must start with 'n=<count>'")
@@ -669,14 +678,14 @@ def parse_topology(text: str) -> Topology:
         raise ValueError(f"{len(lines) - 1} link lines, but n={n} holds at "
                          f"most {most} links")
     a, b, *attrs = columns = [[], [], [], [], [], []]
-    for start in range(1, len(lines), _CHUNK):
-        rows = list(map(str.split, lines[start:start + _CHUNK]))
-        for ln, row in zip(lines[start:], rows):
-            if len(row) != 6:
-                raise ValueError(f"bad link line (want 6 fields): {ln!r}")
-        for column, kind, fields in zip(columns, (int, int) + (float,) * 4, zip(*rows)):
-            column += map(kind, fields)
     try:
+        for start in range(1, len(lines), _CHUNK):
+            rows = list(map(str.split, lines[start:start + _CHUNK]))
+            if set(map(len, rows)) != {6}:
+                raise ValueError  # _line_link names the line
+            for column, kind, fields in zip(columns, (int, int) + (float,) * 4,
+                                            zip(*rows)):
+                column += map(kind, fields)
         QosLink(0, 1, *map(min, attrs))
         QosLink(0, 1, *map(max, attrs))
         if not all(map(lt, a, b)):  # a reversed pair: swap every pair once
@@ -684,8 +693,8 @@ def parse_topology(text: str) -> Topology:
         valid = all(map(lt, a, b)) and min(a) >= 0 and sum(map(sum, attrs)) >= 0
     except ValueError:  # min() of no links raises too
         valid = False
-    links = _links(a, b, *attrs) if valid else tuple(map(QosLink, a, b, *attrs))
-    return Topology(n, links)
+    return (Topology._from_columns(n, a, b, *attrs) if valid
+            else Topology(n, list(map(_line_link, lines[1:]))))
 
 
 def topology_fingerprint(t: Topology) -> int:

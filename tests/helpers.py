@@ -195,6 +195,20 @@ def reference_trace(t: Topology, a: int, b: int, probe: int, dest: int,
     raise AssertionError(f"no stop rule within {len(entries)} rounds")
 
 
+def counting_link_builds(monkeypatch) -> list:
+    """From here on, record every QosLink built, in the list returned: the
+    check that a path builds none, neither as a value nor as t.links."""
+    built = []
+    post_init = QosLink.__post_init__
+
+    def counting(link):
+        built.append(link)
+        post_init(link)
+
+    monkeypatch.setattr(QosLink, "__post_init__", counting)
+    return built
+
+
 class IntSubclass(int):
     """An int subclass: is_int and is_node take it, the exact-int fast
     paths do not."""
@@ -236,7 +250,7 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
         link = t.link_between(u, v)
         if link is None:
             raise ValueError(f"path step {u}-{v} is not a link")
-        cost += edge_cost(link, w)
+        cost += edge_cost(link.delay, link.jitter, link.loss, w)
     return cost, 1.0 / (1.0 + cost)
 
 
@@ -295,7 +309,7 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
                     continue
                 link = t.link_between(u, v)
                 if link.bandwidth >= demand:
-                    cost = cost_u + edge_cost(link, w)
+                    cost = cost_u + edge_cost(link.delay, link.jitter, link.loss, w)
                     if v not in reached or cost < reached[v][0]:
                         reached[v] = (cost, u)
         hops += 1

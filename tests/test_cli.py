@@ -15,6 +15,8 @@ from fitroute.cli import run_cli
 from fitroute.dv import fail_link_and_trace
 from fitroute.experiment import PLOT_HEADER
 
+from helpers import counting_link_builds
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -472,7 +474,9 @@ def test_demo_custom_topology(tmp_path, capsys):
 def test_demo_verdict_reads_no_bandwidth_index(tmp_path, capsys, monkeypatch, argv):
     # the demo routes one demand-0 request over a gate of every link; the
     # bandwidth index select_route bisects is never built, and the verdict
-    # is select_route's on the failed topology
+    # is select_route's on the failed topology. The trace and the route
+    # read the link columns: neither the topology nor the failed one builds
+    # t.links
     path = tmp_path / "topo.txt"
     run(capsys, "gen-topology", "--nodes", "40", "--seed", "3", "--out", str(path))
     first = parse_topology(path.read_text()).links[0]
@@ -482,14 +486,19 @@ def test_demo_verdict_reads_no_bandwidth_index(tmp_path, capsys, monkeypatch, ar
 
     def keeping(t, a, b, probe, dest, **kwargs):
         traces.append((fail_link_and_trace(t, a, b, probe, dest, **kwargs),
-                       probe, dest))
+                       probe, dest, t))
         return traces[-1][0]
 
     monkeypatch.setattr("fitroute.cli.fail_link_and_trace", keeping)
+    built = counting_link_builds(monkeypatch)
     code, out, _ = run(capsys, "demo-count-to-infinity", *argv)
-    [(trace, probe, dest)] = traces
+    [(trace, probe, dest, t)] = traces
     failed = trace.topology
     assert code == 0 and "bandwidth_index" not in vars(failed)
+    assert "links" not in vars(t) and "links" not in vars(failed)
+    # the only QosLinks built are the default line's two, or the file
+    # parse's checks of its column minima and maxima
+    assert len(built) == 2
     expected = select_route(failed, RouteRequest(probe, dest, 0.0))
     assert out.splitlines()[-1] == (
         f"# fitness estimation after the failure: {expected.status}")

@@ -35,10 +35,13 @@ from fitroute.experiment import (
     verify_claims,
 )
 from fitroute.fitness import NO_SUFFICIENT_BANDWIDTH, UNREACHABLE
-from fitroute.topology import SplitMix64, bfs_hops, feasible_subgraph
+from fitroute.topology import (SplitMix64, bfs_hops, feasible_subgraph,
+                               format_topology, generate_topology_rng,
+                               parse_topology)
 
 from helpers import (IntSubclass, check_rows_against_full_trees,
-                     cut_topologies, drawn_topologies, line_topology,
+                     counting_link_builds, cut_topologies, drawn_topologies,
+                     line_topology,
                      reference_queries, report_json_reference,
                      triangle_topology)
 
@@ -471,6 +474,33 @@ def test_oracle_bfs_equals_bfs_hops(t, data):
                 (src, dst): expected[src][dst] for src, dst in pairs
                 if dst in expected[src]}
             assert Counter(nbrs.reads) == pass_reads(expected, pairs)
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(n=40, seed=3, query_count=200),
+    ExperimentConfig(n=60, seed=1, gen=GenParams(edge_prob=0.05),
+                     query_count=200, demand=50.0),
+], ids=["dense", "sparse with refusals"])
+def test_compare_builds_no_link_objects(monkeypatch, cfg):
+    # generation and replay hand their link columns to the store, and the
+    # gate, the searches, the oracle, the fingerprint and the file writer
+    # read the columns: no QosLink is built, and t.links is never read
+    source = generate_topology(cfg.n, cfg.gen, cfg.seed)
+    replayed = parse_topology(format_topology(source))
+    generated = []
+
+    def keeping(*args):
+        generated.append(generate_topology_rng(*args))
+        return generated[-1]
+
+    monkeypatch.setattr(experiment, "generate_topology_rng", keeping)
+    built = counting_link_builds(monkeypatch)
+    report = run_comparison(cfg)
+    assert run_comparison(cfg, replayed) == report
+    assert report.summary.refusals == (12 if cfg.demand == 50.0 else 0)
+    [t] = generated
+    assert built == []
+    assert not any("links" in vars(x) for x in (t, replayed, source))
 
 
 # --- verify_claims fault injection ---

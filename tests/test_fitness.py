@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -26,9 +28,10 @@ from fitroute.fitness import (
 from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 
 from helpers import (boundary_demands, check_routes_against_full_trees,
-                     cut_topologies, drawn_topologies, full_gated_tree,
-                     full_tree_outcome, grid_topologies, line_topology,
-                     path_fitness, square_topology, triangle_topology)
+                     counting_link_builds, cut_topologies, drawn_topologies,
+                     full_gated_tree, full_tree_outcome, grid_topologies,
+                     line_topology, path_fitness, square_topology,
+                     triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -96,28 +99,30 @@ def test_weights_and_demand_reject_non_finite(bad):
 
 def test_edge_cost_formula():
     link = QosLink(0, 1, 10.0, 2.0, 1.0, 0.0)
-    assert edge_cost(link, UNIT) == 3.0
+    assert edge_cost(link.delay, link.jitter, link.loss, UNIT) == 3.0
 
 
 def test_edge_cost_zero_attributes():
     link = QosLink(0, 1, 10.0, 0.0, 0.0, 0.0)
-    assert edge_cost(link, UNIT) == 0.0
+    assert edge_cost(link.delay, link.jitter, link.loss, UNIT) == 0.0
 
 
 def test_edge_cost_loss_is_log_scaled():
     link = QosLink(0, 1, 10.0, 0.0, 0.0, 0.5)
-    assert edge_cost(link, UNIT) == pytest.approx(math.log(2), abs=1e-12)
+    assert edge_cost(link.delay, link.jitter, link.loss, UNIT) == pytest.approx(
+        math.log(2), abs=1e-12)
 
 
 def test_edge_cost_rejects_total_loss():
     fake = SimpleNamespace(pair=(0, 1), delay=0.0, jitter=0.0, loss=1.0)
     with pytest.raises(ValueError):
-        edge_cost(fake, UNIT)
+        edge_cost(fake.delay, fake.jitter, fake.loss, UNIT)
 
 
 def test_edge_cost_weighted():
     link = QosLink(0, 1, 10.0, 4.0, 3.0, 0.0)
-    assert edge_cost(link, Weights(2.0, 0.5, 1.0)) == 8.0 + 1.5
+    assert edge_cost(link.delay, link.jitter, link.loss,
+                     Weights(2.0, 0.5, 1.0)) == 8.0 + 1.5
 
 
 # --- path fitness ---
@@ -432,6 +437,20 @@ def test_route_cost_matches_tree_label_exactly():
         assert out.fitness == 1.0 / (1.0 + out.cost)
 
 
+def test_select_route_builds_no_link_objects(monkeypatch):
+    # a request's gate reads the bandwidth index and its search the link
+    # columns: a pass of requests builds no QosLink, and t.links is never
+    # read
+    t = generate_topology(60, GenParams(edge_prob=0.05), 1)
+    rng = random.Random(1)
+    requests = [RouteRequest(rng.randrange(60), rng.randrange(60),
+                             rng.uniform(1.0, 90.0)) for _ in range(300)]
+    built = counting_link_builds(monkeypatch)
+    outcomes = Counter(select_route(t, req).status for req in requests)
+    assert outcomes["route"] > 0 and outcomes["no_bandwidth"] > 0
+    assert built == [] and "links" not in vars(t)
+
+
 # --- bandwidth gate and early stop inside the search ---
 
 
@@ -735,7 +754,8 @@ def test_a_link_of_negative_zeros_costs_a_route_of_zero():
     # the root's 0.0, at the first hop as at any other
     t = Topology(3, (QosLink(0, 1, 10.0, -0.0, -0.0, -0.0),
                      QosLink(1, 2, 10.0, -0.0, -0.0, -0.0)))
-    assert repr(edge_cost(t.links[0], UNIT)) == "-0.0"
+    link = t.links[0]
+    assert repr(edge_cost(link.delay, link.jitter, link.loss, UNIT)) == "-0.0"
     for dst in (1, 2):
         out = route(t, 0, UNIT, t.gate(0.0), dst)
         assert repr(out.cost) == "0.0" and out.hops == dst

@@ -25,8 +25,8 @@ from fitroute.topology import (
     topology_fingerprint,
 )
 
-from helpers import (boundary_demands, cut_topologies, drawn_topologies,
-                     grid_topologies, is_connected, line_topology,
+from helpers import (boundary_demands, counting_link_builds, cut_topologies,
+                     drawn_topologies, grid_topologies, is_connected, line_topology,
                      reference_parse, reference_topology_rng, seed_drawing,
                      splitmix64_unmix, triangle_topology)
 
@@ -232,10 +232,18 @@ def test_adjacency_sorted_by_neighbor():
 
 @given(st.one_of(drawn_topologies(), cut_topologies(), grid_topologies()))
 def test_adjacency_maps_each_neighbour_to_its_link(t):
+    # adjacency holds link indexes; the memoised links are the columns'
+    # rows, and the QosLinks they make build an equal store
     for a in range(t.n):
         touching = {l.a + l.b - a: l for l in t.links if a in l.pair}
-        assert t.adjacency[a] == touching
+        assert {b: t.links[k] for b, k in t.adjacency[a].items()} == touching
+        assert all(t.links[t.adjacency[a][b]] is link
+                   for b, link in touching.items())
+        assert all(type(k) is int for k in t.adjacency[a].values())
         assert list(t.adjacency[a]) == sorted(touching)
+    fresh = Topology(t.n, t.links)
+    assert fresh == t and hash(fresh) == hash(t)
+    assert "links" not in vars(fresh)
     # ids just outside [0, n) too: -1 must not index the last node
     for a in range(-1, t.n + 1):
         for b in range(-1, t.n + 1):
@@ -680,6 +688,23 @@ def test_parse_equals_the_per_line_reference_with_no_links(text):
     _assert_parses_as_reference(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1 2.0 5 1 1 0", "invalid literal for int() with base 10: '2.0'"),
+    ("1 2 5 1 x 0", "could not convert string to float: 'x'"),
+    ("1 2 5 1e400 1 0", "delay and jitter must be finite and non-negative"),
+    ("1 2 5 1 1 nan", "loss must lie in [0, 1), got nan"),
+    ("2 2 5 1 1 0", "self-loop at node 2"),
+], ids=["int field", "float field", "overflow", "NaN", "self-loop"])
+def test_parse_error_names_the_first_bad_line(line, message):
+    # the columns are converted whole; on error each line is rebuilt in
+    # file order, so the message names the first bad line, before a later
+    # line with too few fields, and keeps the line's own error text
+    text = f"n=3\n0 1 5 1 1 0\n{line}\n0 2 5 1 1\n"
+    with pytest.raises(ValueError) as raised:
+        parse_topology(text)
+    assert str(raised.value) == f"bad link line: {line!r}: {message}"
+
+
 # 1654 link lines, over two chunks of the parse; (78, 79) is the last
 _TWO_CHUNKS = format_topology(generate_topology(80, GenParams(edge_prob=0.5), 0))
 
@@ -713,14 +738,7 @@ def test_parse_swaps_reversed_pairs_without_checking_each_line(monkeypatch,
         lines[i] = " ".join([b, a, *attrs])
     text = "\n".join(lines) + "\n"
     canonical = parse_topology(_TWO_CHUNKS)
-    checks = []
-    post_init = QosLink.__post_init__
-
-    def counting(link):
-        checks.append(link)
-        post_init(link)
-
-    monkeypatch.setattr(QosLink, "__post_init__", counting)
+    checks = counting_link_builds(monkeypatch)
     t = parse_topology(text)
     assert len(checks) == 2
     assert t == canonical and format_topology(t) == _TWO_CHUNKS
