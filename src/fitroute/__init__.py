@@ -3,9 +3,10 @@
 Two engines over the same random topologies: a classical hop-count
 distance-vector baseline (complete with its count-to-infinity pathology) and
 a fitness-estimation router that never crosses bandwidth-infeasible links and
-picks loop-free minimum-(hops, cost) paths from a spanning tree built one hop
-layer at a time. The experiment harness runs paired queries over both and
-verifies the routing claims against independent BFS oracles.
+picks loop-free minimum-(hops, cost) paths, searching one hop layer at a time
+from both ends over the destination's min-hop paths alone. The experiment
+harness runs paired queries over both and verifies the routing claims against
+independent BFS oracles.
 
 The package exports the library API the README documents; everything else is
 imported from its module: fitroute.topology, .dv, .fitness, .experiment and

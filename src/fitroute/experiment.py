@@ -20,6 +20,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 from . import dv as dv_engine
 from .fitness import (
@@ -37,12 +38,12 @@ from .topology import (
     GenParams,
     SplitMix64,
     Topology,
+    _draws,
     check_demand,
     check_gen_params,
     check_node,
     check_node_count,
     check_seed,
-    draw_stream,
     generate_topology_rng,
     generation_draws,
     is_int,
@@ -163,13 +164,14 @@ def _draw_queries(cfg: ExperimentConfig, rng: SplitMix64) -> list[tuple[int, int
     whenever the topology has more than one node: src is the next draw mod
     n, and dst the one after it, redrawn while it equals src.
 
-    The draws come off packed lanes (draw_stream), whose first read is the
-    2 * query_count draws the queries take when none is redrawn. So rng is
-    left past the last read begun, not past the last draw used; nothing
-    draws after it.
+    The 2 * query_count draws the queries take when none is redrawn come
+    off packed lanes (_draws), and any redraws, about one per n queries,
+    from rng.next_u64 after them, so rng is left past the last draw used.
     """
     n = cfg.n
-    nodes = map(n.__rmod__, draw_stream(rng, 2 * cfg.query_count))
+    draws = chain(chain.from_iterable(_draws(rng, 2 * cfg.query_count)),
+                  iter(rng.next_u64, None))
+    nodes = map(n.__rmod__, draws)
     queries = []
     for _ in range(cfg.query_count):
         src, dst = next(nodes), next(nodes)
@@ -188,8 +190,8 @@ def run_comparison(cfg: ExperimentConfig,
     skipped past the draws generating the topology takes
     (generation_draws), so a written topology replayed with its seed
     draws the generated run's queries. Generation and the queries
-    (draw_stream) both read that stream a batch of packed lanes at a time,
-    equal to one next_u64 call per draw. The distance-vector engine
+    (_draw_queries) both read that stream a batch of packed lanes at a
+    time, equal to one next_u64 call per draw. The distance-vector engine
     converges once and is reused across queries; the fitness engine routes
     each row as select_route does, through fitness.route: one search from
     its source over the links that carry the demand for its destination's

@@ -308,9 +308,9 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
     hop layer at a time: the checked tree over the search route runs.
 
     Only the links of `gate` are crossed: gate.masks[v] is v's neighbour
-    bitset over the links with bandwidth >= the demand, as t.gate(demand)
-    or t.indexed_gate(demand) gives it, which check the demand (demand 0
-    crosses every link, as on a topology pruned beforehand). Hops compare
+    bitset over the links with bandwidth >= the demand, as t.gate(demand),
+    which checks the demand, or an IndexedMasks gives it (demand 0 crosses
+    every link, as on a topology pruned beforehand). Hops compare
     first, so a node's hop count is its breadth-first layer: a node first
     reached from layer k joins layer k+1 under the neighbour u in layer k
     with the smallest (cost_u + edge_cost, u), ties thus going to the

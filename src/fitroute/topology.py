@@ -101,8 +101,9 @@ class SplitMix64:
     All arithmetic mod 2^64. Chosen because it is trivial to reimplement
     identically in any language, which keeps generated topologies
     reproducible across platforms. Draw k depends only on seed + k*gamma,
-    so generation and the query stream compute their draws in batches of
-    packed lanes (_mixed); next_u64 is the scalar definition they equal.
+    so generation and the queries' first 2 * query_count draws are computed
+    in batches of packed lanes (_mixed); next_u64 is the scalar definition
+    they equal, and the queries take any redraws from it.
     """
 
     __slots__ = ("state",)
@@ -230,7 +231,8 @@ class Topology:
     ascending, to the index of the link joining them: x gets its neighbours
     a < x from the links (a, x), then b > x from the links (x, b). `links`,
     `components` and `bandwidth_index` are memoised on first read, outside
-    the compared fields. The route search reads a Gate (gate, indexed_gate).
+    the compared fields. The route search reads a Gate: a compare's is
+    built by gate, a request's over bandwidth_index (IndexedMasks).
     """
 
     n: int
@@ -277,12 +279,6 @@ class Topology:
         """The QosLinks, built checked on first read; no search reads them."""
         return tuple(map(QosLink, *_columns(self)))
 
-    def link_between(self, a: int, b: int) -> QosLink | None:
-        """The link {a, b}, or None, also when a or b fails is_node."""
-        n = self.n
-        k = self.adjacency[a].get(b) if is_node(a, n) and is_node(b, n) else None
-        return None if k is None else self.links[k]
-
     @cached_property
     def components(self) -> tuple[int, ...]:
         """Each node's component id, the smallest node id in its component."""
@@ -299,7 +295,7 @@ class Topology:
         bandwidths negated, ascending, and masks[i] the neighbour bitset (bit
         b for neighbour b) of its first i links, so masks[bisect_right(keys,
         -demand)] holds its neighbours over links with bandwidth >= demand,
-        which is what indexed_gate reads."""
+        which is what a request's gate reads (IndexedMasks)."""
         bandwidth = self.bandwidth
         rows = (sorted((-bandwidth[k], 1 << b) for b, k in links.items())
                 for links in self.adjacency)
@@ -321,26 +317,19 @@ class Topology:
                 masks[b] |= 1 << a
         return Gate(masks)
 
-    def indexed_gate(self, demand: float) -> Gate:
-        """A Gate over gate(demand)'s masks read off bandwidth_index one node
-        at a time (IndexedMasks, check_demand): a request's search reads a
-        few dozen nodes' masks, far fewer than a list of every node's would
-        cost to build."""
-        return Gate(IndexedMasks(self.bandwidth_index, -check_demand(demand)))
-
 
 class Gate:
     """The links that carry one demand, as the route search reads them.
 
     masks[v] is node v's neighbour bitset over those links: a list from
-    Topology.gate, an IndexedMasks from Topology.indexed_gate or
-    select_route. layers[v], once a search over the gate has reached from
-    v, is [1 << v, L1, L2, ...], Lk holding the nodes k gated hops from v; a
-    last Lk of 0 means v's gated component is exhausted. The search (route
-    and build_spanning_tree run the same one) reads and extends these
-    lists, so the searches of one gate grow each node's layers once.
-    They depend on the masks alone, so they serve any search over the gate,
-    from v or towards v. A gate starts with none."""
+    Topology.gate, or the IndexedMasks select_route builds. layers[v], once
+    a search over the gate has reached from v, is [1 << v, L1, L2, ...], Lk
+    holding the nodes k gated hops from v; a last Lk of 0 means v's gated
+    component is exhausted. The search (route and build_spanning_tree run
+    the same one) reads and extends these lists, so the searches of one
+    gate grow each node's layers once. They depend on the masks alone, so
+    they serve any search over the gate, from v or towards v. A gate
+    starts with none."""
 
     __slots__ = ("masks", "layers")
 
@@ -353,7 +342,8 @@ class IndexedMasks:
     """Topology.gate's masks at one demand, read off Topology.bandwidth_index
     one node at a time: self[v] is node v's neighbour bitset over its links
     with bandwidth >= demand, the masks[bisect_right(keys, -demand)] of v's
-    (keys, masks)."""
+    (keys, masks). A request's search reads a few dozen nodes' masks, far
+    fewer than a list of every node's would cost to build."""
 
     __slots__ = ("index", "key")
 
@@ -434,16 +424,6 @@ def _draws(rng: SplitMix64, count: int):
     for z, m in _mixed(rng, count):
         words = memoryview(z.to_bytes(16 * width, sys.byteorder)).cast("Q")
         yield words[:2 * m:2] if sys.byteorder == "little" else words[::-2][:m]
-
-
-def draw_stream(rng: SplitMix64, count: int):
-    """rng's draws as one endless iterator of ints, equal to next_u64 calls:
-    the next `count` from one _draws read, then _BATCH more per read as the
-    reader goes on. rng advances past each read as its first batch is
-    computed, so it is left past the last read begun, not the last draw
-    used."""
-    reads = map(_draws, repeat(rng), chain((count,), repeat(_BATCH)))
-    return chain.from_iterable(chain.from_iterable(reads))
 
 
 _LINKED = bytes.maketrans(b"\0\1", b"\1\0")  # a clear bit 64 links the pair
@@ -639,16 +619,24 @@ def format_topology(t: Topology) -> str:
 _CHUNK = 1024
 
 
-def _line_link(line: str) -> QosLink:
-    """The link one link line holds, built through QosLink's checks; else
-    ValueError naming the line. parse_topology's error path."""
+def _line_link(line: str, n: int, seen: set[tuple[int, int]]) -> QosLink:
+    """The link one link line holds, built through QosLink's checks, then
+    the store's: b below n, and a pair not in `seen`, the pairs of the
+    lines before it, which it joins. Else ValueError naming the line, with
+    the message the check gives. parse_topology's error path."""
     fields = line.split()
     if len(fields) != 6:
         raise ValueError(f"bad link line (want 6 fields): {line!r}")
     try:
-        return QosLink(*map(int, fields[:2]), *map(float, fields[2:]))
+        link = QosLink(*map(int, fields[:2]), *map(float, fields[2:]))
+        if link.b >= n:
+            raise ValueError(f"link {link.pair} endpoint outside [0, {n})")
+        if link.pair in seen:
+            raise ValueError(f"duplicate link {link.pair}")
     except ValueError as e:
         raise ValueError(f"bad link line: {line!r}: {e}") from None
+    seen.add(link.pair)
+    return link
 
 
 def parse_topology(text: str) -> Topology:
@@ -663,8 +651,10 @@ def parse_topology(text: str) -> Topology:
     fails, the pair columns are swapped element-wise into (min, max), as
     QosLink swaps a reversed pair, and checked once more. QosLink's bounds
     are intervals, so these pass exactly when every row makes a valid link,
-    and the columns are stored unchecked. Else, or with no links, each line
-    is built in file order by _line_link, which names the first bad one."""
+    and the columns go to the store (Topology._from_columns), which checks
+    the pairs' range and that none is repeated. If any check fails, each
+    line is built in file order by _line_link, which names the first bad
+    one."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("topology file must start with 'n=<count>'")
@@ -686,15 +676,19 @@ def parse_topology(text: str) -> Topology:
             for column, kind, fields in zip(columns, (int, int) + (float,) * 4,
                                             zip(*rows)):
                 column += map(kind, fields)
-        QosLink(0, 1, *map(min, attrs))
-        QosLink(0, 1, *map(max, attrs))
-        if not all(map(lt, a, b)):  # a reversed pair: swap every pair once
-            a, b = list(map(min, a, b)), list(map(max, a, b))
-        valid = all(map(lt, a, b)) and min(a) >= 0 and sum(map(sum, attrs)) >= 0
-    except ValueError:  # min() of no links raises too
-        valid = False
-    return (Topology._from_columns(n, a, b, *attrs) if valid
-            else Topology(n, list(map(_line_link, lines[1:]))))
+        if a:
+            QosLink(0, 1, *map(min, attrs))
+            QosLink(0, 1, *map(max, attrs))
+            if not all(map(lt, a, b)):  # a reversed pair: swap every pair once
+                a, b = list(map(min, a, b)), list(map(max, a, b))
+            if not (all(map(lt, a, b)) and min(a) >= 0
+                    and sum(map(sum, attrs)) >= 0):
+                raise ValueError  # _line_link names the line
+        return Topology._from_columns(n, a, b, *attrs)
+    except ValueError:
+        pass
+    seen: set[tuple[int, int]] = set()
+    return Topology(n, [_line_link(line, n, seen) for line in lines[1:]])
 
 
 def topology_fingerprint(t: Topology) -> int:

@@ -17,8 +17,8 @@ from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
 from fitroute.dv import converge, extract_path
 from fitroute.experiment import ComparisonReport
 from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
-from fitroute.topology import (SplitMix64, bfs_hops, check_node_count,
-                               remove_link)
+from fitroute.topology import (Gate, IndexedMasks, SplitMix64, bfs_hops,
+                               check_node_count, remove_link)
 
 
 def reference_topology_rng(n: int, params: GenParams,
@@ -247,11 +247,17 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
     right, fitness = 1/(1+cost). A single-node path costs 0 (fitness 1)."""
     cost = 0.0
     for u, v in zip(path, path[1:]):
-        link = t.link_between(u, v)
-        if link is None:
+        k = t.adjacency[u].get(v)
+        if k is None:
             raise ValueError(f"path step {u}-{v} is not a link")
-        cost += edge_cost(link.delay, link.jitter, link.loss, w)
+        cost += edge_cost(t.delay[k], t.jitter[k], t.loss[k], w)
     return cost, 1.0 / (1.0 + cost)
+
+
+def request_gate(t: Topology, demand: float) -> Gate:
+    """The gate select_route builds for a request of `demand`: t.gate's
+    masks read off t.bandwidth_index one node at a time."""
+    return Gate(IndexedMasks(t.bandwidth_index, -demand))
 
 
 def is_connected(t: Topology) -> bool:
@@ -307,9 +313,9 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
             for v in t.adjacency[u]:
                 if v in label:
                     continue
-                link = t.link_between(u, v)
-                if link.bandwidth >= demand:
-                    cost = cost_u + edge_cost(link.delay, link.jitter, link.loss, w)
+                k = t.adjacency[u][v]
+                if t.bandwidth[k] >= demand:
+                    cost = cost_u + edge_cost(t.delay[k], t.jitter[k], t.loss[k], w)
                     if v not in reached or cost < reached[v][0]:
                         reached[v] = (cost, u)
         hops += 1
@@ -411,7 +417,8 @@ def check_dv_against_bfs(t: Topology, infinity_metric: int,
                 assert path is None, (src, dst)
                 continue
             assert (path[0], path[-1], len(path) - 1) == (src, dst, metric)
-            assert all(map(t.link_between, path, path[1:])), (src, dst)
+            assert all(v in t.adjacency[u] for u, v in zip(path, path[1:])), \
+                (src, dst)
     return seconds, rounds
 
 

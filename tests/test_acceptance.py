@@ -98,9 +98,9 @@ def test_criterion_2_bandwidth_assurance(suite):
             if isinstance(row.ff, Route):
                 routes += 1
                 for u, v in zip(row.ff.path, row.ff.path[1:]):
-                    link = t.link_between(u, v)
-                    assert link is not None
-                    assert link.bandwidth >= cfg.demand
+                    k = t.adjacency[u].get(v)
+                    assert k is not None
+                    assert t.bandwidth[k] >= cfg.demand
     elapsed = build_seconds + time.perf_counter() - started
     assert elapsed < 30.0
     print(f"criterion 2 PASS: all {routes} returned routes carry the "
@@ -135,7 +135,7 @@ def test_criterion_4_hop_dominance(suite):
                     gt += 1
             if row.dv_path is None:
                 continue
-            feasible = all(t.link_between(u, v).bandwidth >= cfg.demand
+            feasible = all(t.bandwidth[t.adjacency[u][v]] >= cfg.demand
                            for u, v in zip(row.dv_path, row.dv_path[1:]))
             if feasible:
                 conditional += 1

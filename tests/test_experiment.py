@@ -41,9 +41,8 @@ from fitroute.topology import (SplitMix64, bfs_hops, feasible_subgraph,
 
 from helpers import (IntSubclass, check_rows_against_full_trees,
                      counting_link_builds, cut_topologies, drawn_topologies,
-                     line_topology,
-                     reference_queries, report_json_reference,
-                     triangle_topology)
+                     line_topology, reference_queries, report_json_reference,
+                     request_gate, triangle_topology)
 
 
 def refusal_topology() -> Topology:
@@ -159,7 +158,7 @@ def test_a_compare_row_and_a_request_read_a_demand_alike():
     req = RouteRequest(0, 1, demand)
     assert type(req.demand) is float and req.demand == 2.0**53
     assert t.gate(demand).masks == [0b10, 0b01]
-    assert [t.indexed_gate(demand).masks[v] for v in range(2)] == [0b10, 0b01]
+    assert [request_gate(t, req.demand).masks[v] for v in range(2)] == [0b10, 0b01]
     cfg = ExperimentConfig(n=2, explicit_queries=((0, 1),), demand=demand)
     row = run_comparison(cfg, t).rows[0]
     assert isinstance(row.ff, Route)
@@ -180,9 +179,12 @@ def test_replay_draws_the_generated_queries(n, edge_prob):
        st.one_of(st.sampled_from((0, 2**64 - 1)), st.integers(0, 2**64 - 1)))
 def test_draw_queries_equal_the_scalar_reference(n, query_count, seed):
     # n = 2 redraws about half its dsts, so its stream runs past the first
-    # read of 2 * query_count draws at uneven points
+    # 2 * query_count draws at uneven points; rng ends past the last draw
+    # used, as the scalar reference's does
     cfg = ExperimentConfig(n=n, seed=seed, query_count=query_count)
-    assert _draw_queries(cfg, SplitMix64(seed)) == reference_queries(cfg, SplitMix64(seed))
+    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+    assert _draw_queries(cfg, rng) == reference_queries(cfg, ref_rng)
+    assert rng.state == ref_rng.state
 
 
 @pytest.mark.parametrize("edge_prob, demand", [(0.15, 5.0), (0.15, 50.0),

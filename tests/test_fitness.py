@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -30,8 +31,8 @@ from fitroute.topology import bfs_hops, feasible_subgraph, remove_link
 from helpers import (boundary_demands, check_routes_against_full_trees,
                      counting_link_builds, cut_topologies, drawn_topologies,
                      full_gated_tree, full_tree_outcome, grid_topologies,
-                     line_topology, path_fitness, square_topology,
-                     triangle_topology)
+                     line_topology, path_fitness, request_gate,
+                     square_topology, triangle_topology)
 
 UNIT = Weights(1.0, 1.0, 1.0)
 
@@ -202,18 +203,16 @@ def test_gates_reject_bad_demand(demand):
     # nan would gate out every link and yield a root-only tree; a negative
     # demand would cross every link
     t = line_topology(3)
-    for gate in (t.gate, t.indexed_gate):
-        with pytest.raises(ValueError, match="demand"):
-            gate(demand)
+    with pytest.raises(ValueError, match="demand"):
+        t.gate(demand)
 
 
 @pytest.mark.parametrize("demand", [True, False, "5", None])
 def test_gates_reject_non_number_demand(demand):
     # True would gate at demand 1; a str would raise TypeError in the gate
     t = line_topology(3)
-    for gate in (t.gate, t.indexed_gate):
-        with pytest.raises(ValueError, match="demand"):
-            gate(demand)
+    with pytest.raises(ValueError, match="demand"):
+        t.gate(demand)
 
 
 def test_tree_hops_beat_cost():
@@ -408,7 +407,7 @@ def test_route_outcomes_match_brute_force(seed):
             expected = brute_force_best(pruned, src, dst, UNIT)
             if isinstance(out, Route):
                 assert (out.hops, out.cost) == expected
-                assert all(t.link_between(u, v).bandwidth >= demand
+                assert all(t.bandwidth[t.adjacency[u][v]] >= demand
                            for u, v in zip(out.path, out.path[1:]))
             elif isinstance(out, NoSufficientBandwidth):
                 assert expected is None
@@ -667,7 +666,7 @@ def test_trees_over_a_gate_equal_trees_over_the_index(data):
     demand = data.draw(st.sampled_from(boundary_demands(t)))
     w = data.draw(st.sampled_from(WEIGHT_CHOICES))
     over_list = build_spanning_tree(t, src, w, t.gate(demand), dst)
-    over_view = build_spanning_tree(t, src, w, t.indexed_gate(demand), dst)
+    over_view = build_spanning_tree(t, src, w, request_gate(t, demand), dst)
     assert list(over_list.label.items()) == list(over_view.label.items())
     assert list(over_list.parent.items()) == list(over_view.parent.items())
     assert over_list == over_view  # relaxations, root and dst too
@@ -723,7 +722,7 @@ def test_route_equals_the_outcome_of_the_checked_tree(data):
                             grid_topologies(), sparse_topologies()))
     demand = data.draw(st.sampled_from(boundary_demands(t)))
     w = data.draw(st.sampled_from(WEIGHT_CHOICES))
-    gate_of = data.draw(st.sampled_from((t.gate, t.indexed_gate)))
+    gate_of = data.draw(st.sampled_from((t.gate, partial(request_gate, t))))
     nodes = st.integers(0, t.n - 1)
     warm = gate_of(demand)
     for s, d in data.draw(st.lists(st.tuples(nodes, nodes), max_size=6)):
@@ -741,7 +740,7 @@ def test_route_and_the_tree_share_the_overflow_check():
     # each link costs a finite 1e308; two of them sum past the float range
     t = Topology(3, (QosLink(0, 1, 10.0, 1e308, 0.0, 0.0),
                      QosLink(1, 2, 10.0, 1e308, 0.0, 0.0)))
-    for gate_of in (t.gate, t.indexed_gate):
+    for gate_of in (t.gate, partial(request_gate, t)):
         assert route(t, 0, UNIT, gate_of(5.0), 1).cost == 1e308
         with pytest.raises(ValueError, match="route cost 0->2 overflows to inf"):
             route(t, 0, UNIT, gate_of(5.0), 2)

@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 from fitroute import (ExperimentConfig, GenParams, QosLink, RouteRequest,
-                      Topology, Weights, generate_topology)
+                      Topology, Weights, generate_topology, select_route)
 from fitroute.dv import converge, extract_path, fail_link_and_trace
 from fitroute.experiment import report_to_json, run_comparison
 from fitroute.fitness import build_spanning_tree
 from fitroute.topology import (MAX_NODES, SplitMix64, bfs_hops,
                                feasible_subgraph, generate_topology_rng,
-                               is_int, is_number, parse_topology)
+                               is_int, is_number, parse_topology, remove_link)
 
 from helpers import IntSubclass, line_topology
 
@@ -29,6 +29,7 @@ COUNTS = (True, 2.5, 4.0, "4", None, -1, 0, MAX_NODES + 1)
 IDS = (True, False, 1.5, 2.0, "1", None, -1, T.n)  # -1 and n: just outside
 NON_INT_IDS = (True, 1.5, 2.0, "1", None)  # a request has no n to bound by
 HUGE = 10**400  # a real no float holds: it compares below math.inf
+OUT_OF_RANGE_IDS = (-1, T.n, HUGE)  # ints a request takes, outside [0, n)
 DEMANDS = (True, "5", None, -1.0, math.nan, math.inf, HUGE)
 NOT_CONFIGS = (None, "x", (1.0, 1.0, 1.0))
 QUERIES = (5, None, (), (0,), (0, 1, 2), {0: 1})  # no (src, dst) pair
@@ -67,10 +68,13 @@ ENTRIES = [
      IDS, "dst of query"),
     ("RouteRequest.src", lambda v: RouteRequest(v, 1), NON_INT_IDS, "src"),
     ("RouteRequest.dst", lambda v: RouteRequest(0, v), NON_INT_IDS, "src and dst"),
+    ("select_route.src", lambda v: select_route(T, RouteRequest(v, 1)),
+     OUT_OF_RANGE_IDS, "src and dst"),
+    ("select_route.dst", lambda v: select_route(T, RouteRequest(0, v)),
+     OUT_OF_RANGE_IDS, "src and dst"),
     ("feasible_subgraph", lambda v: feasible_subgraph(T, v), DEMANDS, "demand"),
     ("RouteRequest.demand", lambda v: RouteRequest(0, 1, v), DEMANDS, "demand"),
     ("Topology.gate", T.gate, DEMANDS, "demand"),
-    ("Topology.indexed_gate", T.indexed_gate, DEMANDS, "demand"),
     ("ExperimentConfig.demand", lambda v: ExperimentConfig(demand=v),
      DEMANDS, "demand"),
     ("ExperimentConfig.gen", lambda v: ExperimentConfig(gen=v),
@@ -114,10 +118,11 @@ def test_entry_points_reject_bad_inputs_naming_the_argument(call, value, name):
 
 @pytest.mark.parametrize("a, b", [(0, True), (True, 0), (1, 2.0), (2.0, 1),
                                   (0, "1"), (None, 1), (-1, 0), (3, T.n)])
-def test_link_between_finds_no_link_at_a_non_node_id(a, b):
+def test_remove_link_finds_no_link_at_a_non_node_id(a, b):
     # True and 2.0 hash as 1 and 2, so an adjacency lookup alone would
-    # return the links {0, 1} and {1, 2}
-    assert T.link_between(a, b) is None
+    # remove the links {0, 1} and {1, 2}
+    with pytest.raises(ValueError, match="is not a link"):
+        remove_link(T, a, b)
 
 
 def test_generator_checks_the_count_before_any_draw():
