@@ -196,10 +196,8 @@ def run_comparison(cfg: ExperimentConfig,
     each row as select_route does, through fitness.route: one search from
     its source over the links that carry the demand for its destination's
     min-hop paths, with no tree built. Every search reads one gate built
-    for cfg.demand (Topology.gate) and the hop layers the searches before
-    it grew from its endpoints (Gate.layers), each node's dropped after the
-    last row that names it; route tells refusals from unreachable rows by
-    the topology's memoised connectivity labels. cfg has checked the
+    for cfg.demand (Topology.gate); route tells refusals from unreachable
+    rows by the topology's memoised connectivity labels. cfg has checked the
     queries, the demand and the weights, and a replayed topology must have
     cfg.n nodes, so the rows are routed unchecked. The summary's violation
     list is filled by verify_claims and is empty unless an engine
@@ -222,19 +220,13 @@ def run_comparison(cfg: ExperimentConfig,
     state, _ = dv_engine.converge(t, cfg.infinity_metric)
 
     gate = t.gate(cfg.demand)
-    last = {}  # per node: the last row that names it
-    for i, (src, dst) in enumerate(queries):
-        last[src] = last[dst] = i
     weights = cfg.weights
     rows = []
-    for i, (src, dst) in enumerate(queries):
+    for src, dst in queries:
         dv_path = dv_engine.extract_path(state, src, dst)
         rows.append(ComparisonRow(
             src, dst, None if dv_path is None else tuple(dv_path),
             route(t, src, weights, gate, dst)))
-        for v in (src, dst):  # no later row reads v's layers
-            if last[v] == i:
-                gate.layers.pop(v, None)
 
     wins = ties = longer = refusals = unreachable = 0
     for row in rows:

@@ -3,10 +3,10 @@
 Bandwidth is a hard constraint, not a cost term: the search never crosses a
 link that cannot carry the requested demand, which is what gives the engine
 its bandwidth guarantee. The search reads that gate as one neighbour bitset
-per node, gate.masks[v] (v's neighbours over the links that carry the
-demand), so no pruned topology is built: a compare builds one gate per run
-(Topology.gate), and select_route builds a request's gate over the
-topology's bandwidth index (IndexedMasks). The remaining QoS attributes
+per node, gate[v] (v's neighbours over the links that carry the demand), so
+no pruned topology is built: a compare builds one list of them per run
+(Topology.gate), and select_route reads a request's off the topology's
+bandwidth index (IndexedMasks). The remaining QoS attributes
 (delay, jitter, loss) are folded into an additive edge cost, and paths
 minimise the lexicographic label (hops, cost). The search expands one hop
 layer at a time, each newly reached node taking its cheapest predecessor in
@@ -23,17 +23,11 @@ search: it is built for one destination and costs only the nodes on that
 destination's min-hop gated paths, found by bitset hop layers (bitmap
 frontiers, Beamer, Asanovic & Patterson, SC 2012) stepped from both the root
 and the destination until they meet (bidirectional search, Pohl,
-Machine Intelligence 6, 1971). A gate keeps the layers its searches grow
-from each node (Gate.layers). A compare's rows name each node many times
-(about 8 times for 1000 rows on 256 nodes), so its searches grow a node's
-layers once and later rows step through them, the work a multi-source BFS
-shares across the searches of one graph (Then et al., PVLDB 8(4), 2014).
-A side whose next layer is grown steps first, and each new layer is tested
-against the other side's current layer alone. Those nodes get the labels
-and parents a search of the root's whole gated component would give them,
-whatever layers the gate held; the tests keep such a full search as their
-reference. The topology's component labels, computed once, tell a refusal
-from an unreachable verdict.
+Machine Intelligence 6, 1971). Each search grows its own layers and keeps
+nothing after it returns. Those nodes get the labels and parents a search
+of the root's whole gated component would give them; the tests keep such a
+full search as their reference. The topology's component labels, computed
+once, tell a refusal from an unreachable verdict.
 
 Loss enters the cost as -ln(1 - loss) so that multiplicative path delivery
 probability becomes additive, keeping the path cost an exact sum.
@@ -47,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
-from .topology import (Gate, IndexedMasks, Topology, check_demand, check_node,
+from .topology import (IndexedMasks, Topology, check_demand, check_node,
                        is_int, is_number)
 # unused here; kept importable because the benchmark's tracer wraps these names
 from .topology import bfs_hops, feasible_subgraph  # noqa: F401
@@ -192,10 +186,11 @@ def _reach(masks, bits: int) -> int:
     return reach
 
 
-def _search(t: Topology, root: int, w: Weights, gate: Gate,
+def _search(t: Topology, root: int, w: Weights, gate: list[int] | IndexedMasks,
             dst: int) -> tuple[list[int], dict[int, float], dict[int, int]]:
     """The search that build_spanning_tree and route share, unchecked: root
-    and dst must be node ids of t, w a Weights and gate a Gate of t's.
+    and dst must be node ids of t, w a Weights and gate[v] node v's gated
+    neighbour bitset, as Topology.gate or IndexedMasks gives it.
     Returns (kept, cost, parent): kept[h] is the bitset of the labelled
     nodes h hops from root, cost maps each labelled node to its path cost
     and parent each but root to its predecessor, both in label order (hop
@@ -203,17 +198,13 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
 
     Meet: bitset hop layers step from root and from dst, one layer a step
     (bidirectional search, Pohl 1971, over bitmap frontiers, Beamer et al.
-    2012). They are gate.layers[root] and gate.layers[dst]: a step reads
-    the side's next layer where an earlier search over the gate grew it,
-    else grows it and keeps it there. A side whose next layer is grown
-    steps first; else the side whose current layer has fewer nodes, root
-    on a tie. A side's new layer is tested against the other side's
-    current layer alone, which is exact: with root's side at layer i and
-    dst's at layer j, each step adds one to i + j, no layer of one side
-    overlaps one of the other while i + j is below the hop distance, and
-    once it reaches it the two current layers overlap in the nodes of
-    dst's min-hop paths i hops from root. They form `meet`. A side that
-    runs dry first refuses.
+    2012). Each step grows the side whose last layer has fewer nodes, root
+    on a tie, and tests the new layer against the other side's last layer
+    alone, which is exact: with root's side at layer i and dst's at layer
+    j, each step adds one to i + j, no layer of one side overlaps one of
+    the other while i + j is below the hop distance, and once it reaches it
+    the two last layers overlap in the nodes of dst's min-hop paths i hops
+    from root. They form `meet`. A side that runs dry first refuses.
 
     Walk: from `meet`, each kept layer is the gated neighbours of the one
     before it, within root's layers towards root and within dst's towards
@@ -228,42 +219,32 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
     with no mask read. Each node is labelled once and each link costed at
     most once, so the search is bounded whatever the topology.
     """
-    masks, store = gate.masks, gate.layers
-    out = store.setdefault(root, [1 << root])  # hop layers from root
-    back = store.setdefault(dst, [1 << dst])  # and from dst
-    i = j = 0  # each side's current layer
+    out, back = [1 << root], [1 << dst]  # hop layers from root and from dst
     meet = out[0] & back[0]
     while not meet:
-        grown = len(out) > i + 1
-        if grown == (len(back) > j + 1):
-            step_root = out[i].bit_count() <= back[j].bit_count()
+        if out[-1].bit_count() <= back[-1].bit_count():
+            layers, other = out, back[-1]
         else:
-            step_root = grown
-        if step_root:
-            i += 1
-            layers, k, other = out, i, back[j]
-        else:
-            j += 1
-            layers, k, other = back, j, out[i]
-        if len(layers) == k:
-            # grow layer k: every neighbour of layer k - 1 lies in layer
-            # k - 2, k - 1 or k, so an undirected BFS needs no seen set
-            last = layers[-1]
-            layers.append(_reach(masks, last)
-                          & ~(last | layers[-2] if k > 1 else last))
-        frontier = layers[k]
+            layers, other = back, out[-1]
+        # every neighbour of the last layer lies in the one before it, in it
+        # or in the new one, so an undirected BFS needs no seen set
+        last = layers[-1]
+        frontier = _reach(gate, last) & ~(last | layers[-2] if len(layers) > 1
+                                          else last)
         if not frontier:
             return [1 << root], {root: 0.0}, {}
+        layers.append(frontier)
         meet = frontier & other
+    i, j = len(out) - 1, len(back) - 1
     # kept[h]: the nodes h hops from root on dst's min-hop paths, each side's
     # layers narrowed to them from meet outwards; layer 0 of either side
     # holds its own node alone
     kept = out[:i] + [meet] + back[:j][::-1]
-    near = _reach(masks, meet) if i > 1 or j > 1 else 0
+    near = _reach(gate, meet) if i > 1 or j > 1 else 0
     for h in range(i - 1, 0, -1):
-        kept[h] &= near if h == i - 1 else _reach(masks, kept[h + 1])
+        kept[h] &= near if h == i - 1 else _reach(gate, kept[h + 1])
     for h in range(i + 1, i + j):
-        kept[h] &= near if h == i + 1 else _reach(masks, kept[h - 1])
+        kept[h] &= near if h == i + 1 else _reach(gate, kept[h - 1])
     cost = {root: 0.0}
     parent: dict[int, int] = {}
     adjacency, delay, jitter, loss = t.adjacency, t.delay, t.jitter, t.loss
@@ -285,7 +266,7 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
             v = low.bit_length() - 1
             layer ^= low
             links = adjacency[v]
-            bits = masks[v] & before
+            bits = gate[v] & before
             best = None
             # lowest bit first: u ascending, so strict < keeps the smaller u
             # on a tie
@@ -302,12 +283,12 @@ def _search(t: Topology, root: int, w: Weights, gate: Gate,
     return kept, cost, parent
 
 
-def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
-                        dst: int) -> SpanningTree:
+def build_spanning_tree(t: Topology, root: int, w: Weights,
+                        gate: list[int] | IndexedMasks, dst: int) -> SpanningTree:
     """Minimum (hops, cost) labels from `root` on dst's min-hop paths, one
     hop layer at a time: the checked tree over the search route runs.
 
-    Only the links of `gate` are crossed: gate.masks[v] is v's neighbour
+    Only the links of `gate` are crossed: gate[v] is v's neighbour
     bitset over the links with bandwidth >= the demand, as t.gate(demand),
     which checks the demand, or an IndexedMasks gives it (demand 0 crosses
     every link, as on a topology pruned beforehand). Hops compare
@@ -325,7 +306,6 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
     check_node(dst, t.n, "dst")
     check_weights(w)
     kept, cost, parent = _search(t, root, w, gate, dst)
-    masks = gate.masks
     label: dict[int, tuple[int, float]] = {}
     relaxations = 0
     before = 0
@@ -336,7 +316,7 @@ def build_spanning_tree(t: Topology, root: int, w: Weights, gate: Gate,
             v = low.bit_length() - 1
             nodes ^= low
             label[v] = (hops, cost[v])
-            relaxations += (masks[v] & before).bit_count()
+            relaxations += (gate[v] & before).bit_count()
         before = layer
     return SpanningTree(root, dst, parent, label, relaxations)
 
@@ -363,7 +343,7 @@ def _outcome(t: Topology, root: int, dst: int, cost: float | None,
     return Route(tuple(path), len(path) - 1, cost, 1 / (1 + cost))
 
 
-def route(t: Topology, root: int, w: Weights, gate: Gate,
+def route(t: Topology, root: int, w: Weights, gate: list[int] | IndexedMasks,
           dst: int) -> RouteOutcome:
     """The outcome for dst of one search from root over `gate`, the search
     build_spanning_tree runs, with no tree built: a Route when the gate
@@ -377,9 +357,9 @@ def route(t: Topology, root: int, w: Weights, gate: Gate,
 
 def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
     """Route a request: search from req.src over the links that carry
-    req.demand for req.dst's min-hop paths alone (route, over a gate whose
-    masks are read off t.bandwidth_index: the demand changes from request
-    to request).
+    req.demand for req.dst's min-hop paths alone (route, over the masks
+    IndexedMasks reads off t.bandwidth_index: the demand changes from
+    request to request).
 
     Returns a Route when the destination is reached over such links,
     NoSufficientBandwidth when t.components puts it in the source's
@@ -392,7 +372,7 @@ def select_route(t: Topology, req: RouteRequest) -> RouteOutcome:
         raise ValueError(
             f"src and dst must be node ids in [0, {n}), got {src!r}, {dst!r}")
     return route(t, src, req.weights,
-                 Gate(IndexedMasks(t.bandwidth_index, -req.demand)), dst)
+                 IndexedMasks(t.bandwidth_index, -req.demand), dst)
 
 
 def classify_outcome(t: Topology, tree: SpanningTree) -> RouteOutcome:

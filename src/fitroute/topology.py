@@ -231,8 +231,9 @@ class Topology:
     ascending, to the index of the link joining them: x gets its neighbours
     a < x from the links (a, x), then b > x from the links (x, b). `links`,
     `components` and `bandwidth_index` are memoised on first read, outside
-    the compared fields. The route search reads a Gate: a compare's is
-    built by gate, a request's over bandwidth_index (IndexedMasks).
+    the compared fields. The route search reads each node's gated
+    neighbour bitset: a compare's from gate, a request's off
+    bandwidth_index (IndexedMasks).
     """
 
     n: int
@@ -303,43 +304,22 @@ class Topology:
                       tuple(accumulate((bit for _, bit in row), or_, initial=0)))
                      for row in rows)
 
-    def gate(self, demand: float) -> Gate:
-        """A Gate whose masks list each node's neighbour bitset over the
-        links with bandwidth >= demand (check_demand): bit b of masks[a] is
-        set when {a, b} is such a link. Built in one pass over the links and
-        not memoised: a compare routes every row at one demand, so it builds
-        one gate per run, whose searches share the hop layers they grow."""
+    def gate(self, demand: float) -> list[int]:
+        """Each node's neighbour bitset over the links with bandwidth >=
+        demand (check_demand): bit b of item a is set when {a, b} is such
+        a link. Built in one pass over the links and not memoised: a compare
+        routes every row at one demand, so it builds one gate per run."""
         demand = check_demand(demand)
         masks = [0] * self.n
         for a, b, bandwidth in zip(self.a, self.b, self.bandwidth):
             if bandwidth >= demand:
                 masks[a] |= 1 << b
                 masks[b] |= 1 << a
-        return Gate(masks)
-
-
-class Gate:
-    """The links that carry one demand, as the route search reads them.
-
-    masks[v] is node v's neighbour bitset over those links: a list from
-    Topology.gate, or the IndexedMasks select_route builds. layers[v], once
-    a search over the gate has reached from v, is [1 << v, L1, L2, ...], Lk
-    holding the nodes k gated hops from v; a last Lk of 0 means v's gated
-    component is exhausted. The search (route and build_spanning_tree run
-    the same one) reads and extends these lists, so the searches of one
-    gate grow each node's layers once. They depend on the masks alone, so
-    they serve any search over the gate, from v or towards v. A gate
-    starts with none."""
-
-    __slots__ = ("masks", "layers")
-
-    def __init__(self, masks):
-        self.masks = masks
-        self.layers: dict[int, list[int]] = {}
+        return masks
 
 
 class IndexedMasks:
-    """Topology.gate's masks at one demand, read off Topology.bandwidth_index
+    """Topology.gate's list at one demand, read off Topology.bandwidth_index
     one node at a time: self[v] is node v's neighbour bitset over its links
     with bandwidth >= demand, the masks[bisect_right(keys, -demand)] of v's
     (keys, masks). A request's search reads a few dozen nodes' masks, far

@@ -17,7 +17,7 @@ from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
 from fitroute.dv import converge, extract_path
 from fitroute.experiment import ComparisonReport
 from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
-from fitroute.topology import (Gate, IndexedMasks, SplitMix64, bfs_hops,
+from fitroute.topology import (IndexedMasks, SplitMix64, bfs_hops,
                                check_node_count, remove_link)
 
 
@@ -254,10 +254,10 @@ def path_fitness(path: list[int] | tuple[int, ...], t: Topology,
     return cost, 1.0 / (1.0 + cost)
 
 
-def request_gate(t: Topology, demand: float) -> Gate:
-    """The gate select_route builds for a request of `demand`: t.gate's
-    masks read off t.bandwidth_index one node at a time."""
-    return Gate(IndexedMasks(t.bandwidth_index, -demand))
+def request_gate(t: Topology, demand: float) -> IndexedMasks:
+    """The gate select_route reads for a request of `demand`: t.gate's
+    list read off t.bandwidth_index one node at a time."""
+    return IndexedMasks(t.bandwidth_index, -demand)
 
 
 def is_connected(t: Topology) -> bool:

@@ -157,8 +157,8 @@ def test_a_compare_row_and_a_request_read_a_demand_alike():
     demand = 2**53 + 1
     req = RouteRequest(0, 1, demand)
     assert type(req.demand) is float and req.demand == 2.0**53
-    assert t.gate(demand).masks == [0b10, 0b01]
-    assert [request_gate(t, req.demand).masks[v] for v in range(2)] == [0b10, 0b01]
+    assert t.gate(demand) == [0b10, 0b01]
+    assert [request_gate(t, req.demand)[v] for v in range(2)] == [0b10, 0b01]
     cfg = ExperimentConfig(n=2, explicit_queries=((0, 1),), demand=demand)
     row = run_comparison(cfg, t).rows[0]
     assert isinstance(row.ff, Route)
@@ -199,11 +199,10 @@ def test_compare_builds_no_bandwidth_index(edge_prob, demand):
     assert report.summary.violations == ()
 
 
-def test_compare_drops_each_node_layers_after_its_last_row(monkeypatch):
-    # before row i the run's gate keeps the layers of the nodes that an
-    # earlier row and row i or a later one name, and none once every row
-    # is routed
-    gates, stored = [], []
+def test_compare_routes_every_row_over_one_gate_it_leaves_unchanged(monkeypatch):
+    # the run builds one gate and each row's search reads it as built:
+    # no search keeps state in it, on a sparse run with refusal rows too
+    gates, seen = [], []
     build_gate, search = Topology.gate, experiment.route
 
     def capture(self, demand):
@@ -211,23 +210,22 @@ def test_compare_drops_each_node_layers_after_its_last_row(monkeypatch):
         return gates[-1]
 
     def recording(t, root, w, gate, dst):
-        stored.append(set(gate.layers))
+        seen.append((gate, list(gate)))
         return search(t, root, w, gate, dst)
 
     monkeypatch.setattr(Topology, "gate", capture)
     monkeypatch.setattr(experiment, "route", recording)
     cfg = ExperimentConfig(n=40, seed=3, gen=GenParams(edge_prob=0.05),
                            query_count=200, demand=50.0)
-    report = run_comparison(cfg)
+    t = generate_topology(cfg.n, cfg.gen, cfg.seed)
+    report = run_comparison(cfg, t)
     assert report.summary.refusals > 0 and report.summary.violations == ()
     [gate] = gates
-    assert gate.layers == {}
-    queries = [(row.src, row.dst) for row in report.rows]
-    assert len(stored) == len(queries)
-    for i, kept in enumerate(stored):
-        named_before = {v for pair in queries[:i] for v in pair}
-        named_after = {v for pair in queries[i:] for v in pair}
-        assert kept == named_before & named_after
+    expected = build_gate(t, cfg.demand)
+    assert gate == expected
+    assert len(seen) == len(report.rows)
+    for read, as_read in seen:
+        assert read is gate and as_read == expected
 
 
 # --- run_comparison ---

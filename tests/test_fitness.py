@@ -672,7 +672,7 @@ def test_trees_over_a_gate_equal_trees_over_the_index(data):
     assert over_list == over_view  # relaxations, root and dst too
 
 
-# --- the hop layers a gate keeps for its searches ---
+# --- one gate list read by many searches ---
 
 
 def sparse_topologies():
@@ -686,10 +686,11 @@ def sparse_topologies():
 
 @given(st.data())
 def test_searches_over_a_shared_gate_equal_searches_over_fresh_ones(data):
-    # whatever layers the searches before it left in the gate, a search
-    # gives the tree a fresh gate gives, dict order and relaxations too:
-    # repeated and reversed pairs step through grown layers, src == dst
-    # meets at once and refused pairs end on an exhausted side
+    # a search keeps no state in the gate it reads: over a list that the
+    # searches before it read too, it gives the tree a fresh gate gives,
+    # dict order and relaxations too, for repeated and reversed pairs,
+    # src == dst, which meets at once, and refused pairs, which end on an
+    # exhausted side
     t = data.draw(st.one_of(drawn_topologies(), cut_topologies(),
                             grid_topologies(), sparse_topologies()))
     demand = data.draw(st.sampled_from(boundary_demands(t)))
@@ -714,7 +715,7 @@ def test_searches_over_a_shared_gate_equal_searches_over_fresh_ones(data):
 @given(st.data())
 def test_route_equals_the_outcome_of_the_checked_tree(data):
     # route runs the search build_spanning_tree wraps and reads dst's
-    # outcome off it with no tree: over either kind of gate, fresh or warmed
+    # outcome off it with no tree: over either kind of gate, fresh or read
     # by earlier searches, at every step of the gate (demand 0 and above
     # every bandwidth among them), for src == dst, on split graphs and on
     # grids whose min-hop paths tie; repr compares each cost's sign too
@@ -724,16 +725,16 @@ def test_route_equals_the_outcome_of_the_checked_tree(data):
     w = data.draw(st.sampled_from(WEIGHT_CHOICES))
     gate_of = data.draw(st.sampled_from((t.gate, partial(request_gate, t))))
     nodes = st.integers(0, t.n - 1)
-    warm = gate_of(demand)
+    used = gate_of(demand)
     for s, d in data.draw(st.lists(st.tuples(nodes, nodes), max_size=6)):
-        route(t, s, w, warm, d)
+        route(t, s, w, used, d)
     src = data.draw(nodes)
     dst = data.draw(st.one_of(st.just(src), nodes))
     expected = classify_outcome(
         t, build_spanning_tree(t, src, w, gate_of(demand), dst))
-    for gate in (gate_of(demand), warm):
+    for gate in (gate_of(demand), used):
         assert repr(route(t, src, w, gate, dst)) == repr(expected)
-    assert classify_outcome(t, build_spanning_tree(t, src, w, warm, dst)) == expected
+    assert classify_outcome(t, build_spanning_tree(t, src, w, used, dst)) == expected
 
 
 def test_route_and_the_tree_share_the_overflow_check():
@@ -760,33 +761,30 @@ def test_a_link_of_negative_zeros_costs_a_route_of_zero():
         assert repr(out.cost) == "0.0" and out.hops == dst
 
 
-def test_a_repeated_search_over_a_warm_gate_grows_no_layer():
-    # a search leaves both ends' layers grown up to where the sides met or
-    # one ran dry: the same search, and the reversed one, step through them
-    # alone and give the trees fresh gates give. Demands 0 and 5 route
-    # every pair, up to 5 hops long; demand 9 refuses the three whose ends
-    # differ
+def test_repeated_searches_over_one_gate_list_leave_it_unchanged():
+    # each search grows its own layers: a repeated search, and the reversed
+    # one, over a list that every pair's search has read give the trees
+    # fresh gates give, and the list stays t.gate(demand). Demands 0 and 5
+    # route every pair, up to 5 hops long; demand 9 refuses the three whose
+    # ends differ
     t = generate_topology(60, GenParams(edge_prob=0.05,
                                         bandwidth_range=(1.0, 10.0)), 4)
     pairs = ((0, 59), (7, 7), (3, 41), (12, 30))
-    warm = []  # per demand: the gate, its layers and the expected trees
+    trees = []
     for demand in (0.0, 5.0, 9.0):
         gate = t.gate(demand)
         for src, dst in pairs:
             build_spanning_tree(t, src, UNIT, gate, dst)
-        grown = {v: list(layers) for v, layers in gate.layers.items()}
-        warm.append((gate, grown, [
-            build_spanning_tree(t, src, UNIT, t.gate(demand), dst)
-            for pair in pairs for src, dst in (pair, pair[::-1])]))
-    trees = [tree for _, _, expected in warm for tree in expected]
+        for pair in pairs:
+            for src, dst in (pair, pair[::-1]):
+                tree = build_spanning_tree(t, src, UNIT, gate, dst)
+                assert tree == build_spanning_tree(t, src, UNIT,
+                                                   t.gate(demand), dst)
+                trees.append(tree)
+        assert gate == t.gate(demand)
     assert max(tree.label[tree.dst][0] for tree in trees
                if tree.dst in tree.label) == 5
     assert sum(tree.dst not in tree.label for tree in trees) == 6
-    for gate, grown, expected in warm:
-        for tree in expected:
-            assert build_spanning_tree(t, tree.root, UNIT, gate,
-                                       tree.dst) == tree
-        assert gate.layers == grown
 
 
 # --- component labels ---

@@ -30,10 +30,10 @@ layer is empty, is the reference it must equal (tests/helpers.py).
   topology, replayed through run_comparison, must give the generated run's
   rows, no violations and no index. Its seconds and, on a second replay,
   its tracemalloc peak are printed.
-- A compare's gate keeps the hop layers its searches grow from each
-  endpoint until the last row that names it; on the 1024-node path, at
-  demand 5 and as the whole chain at demand 0.5, run_comparison's
-  tracemalloc peak is printed to keep that store's memory in view.
+- On the 1024-node path, at demand 5 and as the whole chain at demand 0.5,
+  run_comparison's tracemalloc peak and the seconds of its 1000-row route
+  pass, every row's search over the one gate, are printed: the path's
+  searches step the most hop layers of any compare.
 
 Outside the tier-1 testpaths; run from the repository root with
 PYTHONPATH=src:tests python -m pytest -q tests_scale -rP
@@ -49,6 +49,7 @@ import pytest
 
 from fitroute import ExperimentConfig, GenParams, generate_topology, run_comparison
 from fitroute.experiment import verify_claims
+from fitroute.fitness import route
 
 from helpers import check_routes_against_full_trees as check
 from helpers import check_rows_against_full_trees as check_rows
@@ -121,10 +122,16 @@ def test_dense_replay_builds_no_bandwidth_index():
 
 @pytest.mark.parametrize("cfg", [replace(CHAIN, demand=5.0), CHAIN],
                          ids=["demand 5", "demand 0.5"])
-def test_path_compare_layer_store_memory(cfg):
+def test_path_compare_memory(cfg):
     t = generate_topology(cfg.n, cfg.gen, cfg.seed)
     tracemalloc.start()
-    run_comparison(cfg, t)
+    report = run_comparison(cfg, t)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    print(f"1024-node path at demand {cfg.demand}: tracemalloc peak {peak / 1e6:.1f} MB")
+    gate = t.gate(cfg.demand)
+    started = time.perf_counter()
+    outcomes = [route(t, row.src, cfg.weights, gate, row.dst) for row in report.rows]
+    seconds = time.perf_counter() - started
+    assert outcomes == [row.ff for row in report.rows]
+    print(f"1024-node path at demand {cfg.demand}: tracemalloc peak "
+          f"{peak / 1e6:.1f} MB, {len(outcomes)}-row route pass {seconds * 1e3:.0f} ms")
