@@ -661,8 +661,9 @@ def parse_topology(text: str) -> Topology:
             QosLink(0, 1, *map(max, attrs))
             if not all(map(lt, a, b)):  # a reversed pair: swap every pair once
                 a, b = list(map(min, a, b)), list(map(max, a, b))
-            if not (all(map(lt, a, b)) and min(a) >= 0
-                    and sum(map(sum, attrs)) >= 0):
+                if not all(map(lt, a, b)):
+                    raise ValueError  # _line_link names the line
+            if not (min(a) >= 0 and sum(map(sum, attrs)) >= 0):
                 raise ValueError  # _line_link names the line
         return Topology._from_columns(n, a, b, *attrs)
     except ValueError:

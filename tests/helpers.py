@@ -7,16 +7,16 @@ import math
 import random
 import time
 from collections import defaultdict
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass
 
 from hypothesis import strategies as st
 
-from fitroute import (ExperimentConfig, GenParams, QosLink, Route, RouteRequest,
-                      Topology, Weights, generate_topology, run_comparison,
-                      select_route)
+from fitroute import (ExperimentConfig, GenParams, NoSufficientBandwidth,
+                      QosLink, Route, RouteRequest, Topology, Unreachable,
+                      Weights, generate_topology, run_comparison, select_route)
 from fitroute.dv import converge, extract_path
 from fitroute.experiment import ComparisonReport
-from fitroute.fitness import SpanningTree, classify_outcome, edge_cost
+from fitroute.fitness import edge_cost
 from fitroute.topology import (IndexedMasks, SplitMix64, bfs_hops,
                                check_node_count, remove_link)
 
@@ -291,8 +291,20 @@ def report_json_reference(report: ComparisonReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+@dataclass(frozen=True)
+class FullTree:
+    """A full_gated_tree: label maps every node reached from root to its
+    (hops, cost), parent every such node but root to its predecessor, and
+    relaxations counts the adjacency entries of the labelled nodes."""
+
+    root: int
+    label: dict[int, tuple[int, float]]
+    parent: dict[int, int]
+    relaxations: int
+
+
 def full_gated_tree(t: Topology, root: int, w: Weights,
-                    demand: float) -> SpanningTree:
+                    demand: float) -> FullTree:
     """The reference search: minimum (hops, cost) labels over the whole of
     root's component in the links with bandwidth >= demand, one hop layer at
     a time until a layer is empty. A node first reached from layer k joins
@@ -300,7 +312,7 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
     (cost_u + edge_cost, u), each link costed by edge_cost as it is crossed.
     relaxations counts every adjacency entry of every labelled node. The
     tree labels every node it reaches, so it answers for any destination
-    through full_tree_outcome; its dst field holds the root."""
+    through full_tree_outcome."""
     label = {root: (0, 0.0)}
     parent = {}
     layer = [root]
@@ -323,7 +335,7 @@ def full_gated_tree(t: Topology, root: int, w: Weights,
             label[v] = (hops, cost)
             parent[v] = u
         layer = sorted(reached)
-    return SpanningTree(root, root, parent, label, relaxations)
+    return FullTree(root, label, parent, relaxations)
 
 
 def boundary_demands(t: Topology) -> list[float]:
@@ -338,9 +350,33 @@ def boundary_demands(t: Topology) -> list[float]:
     return sorted(demands)
 
 
-def full_tree_outcome(t: Topology, tree: SpanningTree, dst: int):
-    """classify_outcome for dst on a full_gated_tree."""
-    return classify_outcome(t, replace(tree, dst=dst))
+def reachable(t: Topology, src: int) -> set[int]:
+    """The nodes src reaches over every link, bandwidth ignored: a queue
+    over t.adjacency."""
+    seen = {src}
+    queue = [src]
+    for u in queue:
+        for v in t.adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def full_tree_outcome(t: Topology, tree: FullTree, dst: int):
+    """dst's outcome on a full_gated_tree: a Route along dst's parents, with
+    its label's hops and cost and fitness 1/(1+cost); else a refusal when
+    the links regardless of bandwidth reach dst from the root (reachable),
+    and Unreachable when they do not."""
+    if dst not in tree.label:
+        if dst in reachable(t, tree.root):
+            return NoSufficientBandwidth()
+        return Unreachable()
+    hops, cost = tree.label[dst]
+    path = [dst]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]])
+    return Route(tuple(reversed(path)), hops, cost, 1 / (1 + cost))
 
 
 def check_routes_against_full_trees(n: int, edge_prob: float, seed: int,

@@ -129,6 +129,12 @@ def test_compare_rejects_non_finite_numbers(capsys, flags):
     assert "fitroute: error:" in err
 
 
+def test_compare_rejects_weights_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "compare", "--nodes", "4", "--weights", "1,2")
+    assert (code, out) == (2, "")
+    assert "fitroute: error: expected WD,WJ,WL, got '1,2'" in err
+
+
 @pytest.mark.parametrize("link", ["0 1 10 nan 0 0", "0 1 inf 1 0 0"])
 def test_compare_rejects_non_finite_topology_file(tmp_path, capsys, link):
     path = tmp_path / "topo.txt"
@@ -322,6 +328,21 @@ def test_replayed_json_report_equals_the_generated_one(tmp_path, capsys, nodes,
     assert replayed == generated
     digest = hashlib.blake2b(path.read_bytes(), digest_size=8).hexdigest()
     assert json.loads(replayed)["fingerprint"] == digest
+
+
+def test_replayed_split_topology_tables_name_the_unreachable_row(tmp_path,
+                                                                 capsys):
+    # node 2 has no link: both tables print row 0->2 as unreachable
+    path = tmp_path / "topo.txt"
+    path.write_text("n=3\n0 1 10 1 0 0\n")
+    code, out, err = run(capsys, "compare", "--topology", str(path),
+                         "--query", "0:2", "--query", "0:1")
+    assert (code, err) == (0, "")
+    dv, ff = out.split("\n\n")[1:3]
+    for table in (dv, ff):
+        assert table.splitlines()[2].split() == ["0", "2", "-", "unreachable"]
+        assert table.splitlines()[3].split() == ["0", "1", "1", "0->1"]
+    assert " unreachable=1 " in out.splitlines()[-1]
 
 
 def test_compare_replay_node_mismatch(tmp_path, capsys):

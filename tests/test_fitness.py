@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -172,7 +173,7 @@ def test_tree_on_line():
     tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 2)
     assert tree.label == {0: (0, 0.0), 1: (1, 2.0), 2: (2, 4.0)}
     assert tree.parent[1] == 0 and tree.parent[2] == 1
-    assert tree.path_to(2) == [0, 1, 2]
+    assert classify_outcome(t, tree).path == (0, 1, 2)
 
 
 def test_tree_square_prefers_cheaper_equal_hop_path():
@@ -189,7 +190,7 @@ def test_tree_isolated_root():
         tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), dst)
         assert tree.label == {0: (0, 0.0)}
         assert tree.parent == {}
-        assert tree.path_to(dst) is None
+        assert isinstance(classify_outcome(t, tree), Unreachable)
 
 
 def test_tree_rejects_bad_root():
@@ -224,7 +225,7 @@ def test_tree_hops_beat_cost():
     ))
     tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 2)
     assert tree.label[2] == (1, 100.0)
-    assert tree.path_to(2) == [0, 2]
+    assert classify_outcome(t, tree).path == (0, 2)
 
 
 def test_tree_equal_label_keeps_smaller_predecessor():
@@ -253,7 +254,7 @@ def test_tree_equal_label_tie_ignores_discovery_order():
     ))
     tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 5)
     assert tree.label[5] == (3, 3.0)
-    assert tree.path_to(5) == [0, 2, 3, 5]
+    assert classify_outcome(t, tree).path == (0, 2, 3, 5)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -264,7 +265,7 @@ def test_tree_labels_monotone_and_bounded(seed):
         assert dst in tree.label and len(tree.label) <= t.n
         assert tree.relaxations <= 2 * len(t.links)
         for node in tree.label:
-            path = tree.path_to(node)
+            path = classify_outcome(t, replace(tree, dst=node)).path
             labels = [tree.label[v] for v in path]
             assert labels == sorted(labels)
             assert len(set(path)) == len(path)
@@ -457,7 +458,7 @@ def test_tree_stops_at_destination_layer():
     t = line_topology(5)
     tree = build_spanning_tree(t, 0, UNIT, t.gate(0.0), 1)
     assert set(tree.label) == {0, 1}
-    assert tree.path_to(1) == [0, 1]
+    assert classify_outcome(t, tree).path == (0, 1)
 
 
 def test_tree_to_its_own_root_does_no_work():
@@ -497,7 +498,7 @@ def test_two_sided_search_meets_on_a_root_step():
                                (4, 5), (5, 6)))
     tree = search_equals_full_tree(t, 0, 5)
     assert set(tree.label) == set(range(6))
-    assert tree.path_to(5) == [0, 1, 3, 5]
+    assert classify_outcome(t, tree).path == (0, 1, 3, 5)
 
 
 def test_two_sided_search_meets_on_a_dst_step():
@@ -509,7 +510,7 @@ def test_two_sided_search_meets_on_a_dst_step():
     tree = search_equals_full_tree(t, 0, 5)
     assert set(tree.label) == set(range(6))
     assert tree.label[5] == (4, 4.0)
-    assert tree.path_to(5) == [0, 1, 3, 4, 5]
+    assert classify_outcome(t, tree).path == (0, 1, 3, 4, 5)
 
 
 def test_two_sided_search_refuses_when_dst_side_runs_dry():
@@ -539,12 +540,12 @@ def test_two_sided_search_on_a_lopsided_graph():
     t = Topology(14, unit_links(*((0, leaf) for leaf in range(1, 9)),
                                 (1, 9), (9, 10), (10, 11), (11, 12), (12, 13)))
     tree = search_equals_full_tree(t, 0, 13)
-    assert tree.path_to(13) == [0, 1, 9, 10, 11, 12, 13]
+    assert classify_outcome(t, tree).path == (0, 1, 9, 10, 11, 12, 13)
     assert set(tree.label) == {0, 1, 9, 10, 11, 12, 13}
     # and back: the chain's end is now the root, and its side grows every
     # step until it reaches the hub
-    assert search_equals_full_tree(t, 13, 0).path_to(0) == [
-        13, 12, 11, 10, 9, 1, 0]
+    back = search_equals_full_tree(t, 13, 0)
+    assert classify_outcome(t, back).path == (13, 12, 11, 10, 9, 1, 0)
 
 
 def test_two_sided_search_tie_after_the_meeting_layer():
@@ -555,7 +556,7 @@ def test_two_sided_search_tie_after_the_meeting_layer():
                                (4, 5), (6, 7), (5, 7)))
     tree = search_equals_full_tree(t, 0, 7)
     assert tree.label[7] == (4, 4.0)
-    assert tree.path_to(7) == [0, 1, 4, 5, 7]
+    assert classify_outcome(t, tree).path == (0, 1, 4, 5, 7)
     assert set(tree.label) == {0, 1, 4, 5, 6, 7}
 
 
